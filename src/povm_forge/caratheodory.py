@@ -7,6 +7,13 @@ solutions, each supported on at most rank(D) operators.  Decomposing down to
 those extreme points and keeping the most informative one prunes a measurement
 to at most d^2 rank-one operators (or fewer under symmetry) without losing
 mutual information.
+
+The decomposition is the constructive Caratheodory chain: walk the weights
+along null vectors of the support columns (an SVD null basis, updated by
+Householder reflections as columns leave) to a vertex, peel off as much of
+that vertex as stays nonnegative, and repeat on the renormalized remainder.
+The face dimension drops with every peel, so a support of n operators yields
+at most n - rank(D) + 1 leaves.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ class InfeasibleError(ValueError):
 
 
 class InternalLogicError(RuntimeError):
-    """Raised when the reduction recursion misbehaves; indicates numerical trouble."""
+    """Raised when the Caratheodory chain overruns its leaf bound or cannot step;
+    indicates numerical trouble."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,59 +90,20 @@ def build_design_matrix(normalized_ops) -> DesignMatrix:
     return DesignMatrix(matrix=matrix, target=target, dim=d)
 
 
-def _row_echelon(a: np.ndarray, rank_tol: float):
-    """Reduced row echelon form with partial pivoting.
+def _null_basis(a: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a``, one vector per column.
 
-    Columns are processed left to right, so pivot columns have the smallest
-    possible indices; this makes kernel directions reproducible.  Returns the
-    reduced matrix and the list of pivot columns.  The pivot threshold is
-    relative to the largest entry of the input.
+    Singular values at or below ``rank_tol`` times the largest count as zero.
     """
-    r = np.array(a, dtype=float)
-    m, n = r.shape
-    scale = np.max(np.abs(r)) if r.size else 0.0
-    threshold = rank_tol * scale
-    pivot_cols = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pivot = row + int(np.argmax(np.abs(r[row:, col])))
-        if np.abs(r[pivot, col]) <= threshold:
-            continue
-        r[[row, pivot]] = r[[pivot, row]]
-        r[row] = r[row] / r[row, col]
-        for other in range(m):
-            if other != row and r[other, col] != 0.0:
-                r[other] -= r[other, col] * r[row]
-        pivot_cols.append(col)
-        row += 1
-    return r, pivot_cols
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.count_nonzero(s > rank_tol * s.max(initial=0.0)))
+    return vt[rank:].T
 
 
 def numeric_rank(d: DesignMatrix | np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    """Rank of a matrix by row-echelon reduction with a relative pivot threshold."""
+    """Rank of a matrix: singular values above ``rank_tol`` times the largest."""
     matrix = d.matrix if isinstance(d, DesignMatrix) else np.asarray(d, dtype=float)
-    _, pivot_cols = _row_echelon(matrix, rank_tol)
-    return len(pivot_cols)
-
-
-def _kernel_direction(a: np.ndarray, rank_tol: float) -> np.ndarray | None:
-    """A null vector of ``a`` obtained by freeing the first non-pivot column.
-
-    Returns None when the columns are linearly independent.
-    """
-    r, pivot_cols = _row_echelon(a, rank_tol)
-    n = a.shape[1]
-    free = [c for c in range(n) if c not in pivot_cols]
-    if not free:
-        return None
-    j = free[0]
-    q = np.zeros(n)
-    q[j] = 1.0
-    for row, col in enumerate(pivot_cols):
-        q[col] = -r[row, j]
-    return q
+    return matrix.shape[1] - _null_basis(matrix, rank_tol).shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,70 +126,61 @@ class IdentityDecomposition:
         return [np.flatnonzero(nu > SUPPORT_TOL) for nu in self.solutions]
 
 
-def _reduce_to_basic(design: np.ndarray, lam: np.ndarray, rank_tol: float, depth: int):
-    """Recursively walk the weight vector to extreme points of the polytope.
+def _restrict_null(null: np.ndarray, rows: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Null basis once the coordinates ``rows`` leave the support.
 
-    While the support carries a kernel direction q of the design columns, move
-    lambda +- t q to the first boundary in each direction (some coordinate hits
-    zero, shrinking the support) and recurse; the convex coefficients follow
-    from the step lengths.  Every leaf has linearly independent support
-    columns, hence support size at most rank(D).
+    The vectors of span(null) that vanish on ``rows`` remain; one Householder
+    reflection per row rotates them into all but the first column, so the
+    basis stays orthonormal.  A row that no null vector touches drops no
+    direction.
     """
-    if depth < 0:
-        raise InternalLogicError("reduction recursion exceeded the initial support size")
-    support = np.flatnonzero(lam > SUPPORT_TOL)
-    q_support = _kernel_direction(design[:, support], rank_tol)
-    if q_support is None:
-        return [(1.0, lam)]
-    q = np.zeros_like(lam)
-    q[support] = q_support
-    # Row 0 of the design matrix is all ones, so kernel vectors sum to zero and
-    # carry both signs: both directions hit a boundary.
-    negative = q < -SUPPORT_TOL
-    positive = q > SUPPORT_TOL
-    if not negative.any() or not positive.any():
-        raise InternalLogicError("kernel direction lacks a sign; boundary step undefined")
-    t_plus = np.min(lam[negative] / -q[negative])
-    t_minus = np.min(lam[positive] / q[positive])
-    lam_plus = np.clip(lam + t_plus * q, 0.0, None)
-    lam_minus = np.clip(lam - t_minus * q, 0.0, None)
-    # Zero out the coordinates that define the step length exactly.
-    lam_plus[negative & (lam_plus <= SUPPORT_TOL)] = 0.0
-    lam_minus[positive & (lam_minus <= SUPPORT_TOL)] = 0.0
-    w_plus = t_minus / (t_plus + t_minus)
-    w_minus = t_plus / (t_plus + t_minus)
-    leaves = []
-    for w_branch, lam_branch in ((w_minus, lam_minus), (w_plus, lam_plus)):
-        for w_leaf, nu in _reduce_to_basic(design, lam_branch, rank_tol, depth - 1):
-            leaves.append((w_branch * w_leaf, nu))
-    return leaves
+    for row in rows:
+        a = null[row]
+        norm = np.linalg.norm(a)
+        if norm > rank_tol:
+            u = a.copy()
+            u[0] += np.copysign(norm, a[0])
+            null = (null - np.outer(null @ u, u) * (2.0 / (u @ u)))[:, 1:]
+    return np.delete(null, rows, axis=0)
 
 
-def _merge_leaves(leaves):
-    """Combine repeated leaves; a support with independent columns determines
-    its basic solution uniquely, so bucketing by support almost always merges
-    exactly."""
-    buckets: dict[tuple[int, ...], list[tuple[float, np.ndarray]]] = {}
-    order: list[tuple[int, ...]] = []
-    for w, nu in leaves:
-        key = tuple(np.flatnonzero(nu > SUPPORT_TOL).tolist())
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        for i, (w_seen, nu_seen) in enumerate(buckets[key]):
-            if np.max(np.abs(nu - nu_seen)) <= 1e-9:
-                buckets[key][i] = (w_seen + w, nu_seen)
-                break
-        else:
-            buckets[key].append((w, nu))
-    return [entry for key in order for entry in buckets[key]]
+def _walk_to_vertex(lam: np.ndarray, support: np.ndarray, null: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Move ``lam`` inside its face to a vertex of the polytope.
+
+    ``null`` is an orthonormal null basis of the design columns on ``support``,
+    the nonzero coordinates of ``lam``.  While it is nonempty, step along its
+    first vector until a coordinate hits zero and restrict the basis to the
+    smaller support; the walk ends when the support columns are linearly
+    independent.
+    """
+    v = lam.copy()
+    while null.shape[1]:
+        # Row 0 of the design matrix is all ones, so null vectors sum to zero
+        # and carry a negative entry.
+        q = null[:, 0]
+        negative = np.flatnonzero(q < 0)
+        if negative.size == 0:
+            raise InternalLogicError("null vector lacks a negative entry; step undefined")
+        ratios = v[support[negative]] / -q[negative]
+        hit = int(np.argmin(ratios))
+        step = v[support] + ratios[hit] * q
+        step[negative[hit]] = 0.0
+        gone = np.flatnonzero(step <= SUPPORT_TOL)
+        v[support] = np.where(step > SUPPORT_TOL, step, 0.0)
+        null = _restrict_null(null, gone, rank_tol)
+        support = np.delete(support, gone)
+    return v
 
 
 def decompose_identity(normalized: NormalizedPovm, rank_tol: float = RANK_TOL) -> IdentityDecomposition:
     """Rewrite sum_i lambda_i Pi'_i = I as a convex mixture of small solutions.
 
-    Each returned solution uses at most rank(D) of the given operators; rank(D)
-    is at most r + 1 when the operators live in an r-dimensional affine slice.
+    Constructive Caratheodory chain: walk the remaining weights to a vertex v
+    of their face, peel off the largest t with remainder - t v >= 0, and
+    renormalize.  Each peel zeros a coordinate of v's support, so the face
+    dimension drops every time and at most support - rank(D) + 1 leaves come
+    out.  Each leaf uses at most rank(D) of the given operators; rank(D) is at
+    most r + 1 when the operators live in an r-dimensional affine slice.
     """
     design = build_design_matrix(normalized.normalized_ops)
     lam = np.asarray(normalized.weights, dtype=float)
@@ -229,11 +189,35 @@ def decompose_identity(normalized: NormalizedPovm, rank_tol: float = RANK_TOL) -
     residual = np.max(np.abs(design.matrix @ lam - design.target))
     if residual > 1e-8:
         raise InfeasibleError(f"weights do not reproduce the identity: residual {residual:.3e}")
-    support = int(np.count_nonzero(lam > SUPPORT_TOL))
-    leaves = _merge_leaves(_reduce_to_basic(design.matrix, lam, rank_tol, support))
-    weights = np.array([w for w, _ in leaves])
-    solutions = [nu for _, nu in leaves]
-    return IdentityDecomposition(weights=weights, solutions=solutions, design=design)
+    rest = np.where(lam > SUPPORT_TOL, lam, 0.0)
+    support = np.flatnonzero(rest)
+    # One SVD for the whole chain: every peel only shrinks the support, so the
+    # null basis of the remainder follows by restriction.
+    null = _null_basis(design.matrix[:, support], rank_tol)
+    max_leaves = null.shape[1] + 1
+    weights: list[float] = []
+    solutions: list[np.ndarray] = []
+    mass = 1.0
+    while len(solutions) < max_leaves:
+        vertex = _walk_to_vertex(rest, support, null, rank_tol)
+        inside = np.flatnonzero(vertex)
+        ratios = rest[inside] / vertex[inside]
+        hit = int(np.argmin(ratios))
+        # Without a null vector the remainder is itself a vertex.
+        t = min(ratios[hit], 1.0) if null.shape[1] else 1.0
+        weights.append(mass * t)
+        solutions.append(vertex)
+        if t == 1.0:
+            return IdentityDecomposition(weights=np.array(weights), solutions=solutions, design=design)
+        rest = rest - t * vertex
+        rest[inside[hit]] = 0.0
+        rest[rest <= SUPPORT_TOL] = 0.0
+        rest /= rest.sum()
+        mass *= 1.0 - t
+        gone = np.flatnonzero(rest[support] == 0.0)
+        null = _restrict_null(null, gone, rank_tol)
+        support = np.delete(support, gone)
+    raise InternalLogicError(f"Caratheodory chain exceeded {max_leaves} leaves")
 
 
 def split_rank_one(p: Povm, cutoff: float = EIGENVALUE_CUTOFF) -> Povm:
@@ -253,9 +237,35 @@ def split_rank_one(p: Povm, cutoff: float = EIGENVALUE_CUTOFF) -> Povm:
     return Povm(pieces)
 
 
-def _leaf_povm(nu: np.ndarray, normalized_ops) -> Povm:
-    ops = [nu[j] * normalized_ops[j] for j in np.flatnonzero(nu > SUPPORT_TOL)]
-    return Povm(ops)
+def score_leaves(
+    s: Ensemble,
+    decomposition: IdentityDecomposition,
+    ops,
+    rep: FiniteRep | None = None,
+) -> tuple[list[float], Povm]:
+    """Mutual information of every leaf and the first most informative leaf.
+
+    Leaf nu is the POVM {nu_j ops[j]} over its support.  With ``rep`` every
+    operator is replaced by its |G| conjugates u nu_j ops[j] u^dagger / |G|,
+    so a leaf over orbit sums becomes a union of orbits in |G|-element blocks.
+    """
+    infos: list[float] = []
+    best, best_info = None, -np.inf
+    for nu in decomposition.solutions:
+        support = np.flatnonzero(nu > SUPPORT_TOL)
+        if rep is None:
+            candidate = Povm([nu[j] * ops[j] for j in support])
+        else:
+            scale = 1.0 / rep.order
+            candidate = Povm([
+                hermitian_part(nu[j] * scale * (u @ ops[j] @ u.conj().T))
+                for j in support
+                for u in rep.elements
+            ])
+        infos.append(mutual_information(s, candidate))
+        if infos[-1] > best_info:
+            best, best_info = candidate, infos[-1]
+    return infos, best
 
 
 def prune_povm(s: Ensemble, p: Povm, rank_tol: float = RANK_TOL) -> Povm:
@@ -272,15 +282,7 @@ def prune_povm(s: Ensemble, p: Povm, rank_tol: float = RANK_TOL) -> Povm:
     rank_one = split_rank_one(p)
     normalized = normalize_povm(rank_one)
     decomposition = decompose_identity(normalized, rank_tol)
-    best = None
-    best_info = -np.inf
-    for nu in decomposition.solutions:
-        candidate = _leaf_povm(nu, normalized.normalized_ops)
-        info = mutual_information(s, candidate)
-        if info > best_info:
-            best = candidate
-            best_info = info
-    return best
+    return score_leaves(s, decomposition, normalized.normalized_ops)[1]
 
 
 def prune_symmetric_povm(
@@ -321,20 +323,4 @@ def prune_symmetric_povm(
         raise InternalLogicError(
             f"decomposition produced {largest} orbits, above the bound {bound}"
         )
-    scale = 1.0 / rep.order
-    best = None
-    best_info = -np.inf
-    for nu in decomposition.solutions:
-        ops = []
-        for j in np.flatnonzero(nu > SUPPORT_TOL):
-            base = normalized.normalized_ops[j]
-            ops.extend(
-                hermitian_part(nu[j] * scale * (u @ base @ u.conj().T))
-                for u in rep.elements
-            )
-        candidate = Povm(ops)
-        info = mutual_information(s, candidate)
-        if info > best_info:
-            best = candidate
-            best_info = info
-    return best
+    return score_leaves(s, decomposition, normalized.normalized_ops, rep)[1]

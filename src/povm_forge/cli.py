@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .caratheodory import decompose_identity, prune_povm, prune_symmetric_povm
+from .caratheodory import decompose_identity, prune_povm, prune_symmetric_povm, score_leaves
 from .infotheory import mutual_information
 from .quantum import (
     Ensemble,
@@ -36,10 +36,8 @@ from .quantum import (
 from .symmetry import (
     FiniteRep,
     GroupNotFiniteError,
-    NotSymmetricError,
     complex_orbit_bound,
     generate_group,
-    is_symmetric_ensemble,
     real_orbit_bound,
 )
 from .trines import (
@@ -421,21 +419,15 @@ def cmd_decompose(args) -> int:
         for line in report.violations:
             print(f"povm: {line}", file=sys.stderr)
         return EXIT_DOMAIN
-    decomposition = decompose_identity(normalize_povm(problem.povm))
+    normalized = normalize_povm(problem.povm)
+    decomposition = decompose_identity(normalized)
     doc = {
         "weights": [float(w) for w in decomposition.weights],
         "supports": [[int(j) for j in sup] for sup in decomposition.supports()],
         "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
     }
     if problem.ensemble is not None:
-        infos = []
-        for nu in decomposition.solutions:
-            ops = [
-                nu[j] * op
-                for j, op in enumerate(normalize_povm(problem.povm).normalized_ops)
-                if nu[j] > 0
-            ]
-            infos.append(mutual_information(problem.ensemble, Povm(ops)))
+        infos, _ = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
         doc["leaf_info_bits"] = infos
         doc["best_leaf"] = int(np.argmax(infos))
     print(json.dumps(doc, indent=2))
@@ -466,8 +458,6 @@ def cmd_prune(args) -> int:
     try:
         if generators is not None:
             rep = generate_group(generators, dim=problem.dimension)
-            if not is_symmetric_ensemble(problem.ensemble, rep):
-                raise NotSymmetricError("ensemble is not symmetric under the supplied group")
             pruned = prune_symmetric_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
         else:
             pruned = prune_povm(problem.ensemble, problem.povm)

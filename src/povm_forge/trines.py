@@ -248,7 +248,8 @@ def optimize_two_orbits(
     x_second), and the azimuths decouple given the x values, so the search is
     a 2-D scan over (x_first, x_second) with a 1-D azimuth maximization
     inside.  Coarse grid seeds are refined with coordinate-wise golden
-    section sweeps.
+    section sweeps, and the single complete orbit (lam = 1, both orbits
+    equal) is returned when it scores at least as high.
     """
     third = 1.0 / 3.0
 
@@ -301,6 +302,12 @@ def optimize_two_orbits(
         if best is None or value > best[2]:
             best = (x1, x2, value)
     x1, x2, info = best
+    # The single complete orbit is the x_first = x_second = 1/3 mixture; the
+    # grid search only approaches it, so score it exactly.
+    b_single, single_info = _optimize_b(alpha, third)
+    if single_info >= info:
+        orbit = OrbitParams(a=math.acos(math.sqrt(third)), b=b_single)
+        return TwoOrbitSolution(first=orbit, second=orbit, lam=1.0, info_bits=single_info)
     b1, _ = _optimize_b(alpha, x1)
     b2, _ = _optimize_b(alpha, x2)
     return TwoOrbitSolution(

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from povm_forge import (
+    Ensemble,
     NormalizedPovm,
     Povm,
     build_design_matrix,
+    complex_orbit_bound,
     convex_combine,
     decompose_identity,
     generate_group,
@@ -154,7 +156,7 @@ def assert_decomposition_invariants(normalized, decomposition):
         assert len(sup) <= rank
         mix = sum(nu[j] * normalized.normalized_ops[j] for j in sup)
         assert np.max(np.abs(mix - np.eye(d))) <= 1e-8
-    assert len(decomposition) <= 2 ** int(np.count_nonzero(lam > 1e-13))
+    assert len(decomposition) <= int(np.count_nonzero(lam > 1e-13)) - rank + 1
 
 
 def test_decompose_matches_subset_oracle_random():
@@ -244,6 +246,47 @@ def test_prune_symmetric_double_trines_single_orbit():
     pruned = prune_symmetric_povm(projected, pgm, rep, real_mode=True)
     assert len(pruned) // rep.order == 1
     assert abs(mutual_information(projected, pruned) - 1.369) <= 1e-3
+
+
+def test_prune_d3_twelve_full_rank_outcomes():
+    # 36 rank-one pieces: the decomposition chain needs at most 36 - 9 + 1 leaves
+    rng = np.random.default_rng(40)
+    s = random_ensemble(rng, 3, 4)
+    p = random_povm(rng, 3, 12)
+    pruned = prune_povm(s, p)
+    assert len(pruned) <= 9
+    assert validate_povm(pruned).ok
+    assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
+
+
+def test_prune_symmetric_weyl_heisenberg_symmetrized_povm():
+    # Order-27 Weyl-Heisenberg group in d = 3: the POVM is already symmetrized,
+    # so all 81 orbit sums equal the identity and every column of the design
+    # matrix coincides.
+    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    rep = generate_group([shift, clock], dim=3)
+    assert rep.order == 27
+    v = np.array([1.0, 0.5 + 0.5j, -0.25j])
+    v /= np.linalg.norm(v)
+    states = []
+    for u in rep.elements:
+        state = u @ np.outer(v, v.conj()) @ u.conj().T
+        if not any(np.max(np.abs(state - seen)) <= 1e-9 for seen in states):
+            states.append(state)
+    s = Ensemble(states, np.full(len(states), 1.0 / len(states)))
+    basis, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5j], [0.0, 1.0, 3.0j], [2.0, -1.0, 1.0]]))
+    p = Povm([
+        u @ np.outer(basis[:, k], basis[:, k].conj()) @ u.conj().T / rep.order
+        for k in range(3)
+        for u in rep.elements
+    ])
+    assert len(p) == 81
+    pruned = prune_symmetric_povm(s, p, rep)
+    assert len(pruned) % rep.order == 0
+    assert len(pruned) // rep.order <= complex_orbit_bound(rep)
+    assert validate_povm(pruned).ok
+    assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
 
 
 def test_prune_symmetric_requires_symmetry():

@@ -210,6 +210,11 @@ def test_optimize_two_orbits_collapses_for_double_trines():
     assert on_plane or two.info_bits <= single + 1e-9
 
 
+def test_optimize_two_orbits_never_below_single_orbit():
+    two = optimize_two_orbits(0.5)
+    assert two.info_bits >= optimize_single_orbit(0.5)[1]
+
+
 def test_double_trines_projection():
     raw, projected = double_trines()
     assert raw.dim == 4 and projected.dim == 3

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import coords, eig_hermitian, hermitian_part
+from .hermitian import HERM_TOL, coords, eig_hermitian, hermitian_part
 from .infotheory import mutual_information
 from .quantum import Ensemble, NormalizedPovm, Povm, normalize_povm, validate_povm
 from .symmetry import (
@@ -81,7 +81,7 @@ def build_design_matrix(normalized_ops) -> DesignMatrix:
     columns = []
     for i, op in enumerate(ops):
         tr = np.trace(op).real
-        if abs(tr - d) > 1e-9:
+        if abs(tr - d) > HERM_TOL:
             raise NormalizationError(f"operator {i} has trace {tr:.12g}, expected {d}")
         columns.append(np.concatenate([[1.0], coords(op)]))
     matrix = np.column_stack(columns)
@@ -311,7 +311,7 @@ def prune_symmetric_povm(
     if real_mode:
         bound = real_orbit_bound(rep)
         for op in normalized.normalized_ops:
-            if np.max(np.abs(op.imag)) > 1e-9:
+            if np.max(np.abs(op.imag)) > HERM_TOL:
                 raise RealRepRequiredError("real_mode requires real POVM operators")
     else:
         bound = complex_orbit_bound(rep)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .caratheodory import decompose_identity, prune_povm, prune_symmetric_povm, score_leaves
+from .hermitian import HERM_TOL
 from .infotheory import mutual_information
 from .quantum import (
     Ensemble,
@@ -163,16 +164,6 @@ def problem_to_json(
     return doc
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("POVM_FORGE_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # validate
 
@@ -272,7 +263,7 @@ def _print_summary(checked: list[tuple]) -> None:
 
 def _experiment_lifted_trines(args, out_dir: str) -> tuple[dict, int]:
     alpha = args.alpha if args.alpha is not None else 0.05
-    scan = scan_surface(alpha, nx=args.nx, nb=args.nb, max_workers=_max_workers())
+    scan = scan_surface(alpha, nx=args.nx, nb=args.nb)
     _write_surface_csv(os.path.join(out_dir, "surface.csv"), scan)
     b_star, single_info = optimize_single_orbit(alpha)
     two = optimize_two_orbits(alpha)
@@ -310,7 +301,7 @@ def _experiment_lifted_trines(args, out_dir: str) -> tuple[dict, int]:
 
 def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
     alpha = 0.5
-    scan = scan_surface(alpha, nx=args.nx, nb=args.nb, max_workers=_max_workers())
+    scan = scan_surface(alpha, nx=args.nx, nb=args.nb)
     _write_surface_csv(os.path.join(out_dir, "surface.csv"), scan)
     b_star, single_info = optimize_single_orbit(alpha)
     two = optimize_two_orbits(alpha)
@@ -419,17 +410,21 @@ def cmd_decompose(args) -> int:
         for line in report.violations:
             print(f"povm: {line}", file=sys.stderr)
         return EXIT_DOMAIN
-    normalized = normalize_povm(problem.povm)
-    decomposition = decompose_identity(normalized)
-    doc = {
-        "weights": [float(w) for w in decomposition.weights],
-        "supports": [[int(j) for j in sup] for sup in decomposition.supports()],
-        "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
-    }
-    if problem.ensemble is not None:
-        infos, _ = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
-        doc["leaf_info_bits"] = infos
-        doc["best_leaf"] = int(np.argmax(infos))
+    try:
+        normalized = normalize_povm(problem.povm)
+        decomposition = decompose_identity(normalized)
+        doc = {
+            "weights": [float(w) for w in decomposition.weights],
+            "supports": [[int(j) for j in sup] for sup in decomposition.supports()],
+            "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
+        }
+        if problem.ensemble is not None:
+            infos, _ = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
+            doc["leaf_info_bits"] = infos
+            doc["best_leaf"] = int(np.argmax(infos))
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -453,9 +448,9 @@ def cmd_prune(args) -> int:
         generators = group_problem.generators
     elif problem.generators is not None:
         generators = problem.generators
-    info_before = mutual_information(problem.ensemble, problem.povm)
     rep: FiniteRep | None = None
     try:
+        info_before = mutual_information(problem.ensemble, problem.povm)
         if generators is not None:
             rep = generate_group(generators, dim=problem.dimension)
             pruned = prune_symmetric_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
@@ -504,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a problem file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=HERM_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bound", help="orbit-count bounds from the group in a problem file")
@@ -524,8 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a POVM into basic feasible solutions")
     p.add_argument("path")
-    p.add_argument("--json", action="store_true", help="(output is always JSON)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=HERM_TOL)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("prune", help="prune a POVM without losing mutual information")

@@ -1,9 +1,9 @@
 """Dense linear algebra for small complex Hermitian matrices.
 
 Everything here targets matrices of dimension d <= 8 or so: the trace-orthogonal
-Hermitian basis, real coordinate vectors with respect to that basis, a cyclic
-Jacobi eigensolver, positivity tests, and the pseudo-inverse square root used
-by the pretty good measurement.
+Hermitian basis, real coordinate vectors with respect to that basis, a checked
+Hermitian eigendecomposition, positivity tests, and the pseudo-inverse square
+root used by the pretty good measurement.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 HERM_TOL = 1e-9
 PSD_TOL = 1e-10
 NULL_TOL = 1e-9
-JACOBI_OFF_TOL = 1e-14
 
 
 class InvalidDimensionError(ValueError):
@@ -113,48 +112,12 @@ def from_coords(c: np.ndarray, d: int) -> np.ndarray:
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix (checked within ``tol``).
 
     Returns (w, v) with eigenvalues w ascending and unitary v such that
-    M v = v diag(w).  Robust for the small dimensions used here; convergence is
-    declared when the off-diagonal Frobenius mass drops below 1e-14 relative to
-    the matrix norm.
+    M v = v diag(w).
     """
-    a = as_hermitian(m, tol)
-    d = a.shape[0]
-    v = np.eye(d, dtype=complex)
-    if d == 1:
-        return a.diagonal().real.copy(), v
-    norm = max(1.0, float(np.linalg.norm(a)))
-    threshold = JACOBI_OFF_TOL * norm
-    for _ in range(60):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(a.diagonal())) ** 2))
-        if off <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= threshold / (d * d):
-                    continue
-                phase = apq / r
-                # Rotation angle from the phase-reduced real 2x2 block.
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase
-                j = np.eye(d, dtype=complex)
-                j[p, p] = c
-                j[q, q] = c
-                j[p, q] = -s
-                j[q, p] = np.conj(s)
-                a = j.conj().T @ a @ j
-                v = v @ j
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge in 60 sweeps")
-    w = a.diagonal().real
-    order = np.argsort(w, kind="stable")
-    return w[order].copy(), v[:, order]
+    return np.linalg.eigh(as_hermitian(m, tol))
 
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .hermitian import HERM_TOL
 from .quantum import Ensemble, Povm, StructuralError, validate_povm
 
 NEGATIVE_PROB_TOL = 1e-12
@@ -47,10 +48,7 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
     ops = _operators(p)
     if ops[0].shape[0] != s.dim:
         raise StructuralError(f"dimension mismatch: ensemble {s.dim} vs operators {ops[0].shape[0]}")
-    probs = np.empty((len(s), len(ops)))
-    for i, (prior, rho) in enumerate(zip(s.priors, s.states)):
-        for j, op in enumerate(ops):
-            probs[i, j] = prior * np.trace(op @ rho).real
+    probs = s.priors[:, None] * np.einsum("jab,iba->ij", np.asarray(ops), np.asarray(s.states)).real
     low = probs.min()
     if low < -NEGATIVE_PROB_TOL:
         raise ValueError(f"joint probability {low:.3e} is negative beyond tolerance")
@@ -58,7 +56,7 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
     return probs
 
 
-def mutual_information(s: Ensemble, p: Povm, tol: float = 1e-9) -> float:
+def mutual_information(s: Ensemble, p: Povm, tol: float = HERM_TOL) -> float:
     """Mutual information I(S, P) in bits; the POVM is validated first."""
     report = validate_povm(p, tol=tol, allow_zero=True)
     if not report.ok:
@@ -83,7 +81,7 @@ def orbit_information(s: Ensemble, c) -> float:
     )
 
 
-def equality_condition(s: Ensemble, p, q, j: int, tol: float = 1e-9) -> bool:
+def equality_condition(s: Ensemble, p, q, j: int, tol: float = HERM_TOL) -> bool:
     """Proportionality test for the probability vectors of column j.
 
     True iff p_ij * sum_k q_kj == q_ij * sum_k p_kj for all i, i.e. the two

@@ -1,9 +1,10 @@
 """Finite unitary matrix groups: closure from generators, orbits, and bounds.
 
 Groups are stored extensionally as the full list of unitary matrices, which is
-fine for the small symmetry groups of interest (orders in the tens).  The two
-orbit-count bounds are computed from character sums alone; no explicit
-decomposition into irreducible blocks is ever performed.
+fine for orders up to a few hundred, such as the low-dimensional Clifford and
+Weyl-Heisenberg groups.  The two orbit-count bounds are computed from
+character sums alone; no explicit decomposition into irreducible blocks is
+ever performed.
 """
 
 from __future__ import annotations
@@ -74,11 +75,17 @@ def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return u
 
 
-def _find_element(elements: list[np.ndarray], candidate: np.ndarray, tol: float) -> int:
-    for i, e in enumerate(elements):
-        if np.max(np.abs(e - candidate)) <= tol:
-            return i
-    return -1
+def _matches(stack, candidate: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the stacked matrices within ``tol`` (max-abs) of ``candidate``."""
+    return np.max(np.abs(np.asarray(stack) - candidate), axis=(1, 2)) <= tol
+
+
+def _find_element(elements, candidate: np.ndarray, tol: float) -> int:
+    """Index of the first element within ``tol`` of ``candidate``, or -1."""
+    if len(elements) == 0:
+        return -1
+    hits = np.flatnonzero(_matches(elements, candidate, tol))
+    return int(hits[0]) if hits.size else -1
 
 
 def generate_group(
@@ -101,7 +108,7 @@ def generate_group(
                 raise StructuralError("generators have mixed dimensions")
     elif dim is None:
         raise StructuralError("dim is required when the generator list is empty")
-    elements = [np.eye(dim, dtype=complex)]
+    elements = np.eye(dim, dtype=complex)[None]
     frontier = 0
     while frontier < len(elements):
         current = elements[frontier]
@@ -114,8 +121,8 @@ def generate_group(
                         f"group closure exceeds max_order={max_order}; the generators may "
                         "form a projective representation, supply a central extension"
                     )
-                elements.append(product)
-    return FiniteRep(dim=dim, elements=elements)
+                elements = np.concatenate([elements, product[None]])
+    return FiniteRep(dim=dim, elements=list(elements))
 
 
 def symmetrize(p: Povm, rep: FiniteRep) -> Povm:
@@ -208,38 +215,18 @@ def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep, tol: float = MATCH_TOL) -
     """True iff conjugation permutes the states and priors are orbit-constant."""
     if s.dim != rep.dim:
         raise StructuralError(f"dimension mismatch: ensemble {s.dim} vs representation {rep.dim}")
-    m = len(s)
-    linked = [[False] * m for _ in range(m)]
+    states = np.asarray(s.states)
     for u in rep.elements:
-        used = [False] * m
-        for i, rho in enumerate(s.states):
-            conj = u @ rho @ u.conj().T
-            match = -1
-            for j in range(m):
-                if not used[j] and np.max(np.abs(conj - s.states[j])) <= tol:
-                    match = j
-                    break
-            if match < 0:
+        conjugated = u @ states @ u.conj().T
+        used = np.zeros(len(s), dtype=bool)
+        for i, conj in enumerate(conjugated):
+            free = np.flatnonzero(~used & _matches(states, conj, tol))
+            if free.size == 0:
                 return False
+            match = free[0]
             used[match] = True
-            linked[i][match] = True
-    # Orbits are the connected components of the match relation; priors must
-    # be constant on each.
-    seen = [False] * m
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack = [start]
-        component = []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            component.append(i)
-            for j in range(m):
-                if (linked[i][j] or linked[j][i]) and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        ref = s.priors[component[0]]
-        if any(abs(s.priors[j] - ref) > tol for j in component):
-            return False
+            # Each orbit member is matched to i directly by some element, so
+            # pairwise prior checks cover every orbit.
+            if abs(s.priors[i] - s.priors[match]) > tol:
+                return False
     return True

@@ -11,7 +11,6 @@ searched with derivative-free optimization.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,27 +145,18 @@ class SurfaceScan:
                 yield float(xv), float(bv), float(self.info[i, j]), float(self.dinfo_db[i, j])
 
 
-def scan_surface(alpha: float, nx: int = 200, nb: int = 200, max_workers: int | None = None) -> SurfaceScan:
+def scan_surface(alpha: float, nx: int = 200, nb: int = 200) -> SurfaceScan:
     """Evaluate the orbit information on a uniform (x, b) grid.
 
     The numerical b-derivative is included so slices of the surface can be
-    replotted directly.  Rows may be evaluated by a small thread pool; results
-    are assembled in order either way.
+    replotted directly.  Rows are evaluated one x value at a time, which keeps
+    the temporaries to one row of the grid.
     """
     if nx < 2 or nb < 2:
         raise ValueError("grid needs at least 2 points per axis")
     xs = np.linspace(0.0, 1.0, nx)
     bs = np.linspace(0.0, B_PERIOD, nb)
-    a_of_x = np.arccos(np.sqrt(xs))
-
-    def row(i: int) -> np.ndarray:
-        return _orbit_info_values(alpha, a_of_x[i], bs)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            info = np.array(list(pool.map(row, range(nx))))
-    else:
-        info = np.array([row(i) for i in range(nx)])
+    info = np.array([_orbit_info_values(alpha, a, bs) for a in np.arccos(np.sqrt(xs))])
     dinfo_db = np.gradient(info, bs, axis=1)
     return SurfaceScan(alpha=alpha, x=xs, b=bs, info=info, dinfo_db=dinfo_db)
 

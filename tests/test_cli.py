@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from povm_forge import Povm, lifted_trines, mutual_information, trine_rotation
+from povm_forge import Ensemble, Povm, lifted_trines, mutual_information, trine_rotation
 from povm_forge.cli import (
     ProblemFileError,
     load_problem,
@@ -210,6 +210,31 @@ def test_decompose_invalid_povm_exit_one(tmp_path, capsys):
     assert main(["decompose", path]) == 1
 
 
+def near_complete_problem(tmp_path):
+    """Ensemble and a POVM whose operators sum to I only within 1e-5."""
+    povm = Povm([np.diag([0.5 + 1e-5, 0.5]), np.diag([0.5, 0.5])])
+    ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
+    return write_problem(tmp_path, "near.json", problem_to_json(2, ensemble=ensemble, povm=povm))
+
+
+def assert_domain_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_decompose_infeasible_povm_exit_one(tmp_path, capsys):
+    # passes validation at the loose tolerance, but the weights miss the identity
+    assert main(["decompose", near_complete_problem(tmp_path), "--tol", "1e-3"]) == 1
+    assert_domain_error(capsys)
+
+
+def test_decompose_has_no_json_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", fixture("four_projectors_d2.json"), "--json"])
+    assert exc.value.code == 2
+
+
 def test_prune_plain(tmp_path, capsys):
     rng = np.random.default_rng(52)
     ensemble = random_ensemble(rng, 2, 3)
@@ -244,6 +269,11 @@ def test_prune_with_separate_group_file(tmp_path, capsys):
     assert out["report"]["group_order"] == 3
 
 
+def test_prune_invalid_povm_exit_one(tmp_path, capsys):
+    assert main(["prune", near_complete_problem(tmp_path)]) == 1
+    assert_domain_error(capsys)
+
+
 def test_prune_not_symmetric_exit_one(tmp_path, capsys):
     rng = np.random.default_rng(53)
     ensemble = random_ensemble(rng, 3, 3)
@@ -261,32 +291,3 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert "OK" in result.stdout
-
-
-def test_threads_env_does_not_change_results(tmp_path):
-    env = dict(os.environ, POVM_FORGE_THREADS="3")
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "povm_forge.cli",
-            "experiment",
-            "lifted-trines",
-            "--alpha",
-            "0.3",
-            "--out-dir",
-            str(tmp_path / "threaded"),
-            "--nx",
-            "8",
-            "--nb",
-            "8",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert result.returncode == 0
-    main(["experiment", "lifted-trines", "--alpha", "0.3", "--out-dir", str(tmp_path / "serial"), "--nx", "8", "--nb", "8"])
-    assert (tmp_path / "threaded" / "surface.csv").read_bytes() == (
-        tmp_path / "serial" / "surface.csv"
-    ).read_bytes()

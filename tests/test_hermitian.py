@@ -93,6 +93,27 @@ def test_eig_residual_and_unitarity(d):
         assert np.all(np.diff(w) >= -1e-14)
 
 
+def rank_two_projector():
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5j], [0.0, 1.0, 3.0j], [2.0, -1.0, 1.0]]))
+    return q[:, :2] @ q[:, :2].conj().T
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [(np.eye(3), [1.0, 1.0, 1.0]), (rank_two_projector(), [0.0, 1.0, 1.0]), (np.array([[2.5]]), [2.5])],
+)
+def test_eig_degenerate(m, expected):
+    w, v = eig_hermitian(m)
+    assert np.allclose(w, expected, atol=1e-12)
+    assert np.max(np.abs(m @ v - v @ np.diag(w))) <= 1e-12
+    assert np.max(np.abs(v.conj().T @ v - np.eye(m.shape[0]))) <= 1e-12
+
+
+def test_eig_rejects_non_hermitian():
+    with pytest.raises(HermiticityError):
+        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_is_psd_examples():
     assert is_psd(np.diag([1.0, 0.0]), tol=1e-10)
     assert not is_psd(np.diag([1.0, -1e-3]), tol=1e-10)

@@ -51,6 +51,14 @@ def test_joint_first_row_tilted_orbit():
     assert np.max(np.abs(row - [0.2724, 0.0199, 0.0199])) <= 5e-4
 
 
+def test_joint_matches_trace_loop():
+    rng = np.random.default_rng(13)
+    s = random_ensemble(rng, 3, 4, pure=False)
+    p = random_povm(rng, 3, 5)
+    loop = [[prior * np.trace(op @ rho).real for op in p.operators] for prior, rho in zip(s.priors, s.states)]
+    assert np.max(np.abs(joint_distribution(s, p) - loop)) <= 1e-14
+
+
 def test_joint_rejects_large_negative():
     s = orthogonal_pair()
     with pytest.raises(ValueError):

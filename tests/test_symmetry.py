@@ -22,6 +22,7 @@ from povm_forge import (
     trine_group,
     validate_povm,
 )
+from povm_forge.symmetry import _find_element
 from helpers import planar_rotation, random_state
 
 
@@ -53,6 +54,36 @@ def test_group_closure_products_match_elements():
         for b in rep.elements:
             product = a @ b
             assert any(np.max(np.abs(product - e)) <= 1e-8 for e in rep.elements)
+
+
+def weyl_heisenberg_generators(d):
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * math.pi * np.arange(d) / d))
+    return [shift, clock]
+
+
+def clifford_generators():
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return [hadamard, np.diag([1.0, 1j])]
+
+
+@pytest.mark.parametrize(
+    "generators, order",
+    [(weyl_heisenberg_generators(5), 125), (clifford_generators(), 192)],
+    ids=["weyl-heisenberg-d5", "clifford-d2"],
+)
+def test_large_group_closure(generators, order):
+    rep = generate_group(generators)
+    assert rep.order == order
+    stack = np.asarray(rep.elements)
+    for a in stack:
+        for b in stack:
+            assert _find_element(stack, a @ b, 1e-8) >= 0
+    # both representations are irreducible
+    assert complex_orbit_bound(rep) == 1
+    rng = np.random.default_rng(order)
+    orbit = orbit_of(random_state(rng, rep.dim), rep)
+    assert sum(orbit.multiplicities) == order
 
 
 def test_non_unitary_generator_rejected():
@@ -184,6 +215,13 @@ def test_non_constant_priors_not_symmetric():
     states = lifted_trines(0.05).states
     skewed = Ensemble(states, np.array([0.5, 0.25, 0.25]))
     assert not is_symmetric_ensemble(skewed, rep)
+
+
+def test_prior_off_by_1e6_not_symmetric():
+    # 1e-6 is a hundred times the matching tolerance
+    states = lifted_trines(0.05).states
+    priors = np.array([1 / 3 + 1e-6, 1 / 3, 1 / 3])
+    assert not is_symmetric_ensemble(Ensemble(states, priors), trine_group())
 
 
 def test_any_ensemble_symmetric_under_trivial_group():

@@ -120,16 +120,12 @@ def test_scan_surface_periodic_and_pointwise():
     scan = scan_surface(0.05, nx=9, nb=13)
     assert scan.info.shape == (9, 13)
     assert np.max(np.abs(scan.info[:, 0] - scan.info[:, -1])) <= 1e-12
-    assert abs(scan.info[4, 3] - orbit_info(0.05, math.acos(math.sqrt(scan.x[4])), scan.b[3])) <= 1e-12
+    for i, x in enumerate(scan.x):
+        for j, b in enumerate(scan.b):
+            assert abs(scan.info[i, j] - orbit_info(0.05, math.acos(math.sqrt(x)), b)) <= 1e-12
     rows = list(scan.rows())
     assert len(rows) == 9 * 13
     assert rows[13][0] == scan.x[1] and rows[13][1] == scan.b[0]
-
-
-def test_scan_surface_threading_matches_serial():
-    serial = scan_surface(0.5, nx=7, nb=8)
-    threaded = scan_surface(0.5, nx=7, nb=8, max_workers=4)
-    assert np.array_equal(serial.info, threaded.info)
 
 
 def test_scan_surface_double_trines_plane_slice_peaks_at_zero():

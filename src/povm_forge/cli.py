@@ -45,7 +45,6 @@ from .trines import (
     double_trines,
     double_trines_closed_form,
     hessian_at,
-    lifted_trines,
     optimize_single_orbit,
     optimize_two_orbits,
     orbit_info,
@@ -169,11 +168,7 @@ def problem_to_json(
 
 
 def cmd_validate(args) -> int:
-    try:
-        problem = load_problem(args.path)
-    except (OSError, ProblemFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = load_problem(args.path)
     violations: list[str] = []
     report: dict = {"path": args.path, "dimension": problem.dimension}
     if problem.ensemble is not None:
@@ -207,11 +202,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        problem = load_problem(args.path)
-    except (OSError, ProblemFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = load_problem(args.path)
     if problem.generators is None:
         print("error: file contains no generators", file=sys.stderr)
         return EXIT_DOMAIN
@@ -244,31 +235,30 @@ def _write_surface_csv(path: str, scan) -> None:
             writer.writerow([repr(v) for v in row])
 
 
-def _check_rows(rows) -> tuple[list[tuple], bool]:
-    checked = []
-    all_ok = True
-    for name, value, expected, tol in rows:
-        ok = bool(abs(value - expected) <= tol)
-        all_ok = all_ok and ok
-        checked.append((name, float(value), float(expected), tol, ok))
-    return checked, all_ok
-
-
-def _print_summary(checked: list[tuple]) -> None:
+def _report_checks(rows) -> tuple[list[dict], bool]:
+    """Compare (name, value, expected, tol) rows, print the table, return the JSON rows and verdict."""
+    checked = [(name, float(value), float(expected), tol, bool(abs(value - expected) <= tol))
+               for name, value, expected, tol in rows]
     width = max(len(name) for name, *_ in checked)
     for name, value, expected, tol, ok in checked:
         verdict = "PASS" if ok else "FAIL"
         print(f"{name:<{width}}  {value: .6f}  expected {expected: .6f} +- {tol:g}  {verdict}")
+    report = [{"name": n, "value": v, "expected": e, "tol": t, "pass": ok} for n, v, e, t, ok in checked]
+    return report, all(ok for *_, ok in checked)
 
 
-def _experiment_lifted_trines(args, out_dir: str) -> tuple[dict, int]:
-    alpha = args.alpha if args.alpha is not None else 0.05
+def _orbit_optimum(args, out_dir: str, alpha: float, *, head: dict, tail: dict) -> dict:
+    """Scan the surface and find the single- and two-orbit optima.
+
+    Writes surface.csv and optimum.json (the optimum keys between ``head``
+    and ``tail``) and returns the optimum.
+    """
     scan = scan_surface(alpha, nx=args.nx, nb=args.nb)
     _write_surface_csv(os.path.join(out_dir, "surface.csv"), scan)
     b_star, single_info = optimize_single_orbit(alpha)
     two = optimize_two_orbits(alpha)
     optimum = {
-        "alpha": alpha,
+        **head,
         "single_orbit": {"b": b_star, "info_bits": single_info},
         "two_orbit": {
             "first": {"a": two.first.a, "b": two.first.b, "x": two.first.x},
@@ -276,36 +266,37 @@ def _experiment_lifted_trines(args, out_dir: str) -> tuple[dict, int]:
             "lam": two.lam,
             "info_bits": two.info_bits,
         },
+        **tail,
     }
     with open(os.path.join(out_dir, "optimum.json"), "w", encoding="utf-8") as handle:
         json.dump(optimum, handle, indent=2)
+    return optimum
+
+
+def _experiment_lifted_trines(args, out_dir: str) -> tuple[dict, int]:
+    alpha = args.alpha if args.alpha is not None else 0.05
+    optimum = _orbit_optimum(args, out_dir, alpha, head={"alpha": alpha}, tail={})
     summary = {"experiment": "lifted-trines", "alpha": alpha, "optimum": optimum}
     if abs(alpha - 0.05) > 1e-12:
         # Reference values exist only for the slightly lifted case.
         print(f"alpha = {alpha:g}: no reference values; results written to {out_dir}")
         return summary, EXIT_OK
+    single = optimum["single_orbit"]
     rows = [
-        ("single_orbit_info", single_info, 0.8456, 5e-4),
-        ("single_orbit_b", b_star, 0.1377, 2e-3),
+        ("single_orbit_info", single["info_bits"], 0.8456, 5e-4),
+        ("single_orbit_b", single["b"], 0.1377, 2e-3),
         ("orbit_info_planar", orbit_info(alpha, math.pi / 2, math.pi / 2), 0.15996, 5e-5),
         ("orbit_info_tilted", orbit_info(alpha, math.acos(math.sqrt(0.3831)), 0.0), 0.9499, 5e-4),
-        ("two_orbit_info", two.info_bits, 0.8472, 5e-4),
+        ("two_orbit_info", optimum["two_orbit"]["info_bits"], 0.8472, 5e-4),
     ]
-    checked, all_ok = _check_rows(rows)
-    _print_summary(checked)
-    summary["checks"] = [
-        {"name": n, "value": v, "expected": e, "tol": t, "pass": ok} for n, v, e, t, ok in checked
-    ]
+    summary["checks"], all_ok = _report_checks(rows)
     return summary, EXIT_OK if all_ok else EXIT_DOMAIN
 
 
 def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
     alpha = 0.5
-    scan = scan_surface(alpha, nx=args.nx, nb=args.nb)
-    _write_surface_csv(os.path.join(out_dir, "surface.csv"), scan)
-    b_star, single_info = optimize_single_orbit(alpha)
-    two = optimize_two_orbits(alpha)
     closed = double_trines_closed_form()
+    optimum = _orbit_optimum(args, out_dir, alpha, head={}, tail={"closed_form_bits": closed})
     _, projected = double_trines()
     pgm = pretty_good_measurement(projected)
     pgm_info = mutual_information(projected, pgm)
@@ -316,18 +307,6 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
         (81.0 - 27.0 * math.sqrt(2.0) * gamma) / (16.0 * math.log(2.0)),
         (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0)),
     ]
-    optimum = {
-        "single_orbit": {"b": b_star, "info_bits": single_info},
-        "two_orbit": {
-            "first": {"a": two.first.a, "b": two.first.b, "x": two.first.x},
-            "second": {"a": two.second.a, "b": two.second.b, "x": two.second.x},
-            "lam": two.lam,
-            "info_bits": two.info_bits,
-        },
-        "closed_form_bits": closed,
-    }
-    with open(os.path.join(out_dir, "optimum.json"), "w", encoding="utf-8") as handle:
-        json.dump(optimum, handle, indent=2)
     with open(os.path.join(out_dir, "pgm.json"), "w", encoding="utf-8") as handle:
         json.dump(
             {
@@ -350,36 +329,34 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
             handle,
             indent=2,
         )
+    single = optimum["single_orbit"]
     rows = [
         ("closed_form", closed, 1.369, 1e-3),
-        ("single_orbit_b", b_star, 0.0, 1e-6),
-        ("single_orbit_info", single_info, closed, 1e-9),
+        ("single_orbit_b", single["b"], 0.0, 1e-6),
+        ("single_orbit_info", single["info_bits"], closed, 1e-9),
         ("pgm_info", pgm_info, closed, 1e-6),
         ("hessian_xx", hessian[0, 0], closed_hessian[0], 1e-2),
         ("hessian_bb", hessian[1, 1], closed_hessian[1], 1e-2),
     ]
-    checked, all_ok = _check_rows(rows)
+    checks, all_ok = _report_checks(rows)
     negative_definite = eigenvalues[-1] < 0
-    all_ok = all_ok and negative_definite
-    _print_summary(checked)
     print(f"hessian_negative_definite  {negative_definite}  {'PASS' if negative_definite else 'FAIL'}")
     summary = {
         "experiment": "double-trines",
         "optimum": optimum,
         "pgm_info_bits": pgm_info,
         "hessian_eigenvalues": eigenvalues,
-        "checks": [
-            {"name": n, "value": v, "expected": e, "tol": t, "pass": ok}
-            for n, v, e, t, ok in checked
-        ]
-        + [{"name": "hessian_negative_definite", "pass": negative_definite}],
+        "checks": checks + [{"name": "hessian_negative_definite", "pass": negative_definite}],
     }
-    return summary, EXIT_OK if all_ok else EXIT_DOMAIN
+    return summary, EXIT_OK if all_ok and negative_definite else EXIT_DOMAIN
 
 
 def cmd_experiment(args) -> int:
     if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
         print(f"error: --alpha must lie in [0, 1], got {args.alpha}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.nx < 2 or args.nb < 2:
+        print(f"error: --nx and --nb must be at least 2, got {args.nx} and {args.nb}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -397,11 +374,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        problem = load_problem(args.path)
-    except (OSError, ProblemFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = load_problem(args.path)
     if problem.povm is None:
         print("error: file contains no POVM", file=sys.stderr)
         return EXIT_DOMAIN
@@ -434,12 +407,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    try:
-        problem = load_problem(args.path)
-        group_problem = load_problem(args.group) if args.group else None
-    except (OSError, ProblemFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = load_problem(args.path)
+    group_problem = load_problem(args.group) if args.group else None
     if problem.ensemble is None or problem.povm is None:
         print("error: pruning needs both an ensemble and a POVM", file=sys.stderr)
         return EXIT_DOMAIN
@@ -535,7 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ProblemFileError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

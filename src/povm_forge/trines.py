@@ -4,8 +4,10 @@ The lifted trines are three unit vectors 120 degrees apart in a plane, tilted
 out of it by a mixing amplitude sqrt(alpha) along the first axis.  Candidate
 measurements are orbits of a rank-one operator |psi(a, b)><psi(a, b)| under
 the 120-degree rotation; such an orbit is a complete POVM exactly when
-cos(a)^2 = 1/3.  Mixtures of two orbits on opposite sides of that plane are
-searched with derivative-free optimization.
+cos(a)^2 = 1/3.  With the polar coordinate x = cos(a)^2 fixed, the best
+azimuth gives g(x) = max_b I(x, b).  The best complete mixture of two orbits
+on opposite sides of that plane is the upper concave envelope of g at
+x = 1/3, found by a zooming grid search over pairs of x values.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ from .symmetry import FiniteRep, generate_group
 
 B_PERIOD = 2.0 * math.pi / 3.0
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Azimuth search: coarse seeds per x, then golden section down to _B_XTOL.
+_B_SEEDS = 128
+_B_XTOL = 1e-10
+# Envelope search: (x_first, x_second) start grid, zoom grid points per axis,
+# and the grid span at which zooming stops.
+_START_GRID = (33, 65)
+_ZOOM_POINTS = 9
+_X_SPAN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -161,44 +171,38 @@ def scan_surface(alpha: float, nx: int = 200, nb: int = 200) -> SurfaceScan:
     return SurfaceScan(alpha=alpha, x=xs, b=bs, info=info, dinfo_db=dinfo_db)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal scalar function on [lo, hi]."""
+def _max_over_b(alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """g(x) = max_b I(arccos sqrt(x), b) for an array of x; returns (b_star, g).
+
+    Each x is seeded on a coarse b grid, then every bracket is narrowed by the
+    same golden-section steps at once.  The brackets all start one seed step
+    either side of the best seed, so every element takes the same number of
+    steps.  b_star is folded into [0, pi/3].
+    """
+    a = np.arccos(np.sqrt(np.clip(np.asarray(x, dtype=float), 0.0, 1.0)))
+    seeds = np.linspace(0.0, B_PERIOD, _B_SEEDS, endpoint=False)
+    step = B_PERIOD / _B_SEEDS
+    # One seeding call per x value keeps the temporaries to one row of seeds.
+    best_seed = seeds[[int(np.argmax(_orbit_info_values(alpha, ai, seeds))) for ai in a.flat]]
+    # The surface is periodic in b, so the bracket may spill outside [0, period).
+    lo = best_seed.reshape(a.shape) - step
+    hi = lo + 2.0 * step
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    best = 0.5 * (lo + hi)
-    return best, f(best)
-
-
-def _canonical_b(b: float) -> float:
-    """Fold b into [0, pi/3] using the period and the reflection symmetry b -> -b."""
-    b = b % B_PERIOD
-    if b > 0.5 * B_PERIOD:
-        b = B_PERIOD - b
-    return b
-
-
-def _optimize_b(alpha: float, x: float, n_seed: int = 512, xtol: float = 1e-10) -> tuple[float, float]:
-    """Maximize the orbit information over b at fixed x: coarse grid, then golden section."""
-    a = math.acos(math.sqrt(min(max(x, 0.0), 1.0)))
-    bs = np.linspace(0.0, B_PERIOD, n_seed, endpoint=False)
-    values = _orbit_info_values(alpha, a, bs)
-    k = int(np.argmax(values))
-    step = B_PERIOD / n_seed
-    # The surface is periodic in b, so the bracket may spill outside [0, period).
-    b_star, best = _golden_max(
-        lambda b: float(_orbit_info_values(alpha, a, b)), bs[k] - step, bs[k] + step, xtol
-    )
-    return _canonical_b(b_star), best
+    fc = _orbit_info_values(alpha, a, c)
+    fd = _orbit_info_values(alpha, a, d)
+    for _ in range(math.ceil(math.log(2.0 * step / _B_XTOL) / -math.log(_INV_PHI))):
+        left = fc >= fd
+        lo = np.where(left, lo, c)
+        hi = np.where(left, d, hi)
+        probe = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        f_probe = _orbit_info_values(alpha, a, probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
+    b_star = np.mod(0.5 * (lo + hi), B_PERIOD)
+    # The reflection b -> -b keeps the information; fold b_star into [0, pi/3].
+    b_star = np.where(b_star > 0.5 * B_PERIOD, B_PERIOD - b_star, b_star)
+    return b_star, _orbit_info_values(alpha, a, b_star)
 
 
 def optimize_single_orbit(alpha: float) -> tuple[float, float]:
@@ -207,7 +211,8 @@ def optimize_single_orbit(alpha: float) -> tuple[float, float]:
     Returns (b_star, info_bits) with b_star folded into [0, pi/3]; the mirror
     point at 2 pi / 3 - b_star attains the same value.
     """
-    return _optimize_b(alpha, 1.0 / 3.0)
+    b_star, info = _max_over_b(alpha, 1.0 / 3.0)
+    return float(b_star), float(info)
 
 
 def completeness_weight(x_first: float, x_second: float) -> float:
@@ -225,87 +230,44 @@ def completeness_weight(x_first: float, x_second: float) -> float:
     return float(np.clip((third - x_second) / (x_first - x_second), 0.0, 1.0))
 
 
-def optimize_two_orbits(
-    alpha: float,
-    n_first: int = 35,
-    n_second: int = 69,
-    refine_sweeps: int = 3,
-    n_seeds: int = 4,
-) -> TwoOrbitSolution:
+def optimize_two_orbits(alpha: float) -> TwoOrbitSolution:
     """Best found mixture of two orbits with x_first <= 1/3 <= x_second.
 
-    The completeness constraint fixes the mixing weight from (x_first,
-    x_second), and the azimuths decouple given the x values, so the search is
-    a 2-D scan over (x_first, x_second) with a 1-D azimuth maximization
-    inside.  Coarse grid seeds are refined with coordinate-wise golden
-    section sweeps, and the single complete orbit (lam = 1, both orbits
-    equal) is returned when it scores at least as high.
+    With the x values fixed the azimuths decouple, so the best mixture
+    lam g(x_first) + (1 - lam) g(x_second) with lam x_first + (1 - lam)
+    x_second = 1/3 is the upper concave envelope of g(x) = max_b I(x, b) at 1/3.
+    The chords are scored on an (x_first, x_second) grid in one broadcast,
+    and a small grid is zoomed around the best chord until it spans less
+    than 1e-9.  The single complete orbit (lam = 1, both orbits equal) is
+    scored exactly and returned when no chord beats it.
     """
     third = 1.0 / 3.0
-
-    def g(x: float, fine: bool) -> tuple[float, float]:
-        return _optimize_b(alpha, x, n_seed=128, xtol=1e-9 if fine else 1e-6)
-
-    xs1 = np.linspace(0.0, third, n_first)
-    xs2 = np.linspace(third, 1.0, n_second)
-    g1 = [g(x, fine=False) for x in xs1]
-    g2 = [g(x, fine=False) for x in xs2]
-
-    def combined_value(v1: float, v2: float, x1: float, x2: float) -> float:
-        lam = completeness_weight(x1, x2)
-        return lam * v1 + (1.0 - lam) * v2
-
-    scored = [
-        (combined_value(g1[i][1], g2[j][1], xs1[i], xs2[j]), i, j)
-        for i in range(n_first)
-        for j in range(n_second)
-    ]
-    scored.sort(key=lambda t: -t[0])
-    seeds = scored[:n_seeds]
-
-    def refine(x1: float, x2: float) -> tuple[float, float, float]:
-        span1 = xs1[1] - xs1[0]
-        span2 = xs2[1] - xs2[0]
-        value = -math.inf
-        for _ in range(refine_sweeps):
-            v2 = g(x2, fine=True)[1]
-            x1, _ = _golden_max(
-                lambda x: combined_value(g(x, True)[1], v2, x, x2),
-                max(0.0, x1 - span1),
-                min(third, x1 + span1),
-                1e-8,
+    b_single, single_info = optimize_single_orbit(alpha)
+    single = OrbitParams(a=math.acos(math.sqrt(third)), b=b_single)
+    best = TwoOrbitSolution(first=single, second=single, lam=1.0, info_bits=single_info)
+    xs1 = np.linspace(0.0, third, _START_GRID[0])
+    xs2 = np.linspace(third, 1.0, _START_GRID[1])
+    while True:
+        b1, g1 = _max_over_b(alpha, xs1)
+        b2, g2 = _max_over_b(alpha, xs2)
+        # x1 = x2 happens only at 1/3, where the chord is the single orbit.
+        gap = xs1[:, None] - xs2[None, :]
+        lam = np.divide(third - xs2[None, :], gap, out=np.ones_like(gap), where=gap < 0.0)
+        chords = lam * g1[:, None] + (1.0 - lam) * g2[None, :]
+        i, j = np.unravel_index(int(np.argmax(chords)), chords.shape)
+        # lam = 0 or 1 is the single orbit, which is already scored exactly.
+        if 0.0 < lam[i, j] < 1.0 and chords[i, j] > best.info_bits:
+            best = TwoOrbitSolution(
+                first=OrbitParams(a=math.acos(math.sqrt(xs1[i])), b=float(b1[i])),
+                second=OrbitParams(a=math.acos(math.sqrt(xs2[j])), b=float(b2[j])),
+                lam=float(lam[i, j]),
+                info_bits=float(chords[i, j]),
             )
-            v1 = g(x1, fine=True)[1]
-            x2, value = _golden_max(
-                lambda x: combined_value(v1, g(x, True)[1], x1, x),
-                max(third, x2 - span2),
-                min(1.0, x2 + span2),
-                1e-8,
-            )
-            span1 *= 0.25
-            span2 *= 0.25
-        return x1, x2, value
-
-    best = None
-    for _, i, j in seeds:
-        x1, x2, value = refine(float(xs1[i]), float(xs2[j]))
-        if best is None or value > best[2]:
-            best = (x1, x2, value)
-    x1, x2, info = best
-    # The single complete orbit is the x_first = x_second = 1/3 mixture; the
-    # grid search only approaches it, so score it exactly.
-    b_single, single_info = _optimize_b(alpha, third)
-    if single_info >= info:
-        orbit = OrbitParams(a=math.acos(math.sqrt(third)), b=b_single)
-        return TwoOrbitSolution(first=orbit, second=orbit, lam=1.0, info_bits=single_info)
-    b1, _ = _optimize_b(alpha, x1)
-    b2, _ = _optimize_b(alpha, x2)
-    return TwoOrbitSolution(
-        first=OrbitParams(a=math.acos(math.sqrt(x1)), b=b1),
-        second=OrbitParams(a=math.acos(math.sqrt(x2)), b=b2),
-        lam=completeness_weight(x1, x2),
-        info_bits=info,
-    )
+        if max(xs1[-1] - xs1[0], xs2[-1] - xs2[0]) < _X_SPAN:
+            return best
+        h1, h2 = xs1[1] - xs1[0], xs2[1] - xs2[0]
+        xs1 = np.linspace(max(0.0, xs1[i] - h1), min(third, xs1[i] + h1), _ZOOM_POINTS)
+        xs2 = np.linspace(max(third, xs2[j] - h2), min(1.0, xs2[j] + h2), _ZOOM_POINTS)
 
 
 def double_trines() -> tuple[Ensemble, Ensemble]:

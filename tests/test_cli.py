@@ -125,6 +125,18 @@ def test_experiment_alpha_out_of_range(tmp_path):
     assert main(["experiment", "lifted-trines", "--alpha", "1.5", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--nx", "--nb"])
+def test_experiment_single_point_grid_exit_two(tmp_path, capsys, flag):
+    assert main(["experiment", "double-trines", "--out-dir", str(tmp_path), flag, "1"]) == 2
+    assert_domain_error(capsys)
+
+
+def test_experiment_out_dir_is_a_file_exit_two(tmp_path, capsys):
+    path = write_problem(tmp_path, "taken", {})
+    assert main(["experiment", "double-trines", "--out-dir", path, "--nx", "4", "--nb", "4"]) == 2
+    assert_domain_error(capsys)
+
+
 def test_experiment_lifted_trines(tmp_path, capsys):
     code = main(
         [
@@ -274,6 +286,12 @@ def test_prune_invalid_povm_exit_one(tmp_path, capsys):
     assert_domain_error(capsys)
 
 
+def test_prune_out_dir_is_a_file_exit_two(tmp_path, capsys):
+    path = write_problem(tmp_path, "taken", {})
+    assert main(["prune", fixture("four_projectors_d2.json"), "--out-dir", path]) == 2
+    assert_domain_error(capsys)
+
+
 def test_prune_not_symmetric_exit_one(tmp_path, capsys):
     rng = np.random.default_rng(53)
     ensemble = random_ensemble(rng, 3, 3)
@@ -284,10 +302,14 @@ def test_prune_not_symmetric_exit_one(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child process finds the package in the checkout's src/ without an install
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "povm_forge.cli", "validate", fixture("four_projectors_d2.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "OK" in result.stdout

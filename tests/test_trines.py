@@ -6,6 +6,7 @@ import pytest
 from povm_forge import (
     Povm,
     completeness_weight,
+    convex_combine,
     double_trines,
     double_trines_closed_form,
     hessian_at,
@@ -25,6 +26,7 @@ from povm_forge import (
     trine_rotation,
     validate_povm,
 )
+from povm_forge.trines import _max_over_b
 
 NU = math.acos(math.sqrt(1.0 / 3.0))
 B_PERIOD = 2.0 * math.pi / 3.0
@@ -141,12 +143,10 @@ def test_double_trines_two_point_chords_stay_below_plane_maximum():
     # the single complete orbit beats every mixture of two straddling orbits,
     # evaluated on a grid of (x1, x2) pairs
     plane_max = optimize_single_orbit(0.5)[1]
-    from povm_forge.trines import _optimize_b
-
     xs1 = np.linspace(0.0, 1.0 / 3.0, 9)
     xs2 = np.linspace(1.0 / 3.0, 1.0, 9)
-    g1 = [_optimize_b(0.5, x, n_seed=128, xtol=1e-8)[1] for x in xs1]
-    g2 = [_optimize_b(0.5, x, n_seed=128, xtol=1e-8)[1] for x in xs2]
+    g1 = _max_over_b(0.5, xs1)[1]
+    g2 = _max_over_b(0.5, xs2)[1]
     for x1, v1 in zip(xs1, g1):
         for x2, v2 in zip(xs2, g2):
             lam = completeness_weight(x1, x2)
@@ -206,9 +206,62 @@ def test_optimize_two_orbits_collapses_for_double_trines():
     assert on_plane or two.info_bits <= single + 1e-9
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.17, 0.25, 0.5])
+def test_optimize_two_orbits_returns_single_orbit_when_it_wins(alpha):
+    # lam = 1 and both orbits equal to the single orbit, not a lam = 0 chord to it
+    two = optimize_two_orbits(alpha)
+    b_single, single = optimize_single_orbit(alpha)
+    assert two.lam == 1.0 and two.first == two.second
+    assert abs(two.first.x - 1 / 3) <= 1e-12 and two.first.b == b_single
+    assert two.info_bits == single
+
+
 def test_optimize_two_orbits_never_below_single_orbit():
     two = optimize_two_orbits(0.5)
     assert two.info_bits >= optimize_single_orbit(0.5)[1]
+
+
+ENVELOPE_ALPHAS = (0.02, 0.05, 0.17, 0.5)
+
+
+@pytest.mark.parametrize("alpha", ENVELOPE_ALPHAS)
+def test_optimize_two_orbits_reaches_brute_force_envelope(alpha):
+    # the concave envelope of g at 1/3 over all straddling pairs of a fine grid
+    xs = np.linspace(0.0, 1.0, 1201)
+    _, g = _max_over_b(alpha, xs)
+    below, above = xs <= 1.0 / 3.0, xs >= 1.0 / 3.0
+    x1, x2 = xs[below][:, None], xs[above][None, :]
+    gap = x1 - x2
+    lam = np.divide(1.0 / 3.0 - x2, gap, out=np.ones_like(gap), where=gap < 0.0)
+    envelope = np.max(lam * g[below][:, None] + (1.0 - lam) * g[above][None, :])
+    assert optimize_two_orbits(alpha).info_bits >= envelope - 1e-9
+
+
+@pytest.mark.parametrize("alpha", ENVELOPE_ALPHAS)
+def test_optimize_two_orbits_is_a_complete_mixture(alpha):
+    two = optimize_two_orbits(alpha)
+    assert 0.0 <= two.lam <= 1.0
+    assert abs(two.lam * two.first.x + (1 - two.lam) * two.second.x - 1.0 / 3.0) <= 1e-9
+    mixture = convex_combine(
+        Povm(orbit_projectors(two.first.a, two.first.b)),
+        Povm(orbit_projectors(two.second.a, two.second.b)),
+        two.lam,
+    )
+    assert abs(mutual_information(lifted_trines(alpha), mixture) - two.info_bits) <= 1e-7
+
+
+def test_max_over_b_matches_single_orbit_and_folds():
+    xs = np.array([0.0, 1.0 / 3.0, 0.7])
+    b_star, g = _max_over_b(0.05, xs)
+    assert g.shape == b_star.shape == (3,)
+    assert np.all((0.0 <= b_star) & (b_star <= math.pi / 3))
+    # near the maximum the values are flat to rounding, so b_star only agrees to ~1e-8
+    b_single, single = optimize_single_orbit(0.05)
+    assert abs(b_star[1] - b_single) <= 1e-6 and abs(g[1] - single) <= 1e-12
+    for x, b, value in zip(xs, b_star, g):
+        a = math.acos(math.sqrt(x))
+        assert abs(orbit_info(0.05, a, b) - value) <= 1e-12
+        assert value >= max(orbit_info(0.05, a, bb) for bb in np.linspace(0.0, B_PERIOD, 400)) - 1e-12
 
 
 def test_double_trines_projection():

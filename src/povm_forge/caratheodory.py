@@ -33,6 +33,7 @@ from .symmetry import (
     is_symmetric_ensemble,
     orbit_sum,
     real_orbit_bound,
+    symmetrize,
 )
 
 RANK_TOL = 1e-10
@@ -90,20 +91,20 @@ def build_design_matrix(normalized_ops) -> DesignMatrix:
     return DesignMatrix(matrix=matrix, target=target, dim=d)
 
 
-def _null_basis(a: np.ndarray, rank_tol: float) -> np.ndarray:
+def _null_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of ``a``, one vector per column.
 
-    Singular values at or below ``rank_tol`` times the largest count as zero.
+    Singular values at or below ``RANK_TOL`` times the largest count as zero.
     """
     _, s, vt = np.linalg.svd(a)
-    rank = int(np.count_nonzero(s > rank_tol * s.max(initial=0.0)))
+    rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
     return vt[rank:].T
 
 
-def numeric_rank(d: DesignMatrix | np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    """Rank of a matrix: singular values above ``rank_tol`` times the largest."""
+def numeric_rank(d: DesignMatrix | np.ndarray) -> int:
+    """Rank of a matrix: singular values above ``RANK_TOL`` times the largest."""
     matrix = d.matrix if isinstance(d, DesignMatrix) else np.asarray(d, dtype=float)
-    return matrix.shape[1] - _null_basis(matrix, rank_tol).shape[1]
+    return matrix.shape[1] - _null_basis(matrix).shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +127,7 @@ class IdentityDecomposition:
         return [np.flatnonzero(nu > SUPPORT_TOL) for nu in self.solutions]
 
 
-def _restrict_null(null: np.ndarray, rows: np.ndarray, rank_tol: float) -> np.ndarray:
+def _restrict_null(null: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Null basis once the coordinates ``rows`` leave the support.
 
     The vectors of span(null) that vanish on ``rows`` remain; one Householder
@@ -137,14 +138,14 @@ def _restrict_null(null: np.ndarray, rows: np.ndarray, rank_tol: float) -> np.nd
     for row in rows:
         a = null[row]
         norm = np.linalg.norm(a)
-        if norm > rank_tol:
+        if norm > RANK_TOL:
             u = a.copy()
             u[0] += np.copysign(norm, a[0])
             null = (null - np.outer(null @ u, u) * (2.0 / (u @ u)))[:, 1:]
     return np.delete(null, rows, axis=0)
 
 
-def _walk_to_vertex(lam: np.ndarray, support: np.ndarray, null: np.ndarray, rank_tol: float) -> np.ndarray:
+def _walk_to_vertex(lam: np.ndarray, support: np.ndarray, null: np.ndarray) -> np.ndarray:
     """Move ``lam`` inside its face to a vertex of the polytope.
 
     ``null`` is an orthonormal null basis of the design columns on ``support``,
@@ -167,12 +168,12 @@ def _walk_to_vertex(lam: np.ndarray, support: np.ndarray, null: np.ndarray, rank
         step[negative[hit]] = 0.0
         gone = np.flatnonzero(step <= SUPPORT_TOL)
         v[support] = np.where(step > SUPPORT_TOL, step, 0.0)
-        null = _restrict_null(null, gone, rank_tol)
+        null = _restrict_null(null, gone)
         support = np.delete(support, gone)
     return v
 
 
-def decompose_identity(normalized: NormalizedPovm, rank_tol: float = RANK_TOL) -> IdentityDecomposition:
+def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     """Rewrite sum_i lambda_i Pi'_i = I as a convex mixture of small solutions.
 
     Constructive Caratheodory chain: walk the remaining weights to a vertex v
@@ -193,13 +194,13 @@ def decompose_identity(normalized: NormalizedPovm, rank_tol: float = RANK_TOL) -
     support = np.flatnonzero(rest)
     # One SVD for the whole chain: every peel only shrinks the support, so the
     # null basis of the remainder follows by restriction.
-    null = _null_basis(design.matrix[:, support], rank_tol)
+    null = _null_basis(design.matrix[:, support])
     max_leaves = null.shape[1] + 1
     weights: list[float] = []
     solutions: list[np.ndarray] = []
     mass = 1.0
     while len(solutions) < max_leaves:
-        vertex = _walk_to_vertex(rest, support, null, rank_tol)
+        vertex = _walk_to_vertex(rest, support, null)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
@@ -215,23 +216,23 @@ def decompose_identity(normalized: NormalizedPovm, rank_tol: float = RANK_TOL) -
         rest /= rest.sum()
         mass *= 1.0 - t
         gone = np.flatnonzero(rest[support] == 0.0)
-        null = _restrict_null(null, gone, rank_tol)
+        null = _restrict_null(null, gone)
         support = np.delete(support, gone)
     raise InternalLogicError(f"Caratheodory chain exceeded {max_leaves} leaves")
 
 
-def split_rank_one(p: Povm, cutoff: float = EIGENVALUE_CUTOFF) -> Povm:
+def split_rank_one(p: Povm) -> Povm:
     """Split every operator into its rank-one eigenpieces.
 
     Refining outcomes this way never decreases the mutual information, and the
     pieces sum to the original operators exactly (up to the discarded
-    eigenvalues below ``cutoff``).
+    eigenvalues at or below ``EIGENVALUE_CUTOFF``).
     """
     pieces = []
     for op in p.operators:
         w, v = eig_hermitian(op)
         for k in range(len(w)):
-            if w[k] > cutoff:
+            if w[k] > EIGENVALUE_CUTOFF:
                 vec = v[:, k]
                 pieces.append(hermitian_part(w[k] * np.outer(vec, vec.conj())))
     return Povm(pieces)
@@ -245,30 +246,23 @@ def score_leaves(
 ) -> tuple[list[float], Povm]:
     """Mutual information of every leaf and the first most informative leaf.
 
-    Leaf nu is the POVM {nu_j ops[j]} over its support.  With ``rep`` every
-    operator is replaced by its |G| conjugates u nu_j ops[j] u^dagger / |G|,
-    so a leaf over orbit sums becomes a union of orbits in |G|-element blocks.
+    Leaf nu is the POVM {nu_j ops[j]} over its support.  With ``rep`` the
+    leaf is symmetrized, so a leaf over orbit sums becomes a union of orbits
+    in |G|-element blocks.
     """
     infos: list[float] = []
     best, best_info = None, -np.inf
     for nu in decomposition.solutions:
-        support = np.flatnonzero(nu > SUPPORT_TOL)
-        if rep is None:
-            candidate = Povm([nu[j] * ops[j] for j in support])
-        else:
-            scale = 1.0 / rep.order
-            candidate = Povm([
-                hermitian_part(nu[j] * scale * (u @ ops[j] @ u.conj().T))
-                for j in support
-                for u in rep.elements
-            ])
+        candidate = Povm([nu[j] * ops[j] for j in np.flatnonzero(nu > SUPPORT_TOL)])
+        if rep is not None:
+            candidate = symmetrize(candidate, rep)
         infos.append(mutual_information(s, candidate))
         if infos[-1] > best_info:
             best, best_info = candidate, infos[-1]
     return infos, best
 
 
-def prune_povm(s: Ensemble, p: Povm, rank_tol: float = RANK_TOL) -> Povm:
+def prune_povm(s: Ensemble, p: Povm) -> Povm:
     """Shrink a POVM to at most d^2 rank-one operators without losing information.
 
     The operators are eigen-split to rank one, the identity decomposition is
@@ -281,7 +275,7 @@ def prune_povm(s: Ensemble, p: Povm, rank_tol: float = RANK_TOL) -> Povm:
         raise ValueError("invalid POVM: " + "; ".join(report.violations))
     rank_one = split_rank_one(p)
     normalized = normalize_povm(rank_one)
-    decomposition = decompose_identity(normalized, rank_tol)
+    decomposition = decompose_identity(normalized)
     return score_leaves(s, decomposition, normalized.normalized_ops)[1]
 
 
@@ -290,7 +284,6 @@ def prune_symmetric_povm(
     p: Povm,
     rep: FiniteRep,
     real_mode: bool = False,
-    rank_tol: float = RANK_TOL,
 ) -> Povm:
     """Prune a POVM for a symmetric ensemble to a union of few group orbits.
 
@@ -317,7 +310,7 @@ def prune_symmetric_povm(
         bound = complex_orbit_bound(rep)
     sums = [orbit_sum(op, rep) for op in normalized.normalized_ops]
     averaged = NormalizedPovm(weights=normalized.weights, normalized_ops=sums)
-    decomposition = decompose_identity(averaged, rank_tol)
+    decomposition = decompose_identity(averaged)
     largest = max(len(sup) for sup in decomposition.supports())
     if largest > bound:
         raise InternalLogicError(

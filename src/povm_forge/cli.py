@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 domain failure (validation, symmetry, closure),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -64,13 +63,9 @@ class ProblemFileError(ValueError):
 # JSON schema
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _complex_from_json(value) -> complex:
@@ -229,10 +224,8 @@ def cmd_bound(args) -> int:
 
 def _write_surface_csv(path: str, scan) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x", "b", "info_bits", "dinfo_db"])
-        for row in scan.rows():
-            writer.writerow([repr(v) for v in row])
+        handle.write("x,b,info_bits,dinfo_db\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in scan.rows())
 
 
 def _report_checks(rows) -> tuple[list[dict], bool]:
@@ -417,6 +410,8 @@ def cmd_prune(args) -> int:
         generators = group_problem.generators
     elif problem.generators is not None:
         generators = problem.generators
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
     rep: FiniteRep | None = None
     try:
         info_before = mutual_information(problem.ensemble, problem.povm)
@@ -440,7 +435,6 @@ def cmd_prune(args) -> int:
         doc["report"]["orbit_count"] = len(pruned) // rep.order
         doc["report"]["group_order"] = rep.order
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         out_path = os.path.join(args.out_dir, "pruned.json")
         with open(out_path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2)

@@ -28,21 +28,21 @@ class PositivityError(ValueError):
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return (M + M^dagger) / 2."""
+    """Return (M + M^dagger) / 2; a stack of matrices is handled matrix by matrix."""
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def as_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Check hermiticity within ``tol`` (max-norm) and return the symmetrized matrix."""
+def as_hermitian(m: np.ndarray) -> np.ndarray:
+    """Check hermiticity within ``HERM_TOL`` (max-norm) and return the symmetrized matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise HermiticityError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise HermiticityError("matrix contains NaN or Inf entries")
     defect = np.max(np.abs(m - m.conj().T))
-    if defect > tol:
-        raise HermiticityError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.3e}")
+    if defect > HERM_TOL:
+        raise HermiticityError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {HERM_TOL:.3e}")
     return hermitian_part(m)
 
 
@@ -76,14 +76,14 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-def coords(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def coords(m: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the hermitian_basis ordering.
 
     Returns the length d*d vector (diagonal entries, Re of strict lower triangle,
     Im of strict lower triangle), each triangle in lexicographic (k, l) order
     with k > l.  The expansion sum(c_a * B_a) reconstructs the input.
     """
-    m = as_hermitian(m, tol)
+    m = as_hermitian(m)
     d = m.shape[0]
     diag = m.diagonal().real
     re = [m[k, l].real for k in range(d) for l in range(k)]
@@ -111,13 +111,13 @@ def from_coords(c: np.ndarray, d: int) -> np.ndarray:
     return m
 
 
-def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix (checked within ``tol``).
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix (checked within ``HERM_TOL``).
 
     Returns (w, v) with eigenvalues w ascending and unitary v such that
     M v = v diag(w).
     """
-    return np.linalg.eigh(as_hermitian(m, tol))
+    return np.linalg.eigh(as_hermitian(m))
 
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -126,28 +126,28 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     return bool(w[0] >= -tol)
 
 
-def inv_sqrt_psd(m: np.ndarray, null_tol: float = NULL_TOL) -> np.ndarray:
-    """Pseudo-inverse square root of a positive semidefinite matrix.
-
-    Eigenvalues above ``null_tol`` (relative to the largest eigenvalue) map to
-    lambda**-0.5, those below map to 0.  On the support of M the product
-    N M N is the orthogonal projector onto range(M).
-    """
+def _psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a PSD matrix and the mask of those above NULL_TOL times the largest."""
     w, v = eig_hermitian(m)
     if w[0] < -PSD_TOL:
         raise PositivityError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    cutoff = null_tol * max(w[-1], 0.0)
+    return w, v, w > NULL_TOL * max(w[-1], 0.0)
+
+
+def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root of a positive semidefinite matrix.
+
+    Eigenvalues above the null cutoff map to lambda**-0.5, those below map
+    to 0.  On the support of M the product N M N is the orthogonal projector
+    onto range(M).
+    """
+    w, v, above = _psd_spectrum(m)
     f = np.zeros_like(w)
-    above = w > cutoff
     f[above] = 1.0 / np.sqrt(w[above])
     return hermitian_part((v * f) @ v.conj().T)
 
 
-def support_projector(m: np.ndarray, null_tol: float = NULL_TOL) -> np.ndarray:
+def support_projector(m: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto range(M) for PSD M, using the same eigenvalue cutoff."""
-    w, v = eig_hermitian(m)
-    if w[0] < -PSD_TOL:
-        raise PositivityError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    cutoff = null_tol * max(w[-1], 0.0)
-    keep = np.where(w > cutoff, 1.0, 0.0)
-    return hermitian_part((v * keep) @ v.conj().T)
+    _, v, above = _psd_spectrum(m)
+    return hermitian_part((v * np.where(above, 1.0, 0.0)) @ v.conj().T)

@@ -56,9 +56,9 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
     return probs
 
 
-def mutual_information(s: Ensemble, p: Povm, tol: float = HERM_TOL) -> float:
+def mutual_information(s: Ensemble, p: Povm) -> float:
     """Mutual information I(S, P) in bits; the POVM is validated first."""
-    report = validate_povm(p, tol=tol, allow_zero=True)
+    report = validate_povm(p, allow_zero=True)
     if not report.ok:
         raise ValueError("invalid POVM: " + "; ".join(report.violations))
     probs = joint_distribution(s, p)
@@ -81,12 +81,13 @@ def orbit_information(s: Ensemble, c) -> float:
     )
 
 
-def equality_condition(s: Ensemble, p, q, j: int, tol: float = HERM_TOL) -> bool:
+def equality_condition(s: Ensemble, p, q, j: int) -> bool:
     """Proportionality test for the probability vectors of column j.
 
-    True iff p_ij * sum_k q_kj == q_ij * sum_k p_kj for all i, i.e. the two
-    operators induce the same outcome statistics up to a constant factor.
-    Mixing operators column-wise loses no information exactly in that case.
+    True iff p_ij * sum_k q_kj == q_ij * sum_k p_kj for all i within
+    ``HERM_TOL``, i.e. the two operators induce the same outcome statistics up
+    to a constant factor.  Mixing operators column-wise loses no information
+    exactly in that case.
     """
     p_ops = _operators(p)
     q_ops = _operators(q)
@@ -96,4 +97,4 @@ def equality_condition(s: Ensemble, p, q, j: int, tol: float = HERM_TOL) -> bool
         raise IndexError(f"column {j} out of range for {len(p_ops)} operators")
     pj = joint_distribution(s, [p_ops[j]])[:, 0]
     qj = joint_distribution(s, [q_ops[j]])[:, 0]
-    return bool(np.max(np.abs(pj * qj.sum() - qj * pj.sum())) <= tol)
+    return bool(np.max(np.abs(pj * qj.sum() - qj * pj.sum())) <= HERM_TOL)

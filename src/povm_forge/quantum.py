@@ -152,20 +152,18 @@ def validate_ensemble(s: Ensemble, tol: float = HERM_TOL) -> ValidationReport:
     return ValidationReport(not violations, violations)
 
 
-def convex_combine(p: Povm, q: Povm, lam: float, drop_zero: bool = True) -> Povm:
+def convex_combine(p: Povm, q: Povm, lam: float) -> Povm:
     """Random choice between two POVMs: {lam * Pi_i} followed by {(1-lam) * Q_j}.
 
-    Operators scaled to zero (lam in {0, 1}) are dropped by default, since a
-    POVM consists of non-zero operators.
+    Operators scaled to zero (lam in {0, 1}) are dropped, since a POVM
+    consists of non-zero operators.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
     if p.dim != q.dim:
         raise StructuralError(f"dimension mismatch: {p.dim} vs {q.dim}")
     ops = [lam * op for op in p.operators] + [(1.0 - lam) * op for op in q.operators]
-    if drop_zero:
-        ops = [op for op in ops if np.max(np.abs(op)) > ZERO_OP_TOL]
-    return Povm(ops)
+    return Povm([op for op in ops if np.max(np.abs(op)) > ZERO_OP_TOL])
 
 
 def split_operator(p: Povm, index: int, lam: float) -> Povm:

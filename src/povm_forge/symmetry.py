@@ -1,10 +1,11 @@
 """Finite unitary matrix groups: closure from generators, orbits, and bounds.
 
-Groups are stored extensionally as the full list of unitary matrices, which is
-fine for orders up to a few hundred, such as the low-dimensional Clifford and
-Weyl-Heisenberg groups.  The two orbit-count bounds are computed from
-character sums alone; no explicit decomposition into irreducible blocks is
-ever performed.
+Groups are stored extensionally as one stacked (|G|, d, d) array of unitary
+matrices, which is fine for orders up to a few hundred, such as the
+low-dimensional Clifford and Weyl-Heisenberg groups.  The group acts on
+operators in one place, a broadcast conjugation over that stack.  The two
+orbit-count bounds are computed from character sums alone; no explicit
+decomposition into irreducible blocks is ever performed.
 """
 
 from __future__ import annotations
@@ -42,10 +43,17 @@ class NotSymmetricError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteRep:
-    """A finite group given concretely as unitary matrices; element 0 is the identity."""
+    """A finite group given concretely as unitary matrices.
+
+    ``elements`` is one stacked (|G|, d, d) complex array with the identity
+    first; a list of matrices is stacked on construction.
+    """
 
     dim: int
-    elements: list[np.ndarray]
+    elements: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=complex))
 
     @property
     def order(self) -> int:
@@ -56,7 +64,7 @@ class FiniteRep:
 class Orbit:
     """Conjugates (1/|G|) sigma(g) B sigma(g)^dagger of a base operator.
 
-    ``elements`` lists distinct conjugates (within ``dedup_tol``) and
+    ``elements`` lists distinct conjugates (within ``MATCH_TOL``) and
     ``multiplicities`` how often each occurs among the |G| group elements.
     """
 
@@ -65,32 +73,34 @@ class Orbit:
     multiplicities: list[int]
 
 
-def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise UnitarityError(f"expected a square matrix, got shape {u.shape}")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise UnitarityError(f"matrix is not unitary: max |U^dagger U - I| = {defect:.3e}")
     return u
 
 
-def _matches(stack, candidate: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the stacked matrices within ``tol`` (max-abs) of ``candidate``."""
-    return np.max(np.abs(np.asarray(stack) - candidate), axis=(1, 2)) <= tol
-
-
 def _find_element(elements, candidate: np.ndarray, tol: float) -> int:
-    """Index of the first element within ``tol`` of ``candidate``, or -1."""
+    """Index of the first stacked matrix within ``tol`` (max-abs) of ``candidate``, or -1."""
     if len(elements) == 0:
         return -1
-    hits = np.flatnonzero(_matches(elements, candidate, tol))
+    hits = np.flatnonzero(np.max(np.abs(np.asarray(elements) - candidate), axis=(1, 2)) <= tol)
     return int(hits[0]) if hits.size else -1
 
 
-def generate_group(
-    generators, max_order: int = 10000, dim: int | None = None, match_tol: float = MATCH_TOL
-) -> FiniteRep:
+def _conjugates(ops, units: np.ndarray) -> np.ndarray:
+    """u op u^dagger in one broadcast matmul: the only place the group acts.
+
+    ``units`` is one unitary or a stack of them, typically ``rep.elements``;
+    the shapes of ``ops`` and ``units`` broadcast as in ``np.matmul``.
+    """
+    return units @ ops @ units.conj().swapaxes(-1, -2)
+
+
+def generate_group(generators, max_order: int = 10000, dim: int | None = None) -> FiniteRep:
     """Close a list of unitary generators under multiplication.
 
     Breadth-first: the identity comes first, then elements in discovery order,
@@ -115,54 +125,47 @@ def generate_group(
         frontier += 1
         for g in gens:
             product = current @ g
-            if _find_element(elements, product, match_tol) < 0:
+            if _find_element(elements, product, MATCH_TOL) < 0:
                 if len(elements) >= max_order:
                     raise GroupNotFiniteError(
                         f"group closure exceeds max_order={max_order}; the generators may "
                         "form a projective representation, supply a central extension"
                     )
                 elements = np.concatenate([elements, product[None]])
-    return FiniteRep(dim=dim, elements=list(elements))
+    return FiniteRep(dim=dim, elements=elements)
+
+
+def _check_dim(what: str, dim: int, rep: FiniteRep) -> None:
+    if dim != rep.dim:
+        raise StructuralError(f"dimension mismatch: {what} {dim} vs representation {rep.dim}")
 
 
 def symmetrize(p: Povm, rep: FiniteRep) -> Povm:
     """Extend a POVM to the symmetric POVM {(1/|G|) sigma(g) Pi sigma(g)^dagger}.
 
-    The result is a multiset with |G| * |P| operators; no deduplication.
+    The result is a multiset with |G| * |P| operators, all conjugates of the
+    first operator first; no deduplication.
     """
-    if p.dim != rep.dim:
-        raise StructuralError(f"dimension mismatch: POVM {p.dim} vs representation {rep.dim}")
-    scale = 1.0 / rep.order
-    ops = [
-        hermitian_part(scale * (u @ op @ u.conj().T))
-        for op in p.operators
-        for u in rep.elements
-    ]
-    return Povm(ops)
+    _check_dim("POVM", p.dim, rep)
+    conjugates = _conjugates(np.asarray(p.operators)[:, None], rep.elements)
+    return Povm(conjugates.reshape(-1, p.dim, p.dim) / rep.order)
 
 
 def orbit_sum(op: np.ndarray, rep: FiniteRep) -> np.ndarray:
     """Group average (1/|G|) sum_g sigma(g) op sigma(g)^dagger; commutes with the rep."""
     op = as_hermitian(op)
-    if op.shape[0] != rep.dim:
-        raise StructuralError(f"dimension mismatch: operator {op.shape[0]} vs representation {rep.dim}")
-    acc = np.zeros_like(op)
-    for u in rep.elements:
-        acc += u @ op @ u.conj().T
-    return hermitian_part(acc / rep.order)
+    _check_dim("operator", op.shape[0], rep)
+    return hermitian_part(_conjugates(op, rep.elements).mean(axis=0))
 
 
-def orbit_of(op: np.ndarray, rep: FiniteRep, dedup_tol: float = MATCH_TOL) -> Orbit:
+def orbit_of(op: np.ndarray, rep: FiniteRep) -> Orbit:
     """Orbit of an operator: scaled conjugates grouped by near-equality."""
     op = as_hermitian(op)
-    if op.shape[0] != rep.dim:
-        raise StructuralError(f"dimension mismatch: operator {op.shape[0]} vs representation {rep.dim}")
-    scale = 1.0 / rep.order
+    _check_dim("operator", op.shape[0], rep)
     elements: list[np.ndarray] = []
     multiplicities: list[int] = []
-    for u in rep.elements:
-        conj = hermitian_part(scale * (u @ op @ u.conj().T))
-        i = _find_element(elements, conj, dedup_tol)
+    for conj in hermitian_part(_conjugates(op, rep.elements) / rep.order):
+        i = _find_element(elements, conj, MATCH_TOL)
         if i < 0:
             elements.append(conj)
             multiplicities.append(1)
@@ -189,7 +192,7 @@ def complex_orbit_bound(rep: FiniteRep) -> int:
     This many orbits always suffice for an optimal symmetric measurement; for
     the trivial group the value is d squared.
     """
-    total = sum(abs(np.trace(u)) ** 2 for u in rep.elements)
+    total = np.sum(np.abs(np.einsum("gii->g", rep.elements)) ** 2)
     return _character_sum_to_int(float(total), rep, "complex")
 
 
@@ -200,33 +203,30 @@ def real_orbit_bound(rep: FiniteRep) -> int:
     of the trivial representation in the symmetric square,
     (1/|G|) sum_g (chi(g)^2 + chi(g^2)) / 2.
     """
-    for u in rep.elements:
-        if np.max(np.abs(u.imag)) > UNITARY_TOL:
-            raise RealRepRequiredError("representation has complex entries; real bound undefined")
-    total = 0.0
-    for u in rep.elements:
-        chi = np.trace(u).real
-        chi_sq = np.trace(u @ u).real
-        total += (chi * chi + chi_sq) / 2.0
-    return _character_sum_to_int(total, rep, "real")
+    if np.max(np.abs(rep.elements.imag)) > UNITARY_TOL:
+        raise RealRepRequiredError("representation has complex entries; real bound undefined")
+    real = rep.elements.real
+    chi = np.einsum("gii->g", real)
+    chi_sq = np.einsum("gij,gji->g", real, real)
+    return _character_sum_to_int(float(np.sum(chi * chi + chi_sq) / 2.0), rep, "real")
 
 
-def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep, tol: float = MATCH_TOL) -> bool:
+def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep) -> bool:
     """True iff conjugation permutes the states and priors are orbit-constant."""
-    if s.dim != rep.dim:
-        raise StructuralError(f"dimension mismatch: ensemble {s.dim} vs representation {rep.dim}")
+    _check_dim("ensemble", s.dim, rep)
     states = np.asarray(s.states)
     for u in rep.elements:
-        conjugated = u @ states @ u.conj().T
+        # One element at a time keeps the (m, m, d, d) difference small.
+        close = np.max(np.abs(_conjugates(states, u)[:, None] - states), axis=(2, 3)) <= MATCH_TOL
         used = np.zeros(len(s), dtype=bool)
-        for i, conj in enumerate(conjugated):
-            free = np.flatnonzero(~used & _matches(states, conj, tol))
+        for i in range(len(s)):
+            free = np.flatnonzero(close[i] & ~used)
             if free.size == 0:
                 return False
             match = free[0]
             used[match] = True
             # Each orbit member is matched to i directly by some element, so
             # pairwise prior checks cover every orbit.
-            if abs(s.priors[i] - s.priors[match]) > tol:
+            if abs(s.priors[i] - s.priors[match]) > MATCH_TOL:
                 return False
     return True

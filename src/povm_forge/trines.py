@@ -149,10 +149,13 @@ class SurfaceScan:
     dinfo_db: np.ndarray
 
     def rows(self):
-        """Yield (x, b, info_bits, dinfo_db) in x-major order."""
-        for i, xv in enumerate(self.x):
-            for j, bv in enumerate(self.b):
-                yield float(xv), float(bv), float(self.info[i, j]), float(self.dinfo_db[i, j])
+        """Yield the (x, b, info_bits, dinfo_db) rows in x-major order.
+
+        Rows are built one x value at a time; listing a default 200 x 200
+        grid at once would hold about 10 MB of Python floats.
+        """
+        for xv, info, dinfo in zip(self.x, self.info, self.dinfo_db):
+            yield from np.column_stack([np.full_like(self.b, xv), self.b, info, dinfo]).tolist()
 
 
 def scan_surface(alpha: float, nx: int = 200, nb: int = 200) -> SurfaceScan:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from povm_forge import Ensemble, Povm, lifted_trines, mutual_information, trine_rotation
+from povm_forge import Ensemble, Povm, cli, lifted_trines, mutual_information, trine_rotation
 from povm_forge.cli import (
     ProblemFileError,
     load_problem,
@@ -33,6 +33,7 @@ def write_problem(tmp_path, name, doc):
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(50)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert matrix_to_json(m) == [[[float(z.real), float(z.imag)] for z in row] for row in m]
     again = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
     assert np.array_equal(m, again)
 
@@ -286,7 +287,12 @@ def test_prune_invalid_povm_exit_one(tmp_path, capsys):
     assert_domain_error(capsys)
 
 
-def test_prune_out_dir_is_a_file_exit_two(tmp_path, capsys):
+def test_prune_out_dir_is_a_file_exit_two(tmp_path, capsys, monkeypatch):
+    # the output directory is created before any pruning work starts
+    def fail(*args):
+        raise AssertionError("prune ran before the output directory was created")
+
+    monkeypatch.setattr(cli, "prune_povm", fail)
     path = write_problem(tmp_path, "taken", {})
     assert main(["prune", fixture("four_projectors_d2.json"), "--out-dir", path]) == 2
     assert_domain_error(capsys)

@@ -84,6 +84,17 @@ def test_large_group_closure(generators, order):
     rng = np.random.default_rng(order)
     orbit = orbit_of(random_state(rng, rep.dim), rep)
     assert sum(orbit.multiplicities) == order
+    # the stacked group action agrees with a per-element loop
+    op = random_state(rng, rep.dim, pure=False)
+    conjugates = [u @ op @ u.conj().T for u in stack]
+    assert np.max(np.abs(orbit_sum(op, rep) - sum(conjugates) / order)) <= 1e-12
+    ops = [op, np.eye(rep.dim) - op]
+    expected = [u @ o @ u.conj().T / order for o in ops for u in stack]
+    out = symmetrize(Povm(ops), rep)
+    assert len(out) == 2 * order
+    assert max(np.max(np.abs(a - b)) for a, b in zip(out.operators, expected)) <= 1e-12
+    reference = sum(abs(np.trace(u)) ** 2 for u in stack) / order
+    assert abs(complex_orbit_bound(rep) - reference) <= 1e-12
 
 
 def test_non_unitary_generator_rejected():
@@ -201,6 +212,7 @@ def test_character_sum_must_be_integral():
     from povm_forge.symmetry import FiniteRep
 
     bogus = FiniteRep(dim=2, elements=[np.eye(2), planar_rotation(0.5)])
+    assert bogus.elements.shape == (2, 2, 2)
     with pytest.raises(ClosureDefectError):
         complex_orbit_bound(bogus)
 
@@ -221,6 +233,16 @@ def test_prior_off_by_1e6_not_symmetric():
     # 1e-6 is a hundred times the matching tolerance
     states = lifted_trines(0.05).states
     priors = np.array([1 / 3 + 1e-6, 1 / 3, 1 / 3])
+    assert not is_symmetric_ensemble(Ensemble(states, priors), trine_group())
+
+
+def test_duplicate_states_matched_one_to_one():
+    # every state listed twice: the group permutes the multiset
+    states = lifted_trines(0.05).states * 2
+    assert is_symmetric_ensemble(Ensemble(states, np.full(6, 1 / 6)), trine_group())
+    # moving one copy's prior by 1e-6 leaves its orbit with unequal priors
+    priors = np.full(6, 1 / 6)
+    priors[3] += 1e-6
     assert not is_symmetric_ensemble(Ensemble(states, priors), trine_group())
 
 

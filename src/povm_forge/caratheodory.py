@@ -14,6 +14,14 @@ Householder reflections as columns leave) to a vertex, peel off as much of
 that vertex as stays nonnegative, and repeat on the renormalized remainder.
 The face dimension drops with every peel, so a support of n operators yields
 at most n - rank(D) + 1 leaves.
+
+Pruning needs no decomposition.  With the ensemble fixed, the joint
+distribution of the leaf {nu_j Pi'_j} is linear in nu, so its mutual
+information is convex in nu and largest at an end of every segment (the
+extreme-point argument of Davies, IEEE Trans. Inf. Theory 24, 596, 1978).
+Prune therefore returns the end of one information-ascent walk: the same
+null-line walk, moving at each step to the more informative end of the line,
+never loses information and reaches a vertex in at most n - rank(D) steps.
 """
 
 from __future__ import annotations
@@ -23,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import HERM_TOL, coords, eig_hermitian, hermitian_part
-from .infotheory import mutual_information
-from .quantum import Ensemble, NormalizedPovm, Povm, normalize_povm, validate_povm
+from .infotheory import _information, joint_distribution, mutual_information
+from .quantum import ZERO_OP_TOL, Ensemble, NormalizedPovm, Povm, normalize_povm, validate_povm
 from .symmetry import (
     FiniteRep,
     NotSymmetricError,
     RealRepRequiredError,
+    _conjugates,
     complex_orbit_bound,
     is_symmetric_ensemble,
     orbit_sum,
@@ -145,32 +154,75 @@ def _restrict_null(null: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.delete(null, rows, axis=0)
 
 
-def _walk_to_vertex(lam: np.ndarray, support: np.ndarray, null: np.ndarray) -> np.ndarray:
+def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Far end of v + t q, t >= 0, that stays nonnegative.
+
+    The coordinate that stops the step is set to zero exactly, and so is
+    every coordinate at or below ``SUPPORT_TOL``.
+    """
+    # Row 0 of the design matrix is all ones, so null vectors sum to zero
+    # and carry a negative entry.
+    negative = np.flatnonzero(q < 0)
+    if negative.size == 0:
+        raise InternalLogicError("null vector lacks a negative entry; step undefined")
+    ratios = v[negative] / -q[negative]
+    hit = int(np.argmin(ratios))
+    end = v + ratios[hit] * q
+    end[negative[hit]] = 0.0
+    return np.where(end > SUPPORT_TOL, end, 0.0)
+
+
+def _leaf_information(joint: np.ndarray, support: np.ndarray, nu: np.ndarray) -> float:
+    """Mutual information of the leaf with weights ``nu`` on ``support``.
+
+    ``joint[i, j, g]`` is the joint probability of state i and the g-th copy
+    of normalized operator j at unit weight, so the leaf's joint matrix is
+    ``joint`` scaled by nu_j along axis 1.
+    """
+    return _information((joint[:, support] * nu[:, None]).reshape(len(joint), -1))
+
+
+def _walk_to_vertex(
+    lam: np.ndarray, support: np.ndarray, null: np.ndarray, joint: np.ndarray | None
+) -> tuple[np.ndarray, int]:
     """Move ``lam`` inside its face to a vertex of the polytope.
 
     ``null`` is an orthonormal null basis of the design columns on ``support``,
     the nonzero coordinates of ``lam``.  While it is nonempty, step along its
     first vector until a coordinate hits zero and restrict the basis to the
     smaller support; the walk ends when the support columns are linearly
-    independent.
+    independent.  Without ``joint`` every step goes forward along that vector;
+    with it (see ``_leaf_information``) each step goes to whichever end of the
+    line has the larger information, the forward end on a tie.  Returns the
+    vertex and the number of steps.
     """
     v = lam.copy()
+    steps = 0
     while null.shape[1]:
-        # Row 0 of the design matrix is all ones, so null vectors sum to zero
-        # and carry a negative entry.
-        q = null[:, 0]
-        negative = np.flatnonzero(q < 0)
-        if negative.size == 0:
-            raise InternalLogicError("null vector lacks a negative entry; step undefined")
-        ratios = v[support[negative]] / -q[negative]
-        hit = int(np.argmin(ratios))
-        step = v[support] + ratios[hit] * q
-        step[negative[hit]] = 0.0
-        gone = np.flatnonzero(step <= SUPPORT_TOL)
-        v[support] = np.where(step > SUPPORT_TOL, step, 0.0)
+        end = _line_end(v[support], null[:, 0])
+        if joint is not None:
+            back = _line_end(v[support], -null[:, 0])
+            if _leaf_information(joint, support, back) > _leaf_information(joint, support, end):
+                end = back
+        gone = np.flatnonzero(end == 0.0)
+        v[support] = end
         null = _restrict_null(null, gone)
         support = np.delete(support, gone)
-    return v
+        steps += 1
+    return v, steps
+
+
+def _feasible_start(design: DesignMatrix, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked weights, their support and an orthonormal null basis of its columns."""
+    lam = np.asarray(weights, dtype=float)
+    if np.any(lam <= 0):
+        raise InfeasibleError("all weights must be positive")
+    residual = np.max(np.abs(design.matrix @ lam - design.target))
+    if residual > 1e-8:
+        raise InfeasibleError(f"weights do not reproduce the identity: residual {residual:.3e}")
+    rest = np.where(lam > SUPPORT_TOL, lam, 0.0)
+    support = np.flatnonzero(rest)
+    return rest, support, _null_basis(design.matrix[:, support])
 
 
 def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
@@ -184,23 +236,15 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     most r + 1 when the operators live in an r-dimensional affine slice.
     """
     design = build_design_matrix(normalized.normalized_ops)
-    lam = np.asarray(normalized.weights, dtype=float)
-    if np.any(lam <= 0):
-        raise InfeasibleError("all weights must be positive")
-    residual = np.max(np.abs(design.matrix @ lam - design.target))
-    if residual > 1e-8:
-        raise InfeasibleError(f"weights do not reproduce the identity: residual {residual:.3e}")
-    rest = np.where(lam > SUPPORT_TOL, lam, 0.0)
-    support = np.flatnonzero(rest)
     # One SVD for the whole chain: every peel only shrinks the support, so the
     # null basis of the remainder follows by restriction.
-    null = _null_basis(design.matrix[:, support])
+    rest, support, null = _feasible_start(design, normalized.weights)
     max_leaves = null.shape[1] + 1
     weights: list[float] = []
     solutions: list[np.ndarray] = []
     mass = 1.0
     while len(solutions) < max_leaves:
-        vertex = _walk_to_vertex(rest, support, null)
+        vertex, _ = _walk_to_vertex(rest, support, null, None)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
@@ -238,45 +282,59 @@ def split_rank_one(p: Povm) -> Povm:
     return Povm(pieces)
 
 
-def score_leaves(
-    s: Ensemble,
-    decomposition: IdentityDecomposition,
-    ops,
-    rep: FiniteRep | None = None,
-) -> tuple[list[float], Povm]:
-    """Mutual information of every leaf and the first most informative leaf.
+def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, ops) -> list[float]:
+    """Mutual information of every leaf; leaf nu is the POVM {nu_j ops[j]} over its support."""
+    return [
+        mutual_information(s, Povm([nu[j] * ops[j] for j in np.flatnonzero(nu > SUPPORT_TOL)]))
+        for nu in decomposition.solutions
+    ]
 
-    Leaf nu is the POVM {nu_j ops[j]} over its support.  With ``rep`` the
-    leaf is symmetrized, so a leaf over orbit sums becomes a union of orbits
-    in |G|-element blocks.
+
+class PrunedPovm(Povm):
+    """A pruned POVM with the counts of the walk that produced it.
+
+    ``design_rank`` is the rank of the design columns the walk started from
+    and ``walk_steps`` the number of null-line steps it took to the vertex.
+    The operators are taken over from an already checked ``Povm``.
     """
-    infos: list[float] = []
-    best, best_info = None, -np.inf
-    for nu in decomposition.solutions:
-        candidate = Povm([nu[j] * ops[j] for j in np.flatnonzero(nu > SUPPORT_TOL)])
-        if rep is not None:
-            candidate = symmetrize(candidate, rep)
-        infos.append(mutual_information(s, candidate))
-        if infos[-1] > best_info:
-            best, best_info = candidate, infos[-1]
-    return infos, best
+
+    def __init__(self, povm: Povm, design_rank: int, walk_steps: int):
+        object.__setattr__(self, "operators", povm.operators)
+        object.__setattr__(self, "design_rank", design_rank)
+        object.__setattr__(self, "walk_steps", walk_steps)
 
 
-def prune_povm(s: Ensemble, p: Povm) -> Povm:
+def _ascend(columns, weights, joint: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Information-ascent walk from ``weights`` over the design of ``columns``.
+
+    Returns the vertex, the design rank of the starting support and the
+    number of steps.
+    """
+    rest, support, null = _feasible_start(build_design_matrix(columns), weights)
+    vertex, steps = _walk_to_vertex(rest, support, null, joint)
+    # Where several coordinates reach zero in one step, rounding can leave a
+    # weight just above SUPPORT_TOL; its operator would count as zero.
+    vertex[vertex <= ZERO_OP_TOL] = 0.0
+    return vertex, len(support) - null.shape[1], steps
+
+
+def prune_povm(s: Ensemble, p: Povm) -> PrunedPovm:
     """Shrink a POVM to at most d^2 rank-one operators without losing information.
 
-    The operators are eigen-split to rank one, the identity decomposition is
-    computed, and the leaf with the largest mutual information is returned.
-    The mixture of the leaves reproduces the split POVM, so the best leaf is
-    at least as informative as the input.
+    The operators are eigen-split to rank one and normalized, and their
+    weights walk to a vertex of the identity polytope, each step moving to the
+    more informative end of its null line.  Information is convex in the
+    weights, so no step loses any, and the vertex leaf uses at most rank(D)
+    operators.
     """
     report = validate_povm(p)
     if not report.ok:
         raise ValueError("invalid POVM: " + "; ".join(report.violations))
-    rank_one = split_rank_one(p)
-    normalized = normalize_povm(rank_one)
-    decomposition = decompose_identity(normalized)
-    return score_leaves(s, decomposition, normalized.normalized_ops)[1]
+    normalized = normalize_povm(split_rank_one(p))
+    ops = normalized.normalized_ops
+    joint = joint_distribution(s, ops)[:, :, None]
+    nu, rank, steps = _ascend(ops, normalized.weights, joint)
+    return PrunedPovm(Povm([nu[j] * ops[j] for j in np.flatnonzero(nu)]), rank, steps)
 
 
 def prune_symmetric_povm(
@@ -284,36 +342,39 @@ def prune_symmetric_povm(
     p: Povm,
     rep: FiniteRep,
     real_mode: bool = False,
-) -> Povm:
+) -> PrunedPovm:
     """Prune a POVM for a symmetric ensemble to a union of few group orbits.
 
     Symmetrizing leaves the information unchanged, and the orbit sums of the
     rank-one pieces live in the commutant of the representation, so the
-    decomposition works in that far smaller slice: the returned POVM is a
-    union of at most dim-of-commutant orbits (real symmetric commutant when
-    ``real_mode`` and the data are real).  Operators come in |G|-element orbit
-    blocks, block j scaled by the leaf weight nu_j.
+    information-ascent walk runs in that far smaller slice: the returned POVM
+    is a union of at most dim-of-commutant orbits (real symmetric commutant
+    when ``real_mode`` and the data are real).  Operators come in |G|-element
+    orbit blocks, block j scaled by the vertex weight nu_j.
     """
     if not is_symmetric_ensemble(s, rep):
         raise NotSymmetricError("ensemble is not symmetric under the given representation")
     report = validate_povm(p)
     if not report.ok:
         raise ValueError("invalid POVM: " + "; ".join(report.violations))
-    rank_one = split_rank_one(p)
-    normalized = normalize_povm(rank_one)
+    normalized = normalize_povm(split_rank_one(p))
+    ops = np.asarray(normalized.normalized_ops)
     if real_mode:
         bound = real_orbit_bound(rep)
-        for op in normalized.normalized_ops:
-            if np.max(np.abs(op.imag)) > HERM_TOL:
-                raise RealRepRequiredError("real_mode requires real POVM operators")
+        if np.max(np.abs(ops.imag)) > HERM_TOL:
+            raise RealRepRequiredError("real_mode requires real POVM operators")
     else:
         bound = complex_orbit_bound(rep)
-    sums = [orbit_sum(op, rep) for op in normalized.normalized_ops]
-    averaged = NormalizedPovm(weights=normalized.weights, normalized_ops=sums)
-    decomposition = decompose_identity(averaged)
-    largest = max(len(sup) for sup in decomposition.supports())
-    if largest > bound:
-        raise InternalLogicError(
-            f"decomposition produced {largest} orbits, above the bound {bound}"
-        )
-    return score_leaves(s, decomposition, normalized.normalized_ops, rep)[1]
+    sums = [orbit_sum(op, rep) for op in ops]
+    # The symmetrized leaf has one operator per (piece, group element); built
+    # one element at a time, its joint matrix never holds |G| * n operators.
+    joint = np.empty((len(s), len(ops), rep.order))
+    for g, u in enumerate(rep.elements):
+        joint[:, :, g] = joint_distribution(s, _conjugates(ops, u))
+    joint /= rep.order
+    nu, rank, steps = _ascend(sums, normalized.weights, joint)
+    support = np.flatnonzero(nu)
+    if len(support) > bound:
+        raise InternalLogicError(f"the walk ended on {len(support)} orbits, above the bound {bound}")
+    leaf = Povm([nu[j] * ops[j] for j in support])
+    return PrunedPovm(symmetrize(leaf, rep), rank, steps)

@@ -385,7 +385,7 @@ def cmd_decompose(args) -> int:
             "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
         }
         if problem.ensemble is not None:
-            infos, _ = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
+            infos = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
             doc["leaf_info_bits"] = infos
             doc["best_leaf"] = int(np.argmax(infos))
     except (ValueError, RuntimeError) as exc:
@@ -430,20 +430,23 @@ def cmd_prune(args) -> int:
         "operators_after": len(pruned),
         "info_bits_before": info_before,
         "info_bits_after": info_after,
+        "design_rank": pruned.design_rank,
+        "walk_steps": pruned.walk_steps,
     }
     if rep is not None:
         doc["report"]["orbit_count"] = len(pruned) // rep.order
         doc["report"]["group_order"] = rep.order
     if args.out_dir:
         out_path = os.path.join(args.out_dir, "pruned.json")
+        # Without an indent json uses its C encoder.
         with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
+            handle.write(json.dumps(doc))
         print(
             f"{len(problem.povm)} -> {len(pruned)} operators, "
             f"info {info_before:.6f} -> {info_after:.6f} bits, written to {out_path}"
         )
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     return EXIT_OK
 
 

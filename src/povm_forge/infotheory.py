@@ -56,15 +56,19 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
     return probs
 
 
+def _information(probs: np.ndarray) -> float:
+    """I = sum H(p_ij) - sum H(row_i) - sum H(col_j) of an m x n joint matrix, in bits."""
+    return float(
+        plogp(probs).sum() - plogp(probs.sum(axis=1)).sum() - plogp(probs.sum(axis=0)).sum()
+    )
+
+
 def mutual_information(s: Ensemble, p: Povm) -> float:
     """Mutual information I(S, P) in bits; the POVM is validated first."""
     report = validate_povm(p, allow_zero=True)
     if not report.ok:
         raise ValueError("invalid POVM: " + "; ".join(report.violations))
-    probs = joint_distribution(s, p)
-    return float(
-        plogp(probs).sum() - plogp(probs.sum(axis=1)).sum() - plogp(probs.sum(axis=0)).sum()
-    )
+    return _information(joint_distribution(s, p))
 
 
 def orbit_information(s: Ensemble, c) -> float:

@@ -211,22 +211,63 @@ def real_orbit_bound(rep: FiniteRep) -> int:
     return _character_sum_to_int(float(np.sum(chi * chi + chi_sq) / 2.0), rep, "real")
 
 
+def _greedy_match(conj: np.ndarray, states: np.ndarray, priors: np.ndarray) -> bool:
+    """Match each conjugate to the first unused state within ``MATCH_TOL`` with an equal prior."""
+    # One element at a time keeps the (m, m, d, d) difference small.
+    close = np.max(np.abs(conj[:, None] - states), axis=(2, 3)) <= MATCH_TOL
+    used = np.zeros(len(states), dtype=bool)
+    for i in range(len(states)):
+        free = np.flatnonzero(close[i] & ~used)
+        if free.size == 0:
+            return False
+        match = free[0]
+        used[match] = True
+        # Each orbit member is matched to i directly by some element, so
+        # pairwise prior checks cover every orbit.
+        if abs(priors[i] - priors[match]) > MATCH_TOL:
+            return False
+    return True
+
+
+def _nearest_match(conj: np.ndarray, states: np.ndarray, priors: np.ndarray) -> bool:
+    """True when each conjugate has exactly one state within ``MATCH_TOL``, its
+    nearest, these states form a permutation and the priors agree.
+
+    Then ``_greedy_match`` would pick the same pairs and accept; False leaves
+    the element to it.  The nearest state maximizes Re<c, rho_l> - |rho_l|^2 / 2,
+    one Gram matrix product.
+    """
+    m, d = len(states), states.shape[-1]
+    flat = states.reshape(m, -1)
+    sq_norms = np.sum(np.abs(flat) ** 2, axis=1)
+    scores = (conj.reshape(m, -1).conj() @ flat.T).real - 0.5 * sq_norms
+    match = np.argmax(scores, axis=1)
+    if np.bincount(match, minlength=m).max() > 1:
+        return False
+    if np.max(np.abs(conj - states[match])) > MATCH_TOL:
+        return False
+    if np.max(np.abs(priors - priors[match])) > MATCH_TOL:
+        return False
+    # Max-abs within MATCH_TOL bounds the Frobenius distance by d * MATCH_TOL;
+    # the relative slack covers rounding in the Gram-matrix distances.
+    far = (d * MATCH_TOL) ** 2 + 1e-9 * sq_norms.max()
+    # Conjugation keeps norms, so |c_i - rho_l|^2 = |rho_i|^2 - 2 score_il.
+    scores[np.arange(m), match] = -np.inf
+    return bool(np.min(sq_norms - 2.0 * scores.max(axis=1)) > far)
+
+
 def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep) -> bool:
-    """True iff conjugation permutes the states and priors are orbit-constant."""
+    """True iff conjugation permutes the states and priors are orbit-constant.
+
+    Each element is settled by one nearest-state match when every conjugate
+    has a unique close state; duplicate or near-duplicate states and
+    ensembles that are not symmetric fall back to a greedy first-unused
+    match.  Both give the same verdict.
+    """
     _check_dim("ensemble", s.dim, rep)
     states = np.asarray(s.states)
     for u in rep.elements:
-        # One element at a time keeps the (m, m, d, d) difference small.
-        close = np.max(np.abs(_conjugates(states, u)[:, None] - states), axis=(2, 3)) <= MATCH_TOL
-        used = np.zeros(len(s), dtype=bool)
-        for i in range(len(s)):
-            free = np.flatnonzero(close[i] & ~used)
-            if free.size == 0:
-                return False
-            match = free[0]
-            used[match] = True
-            # Each orbit member is matched to i directly by some element, so
-            # pairwise prior checks cover every orbit.
-            if abs(s.priors[i] - s.priors[match]) > MATCH_TOL:
-                return False
+        conj = _conjugates(states, u)
+        if not (_nearest_match(conj, states, s.priors) or _greedy_match(conj, states, s.priors)):
+            return False
     return True

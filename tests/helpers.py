@@ -54,6 +54,22 @@ def random_real_povm(rng, d: int, n: int) -> Povm:
     return Povm([n_inv @ op @ n_inv for op in ops])
 
 
+def weyl_heisenberg_generators(d: int) -> list[np.ndarray]:
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return [shift, clock]
+
+
+def orbit_ensemble(rep, base: np.ndarray) -> Ensemble:
+    """Uniform ensemble over the distinct conjugates of ``base`` under ``rep``."""
+    states = []
+    for u in rep.elements:
+        state = u @ base @ u.conj().T
+        if not any(np.max(np.abs(state - seen)) <= 1e-9 for seen in states):
+            states.append(state)
+    return Ensemble(states, np.full(len(states), 1.0 / len(states)))
+
+
 def planar_rotation(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])

@@ -29,7 +29,14 @@ from povm_forge import (
 )
 from povm_forge.caratheodory import NormalizationError
 from povm_forge.symmetry import NotSymmetricError
-from helpers import random_ensemble, random_povm, random_real_povm
+from helpers import (
+    orbit_ensemble,
+    random_ensemble,
+    random_povm,
+    random_real_povm,
+    random_state,
+    weyl_heisenberg_generators,
+)
 
 NU = math.acos(math.sqrt(1.0 / 3.0))
 
@@ -330,3 +337,44 @@ def test_decompose_rejects_infeasible_weights():
     )
     with pytest.raises(InfeasibleError):
         decompose_identity(bad)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("rank_one", [True, False], ids=["rank-one", "full-rank"])
+def test_prune_ascent_keeps_information_at_a_vertex(d, rank_one):
+    rng = np.random.default_rng([41, d, rank_one])
+    for _ in range(3):
+        s = random_ensemble(rng, d, d + 1)
+        p = random_povm(rng, d, 2 * d, rank_one=rank_one)
+        pruned = prune_povm(s, p)
+        assert validate_povm(pruned).ok
+        assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
+        # a vertex: the support columns are linearly independent
+        assert numeric_rank(build_design_matrix(normalize_povm(pruned).normalized_ops)) == len(pruned)
+        pieces = split_rank_one(p)
+        rank = numeric_rank(build_design_matrix(normalize_povm(pieces).normalized_ops))
+        assert len(pruned) <= rank == pruned.design_rank
+        assert pruned.walk_steps <= len(pieces) - rank
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [generate_group([np.array([[0, 1], [1, 0]]), np.diag([1, -1])], dim=2), trine_group(),
+     generate_group(weyl_heisenberg_generators(3)), generate_group(weyl_heisenberg_generators(4))],
+    ids=["pauli-d2", "trines-d3", "weyl-heisenberg-d3", "weyl-heisenberg-d4"],
+)
+def test_prune_symmetric_ascent_keeps_information_within_orbit_bound(rep):
+    rng = np.random.default_rng(rep.order)
+    for rank_one in (True, False):
+        s = orbit_ensemble(rep, random_state(rng, rep.dim))
+        p = random_povm(rng, rep.dim, 2 * rep.dim, rank_one=rank_one)
+        pruned = prune_symmetric_povm(s, p, rep)
+        assert validate_povm(pruned).ok
+        assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
+        orbits, rest = divmod(len(pruned), rep.order)
+        assert rest == 0 and orbits <= complex_orbit_bound(rep)
+        # block k starts with its unconjugated piece nu_k Pi'_k / |G|
+        pieces = [pruned.operators[k * rep.order] for k in range(orbits)]
+        sums = [orbit_sum(normalize_povm(Povm([op])).normalized_ops[0], rep) for op in pieces]
+        assert numeric_rank(build_design_matrix(sums)) == orbits <= pruned.design_rank
+        assert pruned.walk_steps <= len(split_rank_one(p)) - pruned.design_rank

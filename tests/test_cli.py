@@ -258,6 +258,9 @@ def test_prune_plain(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["operators_after"] <= 4
     assert out["report"]["info_bits_after"] >= out["report"]["info_bits_before"] - 1e-9
+    # 14 rank-one pieces in d = 2 span the 4-dimensional design; each step drops one or more
+    assert out["report"]["design_rank"] == 4
+    assert 1 <= out["report"]["walk_steps"] <= 14 - 4
     pruned = Povm([matrix_from_json(m) for m in out["povm"]])
     assert np.max(np.abs(sum(pruned.operators) - np.eye(2))) <= 1e-9
 

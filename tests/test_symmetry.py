@@ -22,8 +22,8 @@ from povm_forge import (
     trine_group,
     validate_povm,
 )
-from povm_forge.symmetry import _find_element
-from helpers import planar_rotation, random_state
+from povm_forge.symmetry import MATCH_TOL, _conjugates, _find_element, _nearest_match
+from helpers import orbit_ensemble, planar_rotation, random_state, weyl_heisenberg_generators
 
 
 def s3_irrep_2d():
@@ -54,12 +54,6 @@ def test_group_closure_products_match_elements():
         for b in rep.elements:
             product = a @ b
             assert any(np.max(np.abs(product - e)) <= 1e-8 for e in rep.elements)
-
-
-def weyl_heisenberg_generators(d):
-    shift = np.roll(np.eye(d), 1, axis=0)
-    clock = np.diag(np.exp(2j * math.pi * np.arange(d) / d))
-    return [shift, clock]
 
 
 def clifford_generators():
@@ -264,3 +258,83 @@ def test_orbit_elements_share_the_scaled_trace():
         assert abs(np.trace(element).real - expected) <= 1e-12
         assert mult >= 1
     assert sum(orbit.multiplicities) == rep.order
+
+
+def greedy_reference(s, rep):
+    """The symmetry check as a plain per-element greedy first-unused match."""
+    states = np.asarray(s.states)
+    for u in rep.elements:
+        conj = u @ states @ u.conj().T
+        close = np.max(np.abs(conj[:, None] - states), axis=(2, 3)) <= MATCH_TOL
+        used = np.zeros(len(s), dtype=bool)
+        for i in range(len(s)):
+            free = np.flatnonzero(close[i] & ~used)
+            if free.size == 0:
+                return False
+            used[free[0]] = True
+            if abs(s.priors[i] - s.priors[free[0]]) > MATCH_TOL:
+                return False
+    return True
+
+
+def weyl_heisenberg_orbit(d, seed):
+    rep = generate_group(weyl_heisenberg_generators(d))
+    return rep, orbit_ensemble(rep, random_state(np.random.default_rng(seed), d)).states
+
+
+def nudged(state, size):
+    """``state`` with a Hermitian change of max-abs ``size`` in one off-diagonal pair."""
+    out = state.copy()
+    out[0, 1] += size
+    out[1, 0] += size
+    return out
+
+
+def symmetry_cases():
+    rep, states = weyl_heisenberg_orbit(5, 70)
+    m = len(states)
+    uniform = np.full(m, 1.0 / m)
+    yield "orbit-order-125", rep, Ensemble(states, uniform), True
+    yield "duplicated-states", rep, Ensemble(states * 2, np.full(2 * m, 0.5 / m)), True
+    # a second orbit 1.5 * MATCH_TOL from the first: symmetric, with near-duplicates
+    second = orbit_ensemble(rep, nudged(states[0], 1.5 * MATCH_TOL)).states
+    yield "orbit-1.5-tol-apart", rep, Ensemble(states + second, np.full(2 * m, 0.5 / m)), True
+    yield "two-states-1.5-tol-apart", rep, Ensemble(
+        states + [nudged(states[0], 1.5 * MATCH_TOL)], np.full(m + 1, 1.0 / (m + 1))
+    ), False
+    moved = list(states)
+    moved[3] = nudged(states[3], 2e-8)
+    yield "one-state-moved-2e-8", rep, Ensemble(moved, uniform), False
+    priors = uniform.copy()
+    priors[3] += 1e-6
+    yield "one-prior-moved-1e-6", rep, Ensemble(states, priors / priors.sum()), False
+    # A swap of two basis vectors maps a to b and a' to b', where every entry
+    # of a' is 0.9 * MATCH_TOL from a's.  Listing b' before b makes the greedy
+    # match pair a with b' and reject the unequal priors, although the nearest
+    # states (resolved by the Gram matrix in d = 4) form a prior-preserving
+    # permutation.
+    swap = np.eye(4)[[1, 0, 2, 3]]
+    a = random_state(np.random.default_rng(72), 4)
+    a_near = a + 0.9 * MATCH_TOL * np.ones((4, 4))
+    b, b_near = (swap @ st @ swap.T for st in (a, a_near))
+    yield "near-duplicate-pairs", generate_group([swap]), Ensemble(
+        [a, a_near, b_near, b], [0.3, 0.2, 0.2, 0.3]
+    ), False
+
+
+@pytest.mark.parametrize("case", list(symmetry_cases()), ids=lambda case: case[0])
+def test_symmetry_verdict_matches_greedy_reference(case):
+    _, rep, s, expected = case
+    assert greedy_reference(s, rep) is expected
+    assert is_symmetric_ensemble(s, rep) is expected
+
+
+def test_distinct_orbit_settled_by_nearest_match():
+    rep, states = weyl_heisenberg_orbit(5, 71)
+    stack = np.asarray(states)
+    priors = np.full(len(states), 1.0 / len(states))
+    assert all(_nearest_match(_conjugates(stack, u), stack, priors) for u in rep.elements)
+    # duplicated states leave every element to the greedy match
+    doubled = np.concatenate([stack, stack])
+    assert not any(_nearest_match(_conjugates(doubled, u), doubled, np.tile(priors, 2) / 2)
+                   for u in rep.elements)

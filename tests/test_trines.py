@@ -206,9 +206,10 @@ def test_optimize_two_orbits_collapses_for_double_trines():
     assert on_plane or two.info_bits <= single + 1e-9
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.17, 0.25, 0.5])
+@pytest.mark.parametrize("alpha", [0.1, 0.17, 0.25, 0.5, 1.0])
 def test_optimize_two_orbits_returns_single_orbit_when_it_wins(alpha):
-    # lam = 1 and both orbits equal to the single orbit, not a lam = 0 chord to it
+    # lam = 1 and both orbits equal to the single orbit, not a lam = 0 chord to it;
+    # at alpha = 1 every chord ties the single orbit's 0 bit up to rounding
     two = optimize_two_orbits(alpha)
     b_single, single = optimize_single_orbit(alpha)
     assert two.lam == 1.0 and two.first == two.second

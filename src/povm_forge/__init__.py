@@ -42,13 +42,11 @@ from .symmetry import (
     FiniteRep,
     GroupNotFiniteError,
     NotSymmetricError,
-    Orbit,
     RealRepRequiredError,
     UnitarityError,
     complex_orbit_bound,
     generate_group,
     is_symmetric_ensemble,
-    orbit_of,
     orbit_sum,
     real_orbit_bound,
     symmetrize,

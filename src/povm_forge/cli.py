@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -222,10 +223,22 @@ def cmd_bound(args) -> int:
 # experiments
 
 
+def _float_strings(values: np.ndarray) -> list[str]:
+    """repr of each float of a 1-D array; a list's repr formats them all in C."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
 def _write_surface_csv(path: str, scan) -> None:
+    """Write (x, b, info_bits, dinfo_db) rows in x-major order, one x block at a time.
+
+    Every float is written as repr(float) writes it; the b column is formatted once.
+    """
+    b_strings = _float_strings(scan.b)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("x,b,info_bits,dinfo_db\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in scan.rows())
+        for x, info, dinfo in zip(scan.x.tolist(), scan.info, scan.dinfo_db):
+            rows = zip(repeat(repr(x)), b_strings, _float_strings(info), _float_strings(dinfo))
+            handle.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _report_checks(rows) -> tuple[list[dict], bool]:

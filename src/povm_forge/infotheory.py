@@ -20,12 +20,6 @@ NEGATIVE_PROB_TOL = 1e-12
 def _operators(p) -> list[np.ndarray]:
     if isinstance(p, Povm):
         return p.operators
-    if hasattr(p, "elements") and hasattr(p, "multiplicities"):
-        # Orbit: expand multiplicities so columns line up with group elements.
-        ops = []
-        for op, mult in zip(p.elements, p.multiplicities):
-            ops.extend([op] * mult)
-        return ops
     return [np.asarray(op, dtype=complex) for op in p]
 
 

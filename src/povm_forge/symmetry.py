@@ -60,19 +60,6 @@ class FiniteRep:
         return len(self.elements)
 
 
-@dataclass(frozen=True, eq=False)
-class Orbit:
-    """Conjugates (1/|G|) sigma(g) B sigma(g)^dagger of a base operator.
-
-    ``elements`` lists distinct conjugates (within ``MATCH_TOL``) and
-    ``multiplicities`` how often each occurs among the |G| group elements.
-    """
-
-    base: np.ndarray
-    elements: list[np.ndarray]
-    multiplicities: list[int]
-
-
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -83,11 +70,9 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _find_element(elements, candidate: np.ndarray, tol: float) -> int:
+def _find_element(elements: np.ndarray, candidate: np.ndarray, tol: float) -> int:
     """Index of the first stacked matrix within ``tol`` (max-abs) of ``candidate``, or -1."""
-    if len(elements) == 0:
-        return -1
-    hits = np.flatnonzero(np.max(np.abs(np.asarray(elements) - candidate), axis=(1, 2)) <= tol)
+    hits = np.flatnonzero(np.max(np.abs(elements - candidate), axis=(1, 2)) <= tol)
     return int(hits[0]) if hits.size else -1
 
 
@@ -156,22 +141,6 @@ def orbit_sum(op: np.ndarray, rep: FiniteRep) -> np.ndarray:
     op = as_hermitian(op)
     _check_dim("operator", op.shape[0], rep)
     return hermitian_part(_conjugates(op, rep.elements).mean(axis=0))
-
-
-def orbit_of(op: np.ndarray, rep: FiniteRep) -> Orbit:
-    """Orbit of an operator: scaled conjugates grouped by near-equality."""
-    op = as_hermitian(op)
-    _check_dim("operator", op.shape[0], rep)
-    elements: list[np.ndarray] = []
-    multiplicities: list[int] = []
-    for conj in hermitian_part(_conjugates(op, rep.elements) / rep.order):
-        i = _find_element(elements, conj, MATCH_TOL)
-        if i < 0:
-            elements.append(conj)
-            multiplicities.append(1)
-        else:
-            multiplicities[i] += 1
-    return Orbit(base=op, elements=elements, multiplicities=multiplicities)
 
 
 def _character_sum_to_int(total: float, rep: FiniteRep, label: str) -> int:

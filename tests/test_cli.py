@@ -6,9 +6,19 @@ import sys
 import numpy as np
 import pytest
 
-from povm_forge import Ensemble, Povm, cli, lifted_trines, mutual_information, trine_rotation
+from povm_forge import (
+    Ensemble,
+    Povm,
+    SurfaceScan,
+    cli,
+    lifted_trines,
+    mutual_information,
+    scan_surface,
+    trine_rotation,
+)
 from povm_forge.cli import (
     ProblemFileError,
+    _write_surface_csv,
     load_problem,
     main,
     matrix_from_json,
@@ -191,6 +201,37 @@ def test_surface_csv_deterministic(tmp_path):
     main(["experiment", "lifted-trines", "--alpha", "0.3", "--out-dir", str(tmp_path / "a"), "--nx", "8", "--nb", "8"])
     main(["experiment", "lifted-trines", "--alpha", "0.3", "--out-dir", str(tmp_path / "b"), "--nx", "8", "--nb", "8"])
     assert (tmp_path / "a" / "surface.csv").read_bytes() == (tmp_path / "b" / "surface.csv").read_bytes()
+
+
+def per_row_surface_csv(scan) -> bytes:
+    """The surface CSV written one x-major row at a time with repr(float)."""
+    lines = ["x,b,info_bits,dinfo_db"]
+    for i, x in enumerate(scan.x):
+        for j, b in enumerate(scan.b):
+            row = [float(x), float(b), float(scan.info[i, j]), float(scan.dinfo_db[i, j])]
+            lines.append(",".join(map(repr, row)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("kind", ["scan", "edge-values"])
+def test_surface_csv_matches_per_row_repr(tmp_path, kind):
+    if kind == "scan":
+        scan = scan_surface(0.05, nx=7, nb=5)
+    else:
+        # values whose shortest repr needs a sign, an exponent or 17 digits
+        scan = SurfaceScan(
+            alpha=0.05,
+            x=np.array([-0.0, 1e16]),
+            b=np.array([5e-324, 0.1 + 0.2, 1e-5]),
+            info=np.array([[-0.0, 5e-324, 1e16], [1e-5, 0.1 + 0.2, 123456.789]]),
+            dinfo_db=np.array([[-1e-5, -0.1 - 0.2, -5e-324], [-1e16, -2.5, -0.0]]),
+        )
+    path = tmp_path / "surface.csv"
+    _write_surface_csv(str(path), scan)
+    written = path.read_bytes()
+    assert written == per_row_surface_csv(scan)
+    assert b"np.float64(" not in written
+    assert len(written.splitlines()) == 1 + scan.x.size * scan.b.size
 
 
 def test_decompose_identity_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from povm_forge import (
     generate_group,
     is_symmetric_ensemble,
     lifted_trines,
-    orbit_of,
     orbit_sum,
     psi,
     real_orbit_bound,
@@ -22,6 +22,7 @@ from povm_forge import (
     trine_group,
     validate_povm,
 )
+from povm_forge.cli import load_problem
 from povm_forge.symmetry import MATCH_TOL, _conjugates, _find_element, _nearest_match
 from helpers import orbit_ensemble, planar_rotation, random_state, weyl_heisenberg_generators
 
@@ -76,8 +77,8 @@ def test_large_group_closure(generators, order):
     # both representations are irreducible
     assert complex_orbit_bound(rep) == 1
     rng = np.random.default_rng(order)
-    orbit = orbit_of(random_state(rng, rep.dim), rep)
-    assert sum(orbit.multiplicities) == order
+    # symmetrize keeps every conjugate: |G| operators per input operator
+    assert len(symmetrize(Povm([random_state(rng, rep.dim)]), rep)) == order
     # the stacked group action agrees with a per-element loop
     op = random_state(rng, rep.dim, pure=False)
     conjugates = [u @ op @ u.conj().T for u in stack]
@@ -151,14 +152,6 @@ def test_orbit_sum_commutes_with_rep():
         d = orbit_sum(op, rep)
         for u in rep.elements:
             assert np.max(np.abs(u @ d - d @ u)) <= 1e-9
-
-
-def test_orbit_of_deduplicates_fixed_points():
-    rep = trine_group()
-    orbit = orbit_of(np.eye(3), rep)
-    assert len(orbit.elements) == 1
-    assert orbit.multiplicities == [3]
-    assert np.allclose(orbit.elements[0], np.eye(3) / 3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -252,12 +245,53 @@ def test_orbit_elements_share_the_scaled_trace():
     rep = s3_irrep_2d()
     rng = np.random.default_rng(60)
     base = random_state(rng, 2, pure=False)
-    orbit = orbit_of(base, rep)
+    out = symmetrize(Povm([base]), rep)
+    assert len(out) == rep.order
     expected = np.trace(base).real / rep.order
-    for element, mult in zip(orbit.elements, orbit.multiplicities):
+    for element in out.operators:
         assert abs(np.trace(element).real - expected) <= 1e-12
-        assert mult >= 1
-    assert sum(orbit.multiplicities) == rep.order
+
+
+def null_dimension(stacked: np.ndarray) -> int:
+    """Null-space dimension of a stacked linear map, from its singular values."""
+    singular = np.linalg.svd(stacked, compute_uv=False)
+    return stacked.shape[1] - int(np.sum(singular > 1e-9 * singular[0]))
+
+
+def shipped_generators(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data", name)
+    return load_problem(path).generators
+
+
+@pytest.mark.parametrize(
+    "generators, real",
+    [
+        (shipped_generators("lifted_trines_0.05.json"), True),
+        (shipped_generators("s3_irrep_2d.json"), True),
+        (weyl_heisenberg_generators(3), False),
+        (clifford_generators(), False),
+    ],
+    ids=["trine", "s3", "weyl-heisenberg-d3", "clifford-d2"],
+)
+def test_orbit_bounds_equal_commutant_dimension(generators, real):
+    # the bounds count the X with [g, X] = 0 for every generator g
+    rep = generate_group(generators)
+    d = rep.dim
+    eye = np.eye(d)
+    # row-major vec: vec(g X) = (g kron I) vec X and vec(X g) = (I kron g^T) vec X
+    commutator = np.concatenate([np.kron(g, eye) - np.kron(eye, g.T) for g in generators])
+    assert complex_orbit_bound(rep) == null_dimension(commutator)
+    if real:
+        symmetric = []
+        for i in range(d):
+            for j in range(i, d):
+                e = np.zeros((d, d))
+                e[i, j] = e[j, i] = 1.0
+                symmetric.append(e)
+        real_commutator = np.concatenate(
+            [np.stack([(g.real @ e - e @ g.real).ravel() for e in symmetric], axis=1) for g in generators]
+        )
+        assert real_orbit_bound(rep) == null_dimension(real_commutator)
 
 
 def greedy_reference(s, rep):

@@ -125,9 +125,6 @@ def test_scan_surface_periodic_and_pointwise():
     for i, x in enumerate(scan.x):
         for j, b in enumerate(scan.b):
             assert abs(scan.info[i, j] - orbit_info(0.05, math.acos(math.sqrt(x)), b)) <= 1e-12
-    rows = list(scan.rows())
-    assert len(rows) == 9 * 13
-    assert rows[13][0] == scan.x[1] and rows[13][1] == scan.b[0]
 
 
 def test_scan_surface_double_trines_plane_slice_peaks_at_zero():
@@ -263,6 +260,29 @@ def test_max_over_b_matches_single_orbit_and_folds():
         a = math.acos(math.sqrt(x))
         assert abs(orbit_info(0.05, a, b) - value) <= 1e-12
         assert value >= max(orbit_info(0.05, a, bb) for bb in np.linspace(0.0, B_PERIOD, 400)) - 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_max_over_b_batch_equals_separate_calls(alpha):
+    # one call on both sides of the envelope, as each zoom step makes
+    xs1 = np.linspace(0.0, 1.0 / 3.0, 33)
+    xs2 = np.linspace(1.0 / 3.0, 1.0, 65)
+    b_star, g = _max_over_b(alpha, np.concatenate([xs1, xs2]))
+    b1, g1 = _max_over_b(alpha, xs1)
+    b2, g2 = _max_over_b(alpha, xs2)
+    assert np.array_equal(b_star, np.concatenate([b1, b2]))
+    assert np.array_equal(g, np.concatenate([g1, g2]))
+    # a scalar x gives 0-d results; its vector matmuls may round unlike a batch
+    b_one, g_one = _max_over_b(alpha, xs2[3])
+    assert np.shape(b_one) == np.shape(g_one) == ()
+    assert abs(g_one - g2[3]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, info_bits", [(0.05, 0.8472453808251262), (0.5, 1.3690684229434151), (1.0, 0.0)]
+)
+def test_optimize_two_orbits_pinned_values(alpha, info_bits):
+    assert abs(optimize_two_orbits(alpha).info_bits - info_bits) <= 1e-12
 
 
 def test_double_trines_projection():

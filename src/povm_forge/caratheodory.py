@@ -3,10 +3,10 @@
 Writing a POVM as sum_i lambda_i Pi'_i = I with tr(Pi'_i) = d turns the weight
 vector into a solution of a linear system D lambda = c.  The feasible set is a
 compact polytope, so lambda is a convex combination of basic feasible
-solutions, each supported on at most rank(D) operators.  Decomposing down to
-those extreme points and keeping the most informative one prunes a measurement
-to at most d^2 rank-one operators (or fewer under symmetry) without losing
-mutual information.
+solutions, each supported on at most rank(D) operators.  Walking the weights
+to one such extreme point, never downhill in mutual information, prunes a
+measurement to at most d^2 rank-one operators (or fewer under symmetry)
+without losing information.
 
 The decomposition is the constructive Caratheodory chain: walk the weights
 along null vectors of the support columns (an SVD null basis, updated by
@@ -83,18 +83,16 @@ class DesignMatrix:
 
 
 def build_design_matrix(normalized_ops) -> DesignMatrix:
-    """Assemble the design matrix from operators with trace d."""
-    ops = list(normalized_ops)
-    if not ops:
+    """Assemble the design matrix from a stack (or list) of operators with trace d."""
+    ops = np.asarray(normalized_ops, dtype=complex)
+    if len(ops) == 0:
         raise NormalizationError("need at least one operator")
-    d = ops[0].shape[0]
-    columns = []
-    for i, op in enumerate(ops):
-        tr = np.trace(op).real
-        if abs(tr - d) > HERM_TOL:
-            raise NormalizationError(f"operator {i} has trace {tr:.12g}, expected {d}")
-        columns.append(np.concatenate([[1.0], coords(op)]))
-    matrix = np.column_stack(columns)
+    d = ops.shape[-1]
+    traces = np.trace(ops, axis1=1, axis2=2).real
+    bad = np.flatnonzero(np.abs(traces - d) > HERM_TOL)
+    if bad.size:
+        raise NormalizationError(f"operator {bad[0]} has trace {traces[bad[0]]:.12g}, expected {d}")
+    matrix = np.vstack([np.ones(len(ops)), coords(ops).T])
     target = np.zeros(1 + d * d)
     target[: 1 + d] = 1.0
     return DesignMatrix(matrix=matrix, target=target, dim=d)
@@ -272,22 +270,22 @@ def split_rank_one(p: Povm) -> Povm:
     pieces sum to the original operators exactly (up to the discarded
     eigenvalues at or below ``EIGENVALUE_CUTOFF``).
     """
-    pieces = []
-    for op in p.operators:
-        w, v = eig_hermitian(op)
-        for k in range(len(w)):
-            if w[k] > EIGENVALUE_CUTOFF:
-                vec = v[:, k]
-                pieces.append(hermitian_part(w[k] * np.outer(vec, vec.conj())))
-    return Povm(pieces)
+    w, v = eig_hermitian(p.operators)
+    vecs = v.swapaxes(1, 2)  # vecs[j, k] is the k-th eigenvector of operator j
+    pieces = hermitian_part(w[:, :, None, None] * (vecs[:, :, :, None] * vecs.conj()[:, :, None, :]))
+    # Boolean indexing keeps operator-major order, eigenvalues ascending.
+    return Povm(pieces[w > EIGENVALUE_CUTOFF])
+
+
+def _leaf(ops: np.ndarray, nu: np.ndarray, support) -> Povm:
+    """The POVM {nu_j ops[j]} over ``support``."""
+    return Povm(ops[support] * nu[support, None, None])
 
 
 def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, ops) -> list[float]:
     """Mutual information of every leaf; leaf nu is the POVM {nu_j ops[j]} over its support."""
-    return [
-        mutual_information(s, Povm([nu[j] * ops[j] for j in np.flatnonzero(nu > SUPPORT_TOL)]))
-        for nu in decomposition.solutions
-    ]
+    ops = np.asarray(ops, dtype=complex)
+    return [mutual_information(s, _leaf(ops, nu, nu > SUPPORT_TOL)) for nu in decomposition.solutions]
 
 
 class PrunedPovm(Povm):
@@ -334,7 +332,7 @@ def prune_povm(s: Ensemble, p: Povm) -> PrunedPovm:
     ops = normalized.normalized_ops
     joint = joint_distribution(s, ops)[:, :, None]
     nu, rank, steps = _ascend(ops, normalized.weights, joint)
-    return PrunedPovm(Povm([nu[j] * ops[j] for j in np.flatnonzero(nu)]), rank, steps)
+    return PrunedPovm(_leaf(ops, nu, nu > 0), rank, steps)
 
 
 def prune_symmetric_povm(
@@ -358,14 +356,14 @@ def prune_symmetric_povm(
     if not report.ok:
         raise ValueError("invalid POVM: " + "; ".join(report.violations))
     normalized = normalize_povm(split_rank_one(p))
-    ops = np.asarray(normalized.normalized_ops)
+    ops = normalized.normalized_ops
     if real_mode:
         bound = real_orbit_bound(rep)
         if np.max(np.abs(ops.imag)) > HERM_TOL:
             raise RealRepRequiredError("real_mode requires real POVM operators")
     else:
         bound = complex_orbit_bound(rep)
-    sums = [orbit_sum(op, rep) for op in ops]
+    sums = orbit_sum(ops, rep)
     # The symmetrized leaf has one operator per (piece, group element); built
     # one element at a time, its joint matrix never holds |G| * n operators.
     joint = np.empty((len(s), len(ops), rep.order))
@@ -373,8 +371,7 @@ def prune_symmetric_povm(
         joint[:, :, g] = joint_distribution(s, _conjugates(ops, u))
     joint /= rep.order
     nu, rank, steps = _ascend(sums, normalized.weights, joint)
-    support = np.flatnonzero(nu)
-    if len(support) > bound:
-        raise InternalLogicError(f"the walk ended on {len(support)} orbits, above the bound {bound}")
-    leaf = Povm([nu[j] * ops[j] for j in support])
-    return PrunedPovm(symmetrize(leaf, rep), rank, steps)
+    orbits = np.count_nonzero(nu)
+    if orbits > bound:
+        raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
+    return PrunedPovm(symmetrize(_leaf(ops, nu, nu > 0), rep), rank, steps)

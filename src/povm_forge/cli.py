@@ -64,7 +64,8 @@ class ProblemFileError(ValueError):
 # JSON schema
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
+def matrix_to_json(m: np.ndarray) -> list:
+    """Rows of [re, im] pairs; a stack of matrices gives one such list per matrix."""
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], -1).tolist()
 
@@ -148,10 +149,10 @@ def problem_to_json(
 ) -> dict:
     doc: dict = {"dimension": dimension}
     if ensemble is not None:
-        doc["states"] = [matrix_to_json(s) for s in ensemble.states]
+        doc["states"] = matrix_to_json(ensemble.states)
         doc["priors"] = [float(p) for p in ensemble.priors]
     if povm is not None:
-        doc["povm"] = [matrix_to_json(op) for op in povm.operators]
+        doc["povm"] = matrix_to_json(povm.operators)
     if generators is not None:
         doc["generators"] = [matrix_to_json(g) for g in generators]
     if metadata:
@@ -317,7 +318,7 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
         json.dump(
             {
                 "dimension": projected.dim,
-                "povm": [matrix_to_json(op) for op in pgm.operators],
+                "povm": matrix_to_json(pgm.operators),
                 "info_bits": pgm_info,
             },
             handle,
@@ -360,6 +361,10 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
 def cmd_experiment(args) -> int:
     if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
         print(f"error: --alpha must lie in [0, 1], got {args.alpha}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.alpha is not None and args.name == "double-trines":
+        print("error: --alpha applies to lifted-trines only; double-trines is fixed at alpha = 0.5",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.nx < 2 or args.nb < 2:
         print(f"error: --nx and --nb must be at least 2, got {args.nx} and {args.nb}", file=sys.stderr)

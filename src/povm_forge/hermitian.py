@@ -34,46 +34,32 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def as_hermitian(m: np.ndarray) -> np.ndarray:
-    """Check hermiticity within ``HERM_TOL`` (max-norm) and return the symmetrized matrix."""
+    """Check hermiticity within ``HERM_TOL`` (max-norm) and return the symmetrized matrix.
+
+    A stack of matrices is checked as a whole: its largest defect counts.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise HermiticityError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise HermiticityError("matrix contains NaN or Inf entries")
-    defect = np.max(np.abs(m - m.conj().T))
+    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
     if defect > HERM_TOL:
         raise HermiticityError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {HERM_TOL:.3e}")
     return hermitian_part(m)
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
+def hermitian_basis(d: int) -> np.ndarray:
     """Trace-orthogonal basis of the real space of Hermitian d x d matrices.
 
     Ordering: the d diagonal projectors E_kk for k = 0..d-1, then the symmetric
     off-diagonal elements X_kl = |k><l| + |l><k| for k > l in lexicographic (k, l)
     order, then the antisymmetric elements Y_kl = i|k><l| - i|l><k| in the same
-    order.  There are d*d elements in total.
+    order.  There are d*d elements in total, stacked as one (d*d, d, d) array.
     """
     if d < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    basis = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    for k in range(d):
-        for l in range(k):
-            x = np.zeros((d, d), dtype=complex)
-            x[k, l] = 1.0
-            x[l, k] = 1.0
-            basis.append(x)
-    for k in range(d):
-        for l in range(k):
-            y = np.zeros((d, d), dtype=complex)
-            y[k, l] = 1j
-            y[l, k] = -1j
-            basis.append(y)
-    return basis
+    return from_coords(np.eye(d * d), d)
 
 
 def coords(m: np.ndarray) -> np.ndarray:
@@ -81,33 +67,29 @@ def coords(m: np.ndarray) -> np.ndarray:
 
     Returns the length d*d vector (diagonal entries, Re of strict lower triangle,
     Im of strict lower triangle), each triangle in lexicographic (k, l) order
-    with k > l.  The expansion sum(c_a * B_a) reconstructs the input.
+    with k > l.  The expansion sum(c_a * B_a) reconstructs the input.  A stack
+    of matrices gives one row of coordinates per matrix.
     """
     m = as_hermitian(m)
-    d = m.shape[0]
-    diag = m.diagonal().real
-    re = [m[k, l].real for k in range(d) for l in range(k)]
-    im = [m[k, l].imag for k in range(d) for l in range(k)]
-    return np.concatenate([diag, re, im])
+    k, l = np.tril_indices(m.shape[-1], -1)
+    lower = m[..., k, l]
+    return np.concatenate([m.diagonal(axis1=-2, axis2=-1).real, lower.real, lower.imag], axis=-1)
 
 
 def from_coords(c: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of coords: assemble the Hermitian matrix with coordinates ``c``."""
+    """Inverse of coords: assemble the Hermitian matrix with coordinates ``c``.
+
+    Rows of a 2-D ``c`` give a stack of matrices.
+    """
     c = np.asarray(c, dtype=float)
-    if c.shape != (d * d,):
+    if c.shape[-1:] != (d * d,):
         raise InvalidDimensionError(f"expected {d * d} coordinates, got shape {c.shape}")
-    m = np.zeros((d, d), dtype=complex)
-    m[np.diag_indices(d)] = c[:d]
-    idx = d
-    pairs = [(k, l) for k in range(d) for l in range(k)]
-    for k, l in pairs:
-        m[k, l] += c[idx]
-        m[l, k] += c[idx]
-        idx += 1
-    for k, l in pairs:
-        m[k, l] += 1j * c[idx]
-        m[l, k] += -1j * c[idx]
-        idx += 1
+    k, l = np.tril_indices(d, -1)
+    lower = c[..., d : d + len(k)] + 1j * c[..., d + len(k) :]
+    m = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    m[..., k, l] = lower
+    m[..., l, k] = lower.conj()
+    m[..., range(d), range(d)] = c[..., :d]
     return m
 
 
@@ -115,7 +97,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix (checked within ``HERM_TOL``).
 
     Returns (w, v) with eigenvalues w ascending and unitary v such that
-    M v = v diag(w).
+    M v = v diag(w); a stack of matrices is decomposed in one batched call.
     """
     return np.linalg.eigh(as_hermitian(m))
 

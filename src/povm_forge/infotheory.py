@@ -17,12 +17,6 @@ from .quantum import Ensemble, Povm, StructuralError, validate_povm
 NEGATIVE_PROB_TOL = 1e-12
 
 
-def _operators(p) -> list[np.ndarray]:
-    if isinstance(p, Povm):
-        return p.operators
-    return [np.asarray(op, dtype=complex) for op in p]
-
-
 def plogp(u: np.ndarray) -> np.ndarray:
     """Elementwise u * log2(u) with the continuity convention at 0."""
     u = np.asarray(u, dtype=float)
@@ -37,12 +31,13 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
 
     Tiny negative values (>= -1e-12, from rounding in PSD operators) are
     clamped to zero; anything more negative raises, since it signals a genuine
-    positivity violation rather than noise.
+    positivity violation rather than noise.  ``p`` is a Povm or a stack (or
+    list) of operators that need not sum to the identity.
     """
-    ops = _operators(p)
-    if ops[0].shape[0] != s.dim:
-        raise StructuralError(f"dimension mismatch: ensemble {s.dim} vs operators {ops[0].shape[0]}")
-    probs = s.priors[:, None] * np.einsum("jab,iba->ij", np.asarray(ops), np.asarray(s.states)).real
+    ops = p.operators if isinstance(p, Povm) else np.asarray(p, dtype=complex)
+    if ops.shape[-1] != s.dim:
+        raise StructuralError(f"dimension mismatch: ensemble {s.dim} vs operators {ops.shape[-1]}")
+    probs = s.priors[:, None] * np.einsum("jab,iba->ij", ops, s.states).real
     low = probs.min()
     if low < -NEGATIVE_PROB_TOL:
         raise ValueError(f"joint probability {low:.3e} is negative beyond tolerance")
@@ -87,12 +82,11 @@ def equality_condition(s: Ensemble, p, q, j: int) -> bool:
     to a constant factor.  Mixing operators column-wise loses no information
     exactly in that case.
     """
-    p_ops = _operators(p)
-    q_ops = _operators(q)
-    if len(p_ops) != len(q_ops):
-        raise StructuralError(f"operator count mismatch: {len(p_ops)} vs {len(q_ops)}")
-    if not 0 <= j < len(p_ops):
-        raise IndexError(f"column {j} out of range for {len(p_ops)} operators")
-    pj = joint_distribution(s, [p_ops[j]])[:, 0]
-    qj = joint_distribution(s, [q_ops[j]])[:, 0]
+    pj, qj = joint_distribution(s, p), joint_distribution(s, q)
+    n = pj.shape[1]
+    if qj.shape[1] != n:
+        raise StructuralError(f"operator count mismatch: {n} vs {qj.shape[1]}")
+    if not 0 <= j < n:
+        raise IndexError(f"column {j} out of range for {n} operators")
+    pj, qj = pj[:, j], qj[:, j]
     return bool(np.max(np.abs(pj * qj.sum() - qj * pj.sum())) <= HERM_TOL)

@@ -1,8 +1,10 @@
 """Ensembles, POVMs, and their convex algebra.
 
-An ensemble is a list of density matrices with prior probabilities.  A POVM is
-a list of positive semidefinite operators summing to the identity.  Both are
-treated as multisets: duplicate operators are allowed everywhere.
+An ensemble is a stack of density matrices with prior probabilities.  A POVM
+is a stack of positive semidefinite operators summing to the identity.  Both
+hold their matrices as one (n, d, d) complex array, so every per-operator
+computation is one batched numpy call, and both are treated as multisets:
+duplicate operators are allowed everywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from .hermitian import (
     HERM_TOL,
     PSD_TOL,
+    HermiticityError,
     as_hermitian,
     eig_hermitian,
     hermitian_part,
@@ -32,26 +35,28 @@ class DegenerateOperatorError(ValueError):
     """Raised when an operator that must have positive trace does not."""
 
 
-def _as_operator_list(ops, what: str) -> list[np.ndarray]:
-    mats = [as_hermitian(op) for op in ops]
-    if not mats:
+def _as_operator_stack(ops, what: str) -> np.ndarray:
+    """Stack operators into one checked Hermitian (n, d, d) complex array."""
+    try:
+        stack = np.asarray(ops if isinstance(ops, np.ndarray) else list(ops), dtype=complex)
+    except ValueError as exc:
+        raise StructuralError(f"{what} operators have mixed dimensions") from exc
+    if len(stack) == 0:
         raise StructuralError(f"{what} must contain at least one operator")
-    d = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape[0] != d:
-            raise StructuralError(f"{what} operator {i} has dimension {m.shape[0]}, expected {d}")
-    return mats
+    if stack.ndim != 3:
+        raise HermiticityError(f"{what} operators must be square matrices, got shape {stack.shape[1:]}")
+    return as_hermitian(stack)
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Quantum states rho_i with prior probabilities p(i)."""
+    """Quantum states rho_i, stacked as one (m, d, d) array, with prior probabilities p(i)."""
 
-    states: list[np.ndarray]
+    states: np.ndarray
     priors: np.ndarray
 
     def __init__(self, states, priors):
-        object.__setattr__(self, "states", _as_operator_list(states, "ensemble"))
+        object.__setattr__(self, "states", _as_operator_stack(states, "ensemble"))
         object.__setattr__(self, "priors", np.asarray(priors, dtype=float))
         if len(self.priors) != len(self.states):
             raise StructuralError(
@@ -60,7 +65,7 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[-1]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -68,16 +73,16 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Measurement given by positive operators summing to the identity."""
+    """Measurement given by positive operators, stacked as one (n, d, d) array, summing to the identity."""
 
-    operators: list[np.ndarray]
+    operators: np.ndarray
 
     def __init__(self, operators):
-        object.__setattr__(self, "operators", _as_operator_list(operators, "POVM"))
+        object.__setattr__(self, "operators", _as_operator_stack(operators, "POVM"))
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -88,15 +93,19 @@ class NormalizedPovm:
     """POVM rewritten as a convex combination of trace-d operators.
 
     weights[i] = tr(Pi_i) / d and normalized_ops[i] = d * Pi_i / tr(Pi_i), so
-    sum_i weights[i] * normalized_ops[i] equals the identity.
+    sum_i weights[i] * normalized_ops[i] equals the identity.  The operators
+    are one stacked (n, d, d) complex array; a list is stacked on construction.
     """
 
     weights: np.ndarray
-    normalized_ops: list[np.ndarray]
+    normalized_ops: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "normalized_ops", np.asarray(self.normalized_ops, dtype=complex))
 
     @property
     def dim(self) -> int:
-        return self.normalized_ops[0].shape[0]
+        return self.normalized_ops.shape[-1]
 
     def __len__(self) -> int:
         return len(self.normalized_ops)
@@ -119,16 +128,17 @@ def validate_povm(p: Povm, tol: float = HERM_TOL, allow_zero: bool = False) -> V
     Zero operators (max-norm <= 1e-12) are rejected unless ``allow_zero`` is
     set; padding constructions legitimately carry them.
     """
+    ops = p.operators
+    lowest = eig_hermitian(ops)[0][:, 0]
+    not_psd = lowest < -tol
+    zero = (np.max(np.abs(ops), axis=(1, 2)) <= ZERO_OP_TOL) & (not allow_zero)
     violations = []
-    d = p.dim
-    for i, op in enumerate(p.operators):
-        w, _ = eig_hermitian(op)
-        if w[0] < -tol:
-            violations.append(f"operator {i} is not PSD: min eigenvalue {w[0]:.3e}")
-        if not allow_zero and np.max(np.abs(op)) <= ZERO_OP_TOL:
+    for i in np.flatnonzero(not_psd | zero):
+        if not_psd[i]:
+            violations.append(f"operator {i} is not PSD: min eigenvalue {lowest[i]:.3e}")
+        if zero[i]:
             violations.append(f"operator {i} is zero (max-norm <= {ZERO_OP_TOL:.0e})")
-    total = sum(p.operators)
-    defect = np.max(np.abs(total - np.eye(d)))
+    defect = np.max(np.abs(ops.sum(axis=0) - np.eye(p.dim)))
     if defect > tol:
         violations.append(f"operators do not sum to the identity: max deviation {defect:.3e}")
     return ValidationReport(not violations, violations)
@@ -136,20 +146,27 @@ def validate_povm(p: Povm, tol: float = HERM_TOL, allow_zero: bool = False) -> V
 
 def validate_ensemble(s: Ensemble, tol: float = HERM_TOL) -> ValidationReport:
     """Check that states are unit-trace PSD and priors form a distribution."""
+    lowest = eig_hermitian(s.states)[0][:, 0]
+    traces = np.trace(s.states, axis1=1, axis2=2).real
+    not_psd = lowest < -tol
+    off_trace = np.abs(traces - 1.0) > tol
     violations = []
-    for i, rho in enumerate(s.states):
-        w, _ = eig_hermitian(rho)
-        if w[0] < -tol:
-            violations.append(f"state {i} is not PSD: min eigenvalue {w[0]:.3e}")
-        tr = rho.trace().real
-        if abs(tr - 1.0) > tol:
-            violations.append(f"state {i} has trace {tr:.12g}, expected 1")
+    for i in np.flatnonzero(not_psd | off_trace):
+        if not_psd[i]:
+            violations.append(f"state {i} is not PSD: min eigenvalue {lowest[i]:.3e}")
+        if off_trace[i]:
+            violations.append(f"state {i} has trace {traces[i]:.12g}, expected 1")
     if np.any(s.priors < 0):
         violations.append("priors contain negative entries")
     total = float(np.sum(s.priors))
     if abs(total - 1.0) > 1e-12:
         violations.append(f"priors sum to {total:.15g}, expected 1")
     return ValidationReport(not violations, violations)
+
+
+def _nonzero(ops: np.ndarray) -> np.ndarray:
+    """The operators of a stack whose max-norm exceeds ``ZERO_OP_TOL``."""
+    return ops[np.max(np.abs(ops), axis=(1, 2)) > ZERO_OP_TOL]
 
 
 def convex_combine(p: Povm, q: Povm, lam: float) -> Povm:
@@ -162,8 +179,7 @@ def convex_combine(p: Povm, q: Povm, lam: float) -> Povm:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
     if p.dim != q.dim:
         raise StructuralError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    ops = [lam * op for op in p.operators] + [(1.0 - lam) * op for op in q.operators]
-    return Povm([op for op in ops if np.max(np.abs(op)) > ZERO_OP_TOL])
+    return Povm(_nonzero(np.concatenate([lam * p.operators, (1.0 - lam) * q.operators])))
 
 
 def split_operator(p: Povm, index: int, lam: float) -> Povm:
@@ -176,23 +192,19 @@ def split_operator(p: Povm, index: int, lam: float) -> Povm:
         raise ValueError(f"split weight must lie in [0, 1], got {lam}")
     if not 0 <= index < len(p):
         raise IndexError(f"operator index {index} out of range for {len(p)} operators")
-    ops = list(p.operators)
-    target = ops.pop(index)
-    parts = [lam * target, (1.0 - lam) * target]
-    parts = [op for op in parts if np.max(np.abs(op)) > ZERO_OP_TOL]
-    return Povm(ops[:index] + parts + ops[index:])
+    ops = p.operators
+    parts = _nonzero(np.stack([lam * ops[index], (1.0 - lam) * ops[index]]))
+    return Povm(np.concatenate([ops[:index], parts, ops[index + 1 :]]))
 
 
 def normalize_povm(p: Povm) -> NormalizedPovm:
     """Rewrite a POVM so the identity is a convex combination of trace-d operators."""
     d = p.dim
-    traces = np.array([op.trace().real for op in p.operators])
+    traces = np.trace(p.operators, axis1=1, axis2=2).real
     if np.any(traces <= ZERO_OP_TOL):
         bad = int(np.argmin(traces))
         raise DegenerateOperatorError(f"operator {bad} has non-positive trace {traces[bad]:.3e}")
-    weights = traces / d
-    normalized = [op * (d / tr) for op, tr in zip(p.operators, traces)]
-    return NormalizedPovm(weights=weights, normalized_ops=normalized)
+    return NormalizedPovm(weights=traces / d, normalized_ops=p.operators * (d / traces)[:, None, None])
 
 
 def pretty_good_measurement(s: Ensemble) -> Povm:
@@ -204,10 +216,11 @@ def pretty_good_measurement(s: Ensemble) -> Povm:
     result is a complete POVM; that completion operator never fires on the
     ensemble states.
     """
-    rho = hermitian_part(sum(p * st for p, st in zip(s.priors, s.states)))
+    weighted = s.priors[:, None, None] * s.states
+    rho = hermitian_part(weighted.sum(axis=0))
     n = inv_sqrt_psd(rho)
-    ops = [hermitian_part(n @ (p * st) @ n) for p, st in zip(s.priors, s.states)]
+    ops = hermitian_part(n @ weighted @ n)
     completion = np.eye(s.dim) - support_projector(rho)
     if np.max(np.abs(completion)) > PSD_TOL:
-        ops.append(hermitian_part(completion))
+        ops = np.concatenate([ops, hermitian_part(completion)[None]])
     return Povm(ops)

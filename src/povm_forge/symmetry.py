@@ -132,15 +132,18 @@ def symmetrize(p: Povm, rep: FiniteRep) -> Povm:
     first operator first; no deduplication.
     """
     _check_dim("POVM", p.dim, rep)
-    conjugates = _conjugates(np.asarray(p.operators)[:, None], rep.elements)
+    conjugates = _conjugates(p.operators[:, None], rep.elements)
     return Povm(conjugates.reshape(-1, p.dim, p.dim) / rep.order)
 
 
 def orbit_sum(op: np.ndarray, rep: FiniteRep) -> np.ndarray:
-    """Group average (1/|G|) sum_g sigma(g) op sigma(g)^dagger; commutes with the rep."""
+    """Group average (1/|G|) sum_g sigma(g) op sigma(g)^dagger; commutes with the rep.
+
+    A stack of operators gives the stack of their orbit sums.
+    """
     op = as_hermitian(op)
-    _check_dim("operator", op.shape[0], rep)
-    return hermitian_part(_conjugates(op, rep.elements).mean(axis=0))
+    _check_dim("operator", op.shape[-1], rep)
+    return hermitian_part(_conjugates(op[..., None, :, :], rep.elements).mean(axis=-3))
 
 
 def _character_sum_to_int(total: float, rep: FiniteRep, label: str) -> int:
@@ -234,9 +237,8 @@ def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep) -> bool:
     match.  Both give the same verdict.
     """
     _check_dim("ensemble", s.dim, rep)
-    states = np.asarray(s.states)
     for u in rep.elements:
-        conj = _conjugates(states, u)
-        if not (_nearest_match(conj, states, s.priors) or _greedy_match(conj, states, s.priors)):
+        conj = _conjugates(s.states, u)
+        if not (_nearest_match(conj, s.states, s.priors) or _greedy_match(conj, s.states, s.priors)):
             return False
     return True

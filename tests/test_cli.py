@@ -136,6 +136,14 @@ def test_experiment_alpha_out_of_range(tmp_path):
     assert main(["experiment", "lifted-trines", "--alpha", "1.5", "--out-dir", str(tmp_path)]) == 2
 
 
+def test_double_trines_rejects_alpha(tmp_path, capsys):
+    # double trines are fixed at alpha = 0.5; a lift would be silently ignored
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "double-trines", "--alpha", "0.17", "--out-dir", str(out_dir)]) == 2
+    assert_domain_error(capsys)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--nx", "--nb"])
 def test_experiment_single_point_grid_exit_two(tmp_path, capsys, flag):
     assert main(["experiment", "double-trines", "--out-dir", str(tmp_path), flag, "1"]) == 2

@@ -65,6 +65,16 @@ def test_coords_round_trip_random():
         assert np.max(np.abs(from_coords(c, 3) - m)) <= 1e-12
 
 
+def test_coords_of_stack_is_row_wise():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 4):
+        g = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+        stack = (g + g.conj().swapaxes(1, 2)) / 2
+        c = coords(stack)
+        assert np.array_equal(c, np.array([coords(m) for m in stack]))
+        assert np.max(np.abs(from_coords(c, d) - stack)) <= 1e-15
+
+
 def test_coords_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         coords(np.array([[0.0, 1.0], [0.0, 0.0]]))

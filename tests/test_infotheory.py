@@ -232,3 +232,17 @@ def test_equality_condition_count_mismatch():
     s = random_ensemble(rng, 2, 2)
     with pytest.raises(StructuralError):
         equality_condition(s, random_povm(rng, 2, 3), random_povm(rng, 2, 4), 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_information_invariant_under_relabelling(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(5):
+        s = random_ensemble(rng, d, d + 2, pure=False)
+        p = random_povm(rng, d, d + 3)
+        info = mutual_information(s, p)
+        outcomes = Povm(p.operators[rng.permutation(len(p))])
+        assert abs(mutual_information(s, outcomes) - info) <= 1e-12
+        order = rng.permutation(len(s))
+        inputs = Ensemble(s.states[order], s.priors[order])
+        assert abs(mutual_information(inputs, p) - info) <= 1e-12

@@ -6,7 +6,10 @@ import pytest
 from povm_forge import (
     DegenerateOperatorError,
     Ensemble,
+    HermiticityError,
+    NormalizedPovm,
     Povm,
+    StructuralError,
     convex_combine,
     lifted_trines,
     mutual_information,
@@ -219,3 +222,32 @@ def test_convex_combine_dimension_mismatch():
 def test_split_rejects_bad_weight():
     with pytest.raises(ValueError):
         split_operator(Povm([np.eye(2)]), 0, 1.2)
+
+
+def test_operator_containers_stack_alike():
+    ops = [np.diag([1.0, 0.0]), np.array([[0.0, 0.5j], [-0.5j, 1.0]])]
+    stack = Povm(np.array(ops)).operators
+    assert stack.shape == (2, 2, 2) and stack.dtype == complex
+    for given in (list, tuple, lambda ops: (op for op in ops)):
+        assert np.array_equal(Povm(given(ops)).operators, stack)
+        assert np.array_equal(Ensemble(given(ops), [0.5, 0.5]).states, stack)
+    normalized = NormalizedPovm(weights=np.array([0.5, 0.5]), normalized_ops=ops)
+    assert np.array_equal(normalized.normalized_ops, stack)
+
+
+def test_mixed_dimensions_raise_structural_error():
+    with pytest.raises(StructuralError):
+        Povm([np.eye(2), np.eye(3)])
+    with pytest.raises(StructuralError):
+        Ensemble([np.eye(2) / 2, np.eye(3) / 3], [0.5, 0.5])
+    with pytest.raises(StructuralError):
+        Povm([])
+
+
+def test_non_hermitian_member_raises_hermiticity_error():
+    with pytest.raises(HermiticityError):
+        Povm([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(HermiticityError):
+        Povm([np.ones((2, 3))])
+    with pytest.raises(HermiticityError):
+        Povm([np.full((2, 2), np.nan)])

@@ -225,7 +225,8 @@ def test_prior_off_by_1e6_not_symmetric():
 
 def test_duplicate_states_matched_one_to_one():
     # every state listed twice: the group permutes the multiset
-    states = lifted_trines(0.05).states * 2
+    states = lifted_trines(0.05).states
+    states = np.concatenate([states, states])
     assert is_symmetric_ensemble(Ensemble(states, np.full(6, 1 / 6)), trine_group())
     # moving one copy's prior by 1e-6 leaves its orbit with unequal priors
     priors = np.full(6, 1 / 6)
@@ -313,7 +314,7 @@ def greedy_reference(s, rep):
 
 def weyl_heisenberg_orbit(d, seed):
     rep = generate_group(weyl_heisenberg_generators(d))
-    return rep, orbit_ensemble(rep, random_state(np.random.default_rng(seed), d)).states
+    return rep, list(orbit_ensemble(rep, random_state(np.random.default_rng(seed), d)).states)
 
 
 def nudged(state, size):
@@ -331,7 +332,7 @@ def symmetry_cases():
     yield "orbit-order-125", rep, Ensemble(states, uniform), True
     yield "duplicated-states", rep, Ensemble(states * 2, np.full(2 * m, 0.5 / m)), True
     # a second orbit 1.5 * MATCH_TOL from the first: symmetric, with near-duplicates
-    second = orbit_ensemble(rep, nudged(states[0], 1.5 * MATCH_TOL)).states
+    second = list(orbit_ensemble(rep, nudged(states[0], 1.5 * MATCH_TOL)).states)
     yield "orbit-1.5-tol-apart", rep, Ensemble(states + second, np.full(2 * m, 0.5 / m)), True
     yield "two-states-1.5-tol-apart", rep, Ensemble(
         states + [nudged(states[0], 1.5 * MATCH_TOL)], np.full(m + 1, 1.0 / (m + 1))

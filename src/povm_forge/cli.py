@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 domain failure (validation, symmetry, closure),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -131,6 +132,9 @@ def load_problem(path: str) -> ProblemFile:
     for section in (ensemble, povm):
         if section is not None and section.dim != d:
             raise ProblemFileError(f"{path}: section dimension {section.dim} != declared {d}")
+    for g in generators or ():
+        if g.shape != (d, d):
+            raise ProblemFileError(f"{path}: generator shape {g.shape} != declared ({d}, {d})")
     return ProblemFile(
         dimension=d,
         ensemble=ensemble,
@@ -516,9 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ProblemFileError) as exc:

@@ -1,15 +1,17 @@
 """Finite unitary matrix groups: closure from generators, orbits, and bounds.
 
 Groups are stored extensionally as one stacked (|G|, d, d) array of unitary
-matrices, which is fine for orders up to a few hundred, such as the
-low-dimensional Clifford and Weyl-Heisenberg groups.  The group acts on
-operators in one place, a broadcast conjugation over that stack.  The two
-orbit-count bounds are computed from character sums alone; no explicit
-decomposition into irreducible blocks is ever performed.
+matrices, such as the low-dimensional Clifford and Weyl-Heisenberg groups.
+Closure from generators costs O(|G| d^2) per generator, so orders in the
+thousands close in a fraction of a second.  The group acts on operators in one
+place, a broadcast conjugation over that stack.  The two orbit-count bounds
+are computed from character sums alone; no explicit decomposition into
+irreducible blocks is ever performed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,9 @@ from .quantum import Ensemble, Povm, StructuralError
 
 MATCH_TOL = 1e-8
 UNITARY_TOL = 1e-9
+# Bucket width of the closure lookup: any width above MATCH_TOL is exact, and
+# the margin covers rounding in the projection.
+BUCKET_STEP = 4 * MATCH_TOL
 
 
 class UnitarityError(ValueError):
@@ -70,12 +75,6 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _find_element(elements: np.ndarray, candidate: np.ndarray, tol: float) -> int:
-    """Index of the first stacked matrix within ``tol`` (max-abs) of ``candidate``, or -1."""
-    hits = np.flatnonzero(np.max(np.abs(elements - candidate), axis=(1, 2)) <= tol)
-    return int(hits[0]) if hits.size else -1
-
-
 def _conjugates(ops, units: np.ndarray) -> np.ndarray:
     """u op u^dagger in one broadcast matmul: the only place the group acts.
 
@@ -85,39 +84,95 @@ def _conjugates(ops, units: np.ndarray) -> np.ndarray:
     return units @ ops @ units.conj().swapaxes(-1, -2)
 
 
+@functools.cache
+def _projection_weights(dim: int) -> np.ndarray:
+    """Fixed generic weights in [1, 2) over the 2 d^2 real entries, scaled to sum to 1."""
+    weights = np.random.default_rng(dim).uniform(1.0, 2.0, 2 * dim * dim)
+    weights /= weights.sum()
+    weights.flags.writeable = False
+    return weights
+
+
+class _ElementTable:
+    """Matrices bucketed by a projection, for exact max-abs membership tests.
+
+    Each matrix is projected onto fixed, generic, nonnegative weights over its
+    2 d^2 real entries that sum to 1, and keyed by floor(projection /
+    BUCKET_STEP).  Two matrices within ``MATCH_TOL`` max-abs have projections
+    at most ``MATCH_TOL`` apart, so their keys differ by at most one: looking
+    in buckets key - 1, key and key + 1 and confirming each candidate by
+    max-abs finds exactly what a linear scan finds.  Colliding buckets only
+    make a lookup slower, never wrong.
+    """
+
+    def __init__(self, dim: int):
+        self._weights = _projection_weights(dim)
+        self._buckets: dict[int, list[int]] = {}
+        self.matrices: list[np.ndarray] = []
+
+    def keys(self, stack: np.ndarray) -> list[int]:
+        """Bucket key of each matrix in a (n, d, d) complex stack; n may be 0."""
+        entries = np.ascontiguousarray(stack).view(float).reshape(len(stack), self._weights.size)
+        return np.floor(entries @ self._weights / BUCKET_STEP).astype(np.int64).tolist()
+
+    def find(self, matrix: np.ndarray, key: int) -> int:
+        """Index of the first stored matrix within ``MATCH_TOL`` (max-abs) of ``matrix``, or -1."""
+        hits = [
+            index
+            for near in (key - 1, key, key + 1)
+            for index in self._buckets.get(near, ())
+            if np.max(np.abs(self.matrices[index] - matrix)) <= MATCH_TOL
+        ]
+        return min(hits, default=-1)
+
+    def add(self, matrix: np.ndarray, key: int) -> None:
+        self._buckets.setdefault(key, []).append(len(self.matrices))
+        self.matrices.append(matrix)
+
+
 def generate_group(generators, max_order: int = 10000, dim: int | None = None) -> FiniteRep:
     """Close a list of unitary generators under multiplication.
 
     Breadth-first: the identity comes first, then elements in discovery order,
-    multiplying known elements by the generators on the right.  An empty
-    generator list yields the trivial group (``dim`` must then be given).
-    Raises GroupNotFiniteError if the closure exceeds ``max_order``; for a
+    multiplying known elements by the generators on the right.  Each BFS layer
+    is multiplied by all generators in one matmul, and each product is looked
+    up in an ``_ElementTable``, so closure costs O(|G| d^2) rather than the
+    O(|G|^2 d^2) of a scan over every element found so far, with the same
+    verdicts.  An empty generator list yields the trivial group (``dim`` must
+    then be given); a given ``dim`` must match the generators.  Raises
+    GroupNotFiniteError if the closure exceeds ``max_order``; for a
     projective representation, extend the group centrally by the offending
     phases and retry with the extended generators.
     """
     gens = [_check_unitary(g) for g in generators]
-    if gens:
-        dim = gens[0].shape[0]
-        for g in gens:
-            if g.shape[0] != dim:
-                raise StructuralError("generators have mixed dimensions")
+    dims = {g.shape[0] for g in gens}
+    if len(dims) > 1:
+        raise StructuralError("generators have mixed dimensions")
+    if dims:
+        (gen_dim,) = dims
+        if dim is not None and dim != gen_dim:
+            raise StructuralError(f"generators have dimension {gen_dim}, expected {dim}")
+        dim = gen_dim
     elif dim is None:
         raise StructuralError("dim is required when the generator list is empty")
-    elements = np.eye(dim, dtype=complex)[None]
+    identity = np.eye(dim, dtype=complex)
+    table = _ElementTable(dim)
+    table.add(identity, table.keys(identity[None])[0])
+    gen_stack = np.array(gens, dtype=complex).reshape(-1, dim, dim)
     frontier = 0
-    while frontier < len(elements):
-        current = elements[frontier]
-        frontier += 1
-        for g in gens:
-            product = current @ g
-            if _find_element(elements, product, MATCH_TOL) < 0:
-                if len(elements) >= max_order:
+    while frontier < len(table.matrices):
+        layer = np.stack(table.matrices[frontier:])
+        frontier = len(table.matrices)
+        products = (layer[:, None] @ gen_stack).reshape(-1, dim, dim)
+        for product, key in zip(products, table.keys(products)):
+            if table.find(product, key) < 0:
+                if len(table.matrices) >= max_order:
                     raise GroupNotFiniteError(
                         f"group closure exceeds max_order={max_order}; the generators may "
                         "form a projective representation, supply a central extension"
                     )
-                elements = np.concatenate([elements, product[None]])
-    return FiniteRep(dim=dim, elements=elements)
+                table.add(product, key)
+    return FiniteRep(dim=dim, elements=np.stack(table.matrices))
 
 
 def _check_dim(what: str, dim: int, rep: FiniteRep) -> None:

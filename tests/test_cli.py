@@ -126,6 +126,18 @@ def test_bound_without_generators(tmp_path, capsys):
     assert main(["bound", path]) == 1
 
 
+def test_generator_dimension_mismatch_exit_two(tmp_path, capsys):
+    # a 2 x 2 swap in a file that declares dimension 3
+    path = write_problem(tmp_path, "mismatch.json", {"dimension": 3, "generators": [[[0, 1], [1, 0]]]})
+    with pytest.raises(ProblemFileError, match="generator"):
+        load_problem(path)
+    for command in ("validate", "bound"):
+        assert main([command, path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_unknown_experiment_exits_two():
     with pytest.raises(SystemExit) as caught:
         main(["experiment", "unknown-name"])
@@ -359,15 +371,41 @@ def test_prune_not_symmetric_exit_one(tmp_path, capsys):
     assert main(["prune", path]) == 1
 
 
-def test_console_script_runs():
-    # the child process finds the package in the checkout's src/ without an install
+def child_env():
+    """The environment of a child process that finds the package in the checkout's src/."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_runs():
+    # the child process finds the package in the checkout's src/ without an install
     result = subprocess.run(
         [sys.executable, "-m", "povm_forge.cli", "validate", fixture("four_projectors_d2.json")],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert "OK" in result.stdout
+
+
+def test_repeated_main_calls_match_separate_processes(capsys, monkeypatch):
+    # main parses every call of a process with one parser; usage text wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    child = "import sys; from povm_forge.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (
+        ["prune", fixture("lifted_trines_0.05.json"), "--real"],
+        ["experiment", "unknown-name"],
+        ["--version"],
+        ["bound", fixture("s3_irrep_2d.json"), "--real", "--json"],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        separate = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=child_env()
+        )
+        assert (code, captured.out, captured.err) == (separate.returncode, separate.stdout, separate.stderr)

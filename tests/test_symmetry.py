@@ -20,10 +20,12 @@ from povm_forge import (
     real_orbit_bound,
     symmetrize,
     trine_group,
+    trine_rotation,
     validate_povm,
 )
 from povm_forge.cli import load_problem
-from povm_forge.symmetry import MATCH_TOL, _conjugates, _find_element, _nearest_match
+from povm_forge.quantum import StructuralError
+from povm_forge.symmetry import MATCH_TOL, _conjugates, _ElementTable, _nearest_match
 from helpers import orbit_ensemble, planar_rotation, random_state, weyl_heisenberg_generators
 
 
@@ -40,6 +42,8 @@ def test_trine_group_order_three():
 def test_empty_generators_trivial_group():
     rep = generate_group([], dim=4)
     assert rep.order == 1
+    assert rep.dim == 4
+    assert np.array_equal(rep.elements, np.eye(4)[None])
 
 
 def test_cyclic_phase_group_order_eight():
@@ -73,7 +77,7 @@ def test_large_group_closure(generators, order):
     stack = np.asarray(rep.elements)
     for a in stack:
         for b in stack:
-            assert _find_element(stack, a @ b, 1e-8) >= 0
+            assert np.min(np.max(np.abs(stack - a @ b), axis=(1, 2))) <= 1e-8
     # both representations are irreducible
     assert complex_orbit_bound(rep) == 1
     rng = np.random.default_rng(order)
@@ -373,3 +377,90 @@ def test_distinct_orbit_settled_by_nearest_match():
     doubled = np.concatenate([stack, stack])
     assert not any(_nearest_match(_conjugates(doubled, u), doubled, np.tile(priors, 2) / 2)
                    for u in rep.elements)
+
+
+def linear_scan_closure(generators):
+    """The closure as a breadth-first loop over single elements with a linear max-abs scan."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    elements = np.eye(gens[0].shape[0], dtype=complex)[None]
+    frontier = 0
+    while frontier < len(elements):
+        current = elements[frontier]
+        frontier += 1
+        for g in gens:
+            product = current @ g
+            if not np.any(np.max(np.abs(elements - product), axis=(1, 2)) <= MATCH_TOL):
+                elements = np.concatenate([elements, product[None]])
+    return elements
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [trine_rotation()],
+        shipped_generators("s3_irrep_2d.json"),
+        weyl_heisenberg_generators(3),
+        weyl_heisenberg_generators(4),
+        weyl_heisenberg_generators(5),
+        weyl_heisenberg_generators(7),
+        clifford_generators(),
+    ],
+    ids=["trine", "s3", "weyl-heisenberg-d3", "weyl-heisenberg-d4", "weyl-heisenberg-d5",
+         "weyl-heisenberg-d7", "clifford-d2"],
+)
+def test_closure_matches_linear_scan_bit_for_bit(generators):
+    # same discovery order and the same stored products
+    assert np.array_equal(generate_group(generators).elements, linear_scan_closure(generators))
+
+
+def linear_scan_index(stack, candidate):
+    hits = np.flatnonzero(np.max(np.abs(stack - candidate), axis=(1, 2)) <= MATCH_TOL)
+    return int(hits[0]) if hits.size else -1
+
+
+def test_element_table_lookup_matches_linear_scan():
+    stack = generate_group(clifford_generators()).elements
+    table = _ElementTable(2)
+    keys = table.keys(stack)
+    for u, key in zip(stack, keys):
+        table.add(u, key)
+    rng = np.random.default_rng(90)
+    shifts = []
+    for index, u in enumerate(stack):
+        for sign in (1.0, -1.0):
+            # every entry moves 0.9 * MATCH_TOL in the same quadrant, so the
+            # projection moves about half a tolerance and often changes bucket
+            near = u + sign * 0.9 * MATCH_TOL * np.exp(1j * rng.uniform(0.0, np.pi / 2, (2, 2)))
+            (near_key,) = table.keys(near[None])
+            shifts.append(near_key - keys[index])
+            assert linear_scan_index(stack, near) == index
+            assert table.find(near, near_key) == index
+            # one entry 1.1 * MATCH_TOL away is outside the tolerance
+            far = u.copy()
+            far[rng.integers(2), rng.integers(2)] += sign * 1.1 * MATCH_TOL * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            (far_key,) = table.keys(far[None])
+            assert linear_scan_index(stack, far) == -1
+            assert table.find(far, far_key) == -1
+    # both neighbouring buckets were exercised
+    assert {-1, 0, 1} == set(shifts)
+
+
+def test_max_order_equal_to_the_order_succeeds():
+    assert generate_group(clifford_generators(), max_order=192).order == 192
+    with pytest.raises(GroupNotFiniteError):
+        generate_group(clifford_generators(), max_order=191)
+
+
+def test_weyl_heisenberg_d11_closes():
+    rep = generate_group(weyl_heisenberg_generators(11))
+    assert rep.order == 1331
+    assert complex_orbit_bound(rep) == 1
+
+
+def test_generator_dimension_must_match_dim():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert generate_group([swap], dim=2).order == 2
+    with pytest.raises(StructuralError):
+        generate_group([swap], dim=3)
+    with pytest.raises(StructuralError):
+        generate_group([swap, np.eye(3)])

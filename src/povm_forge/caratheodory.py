@@ -22,22 +22,31 @@ extreme-point argument of Davies, IEEE Trans. Inf. Theory 24, 596, 1978).
 Prune therefore returns the end of one information-ascent walk: the same
 null-line walk, moving at each step to the more informative end of the line,
 never loses information and reaches a vertex in at most n - rank(D) steps.
+
+Every leaf, walked or peeled, is scored the same way: a leaf sums to the
+identity, so its rows sum to the priors, and its information is the formal
+information of J nu, where J[i, j] = p(i) tr(rho_i Pi'_j) is one m x n joint
+matrix.  Under a symmetry group the walk runs over orbit sums on that same
+matrix: conjugation by g permutes the states and keeps the priors, so the
+column of g Pi'_j g^dagger / |G| is column j permuted and divided by |G|, and
+the two log2|G| terms of the symmetrized leaf cancel.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .hermitian import HERM_TOL, coords, eig_hermitian, hermitian_part
-from .infotheory import _information, joint_distribution, mutual_information
+from .infotheory import _formal_information, joint_distribution
 from .quantum import ZERO_OP_TOL, Ensemble, NormalizedPovm, Povm, normalize_povm, validate_povm
 from .symmetry import (
     FiniteRep,
     NotSymmetricError,
     RealRepRequiredError,
-    _conjugates,
     complex_orbit_bound,
     is_symmetric_ensemble,
     orbit_sum,
@@ -48,6 +57,9 @@ from .symmetry import (
 RANK_TOL = 1e-10
 EIGENVALUE_CUTOFF = 1e-12
 SUPPORT_TOL = 1e-13
+# Largest max|D lambda - c| accepted for given weights and for every leaf: a
+# validated POVM sums to the identity only within HERM_TOL.
+FEASIBLE_TOL = 1e-8
 
 
 class NormalizationError(ValueError):
@@ -170,18 +182,17 @@ def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(end > SUPPORT_TOL, end, 0.0)
 
 
-def _leaf_information(joint: np.ndarray, support: np.ndarray, nu: np.ndarray) -> float:
-    """Mutual information of the leaf with weights ``nu`` on ``support``.
+def _leaf_information(joint: np.ndarray, priors: np.ndarray, support, nu: np.ndarray) -> float:
+    """Information of the leaf with weights ``nu`` on ``support``.
 
-    ``joint[i, j, g]`` is the joint probability of state i and the g-th copy
-    of normalized operator j at unit weight, so the leaf's joint matrix is
-    ``joint`` scaled by nu_j along axis 1.
+    ``joint[i, j]`` is the joint probability of state i and normalized
+    operator j at unit weight; the leaf's rows sum to the priors.
     """
-    return _information((joint[:, support] * nu[:, None]).reshape(len(joint), -1))
+    return _formal_information(joint[:, support] * nu, priors)
 
 
 def _walk_to_vertex(
-    lam: np.ndarray, support: np.ndarray, null: np.ndarray, joint: np.ndarray | None
+    lam: np.ndarray, support: np.ndarray, null: np.ndarray, score: Callable | None = None
 ) -> tuple[np.ndarray, int]:
     """Move ``lam`` inside its face to a vertex of the polytope.
 
@@ -189,18 +200,18 @@ def _walk_to_vertex(
     the nonzero coordinates of ``lam``.  While it is nonempty, step along its
     first vector until a coordinate hits zero and restrict the basis to the
     smaller support; the walk ends when the support columns are linearly
-    independent.  Without ``joint`` every step goes forward along that vector;
-    with it (see ``_leaf_information``) each step goes to whichever end of the
-    line has the larger information, the forward end on a tie.  Returns the
-    vertex and the number of steps.
+    independent.  Without ``score`` every step goes forward along that vector;
+    with it (``_leaf_information`` of a joint matrix) each step goes to
+    whichever end of the line scores higher, the forward end on a tie.
+    Returns the vertex and the number of steps.
     """
     v = lam.copy()
     steps = 0
     while null.shape[1]:
         end = _line_end(v[support], null[:, 0])
-        if joint is not None:
+        if score is not None:
             back = _line_end(v[support], -null[:, 0])
-            if _leaf_information(joint, support, back) > _leaf_information(joint, support, end):
+            if score(support, back) > score(support, end):
                 end = back
         gone = np.flatnonzero(end == 0.0)
         v[support] = end
@@ -216,7 +227,7 @@ def _feasible_start(design: DesignMatrix, weights) -> tuple[np.ndarray, np.ndarr
     if np.any(lam <= 0):
         raise InfeasibleError("all weights must be positive")
     residual = np.max(np.abs(design.matrix @ lam - design.target))
-    if residual > 1e-8:
+    if residual > FEASIBLE_TOL:
         raise InfeasibleError(f"weights do not reproduce the identity: residual {residual:.3e}")
     rest = np.where(lam > SUPPORT_TOL, lam, 0.0)
     support = np.flatnonzero(rest)
@@ -232,6 +243,7 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     dimension drops every time and at most support - rank(D) + 1 leaves come
     out.  Each leaf uses at most rank(D) of the given operators; rank(D) is at
     most r + 1 when the operators live in an r-dimensional affine slice.
+    Every leaf is checked to reproduce the identity within ``FEASIBLE_TOL``.
     """
     design = build_design_matrix(normalized.normalized_ops)
     # One SVD for the whole chain: every peel only shrinks the support, so the
@@ -242,7 +254,7 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     solutions: list[np.ndarray] = []
     mass = 1.0
     while len(solutions) < max_leaves:
-        vertex, _ = _walk_to_vertex(rest, support, null, None)
+        vertex, _ = _walk_to_vertex(rest, support, null)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
@@ -251,6 +263,9 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
         weights.append(mass * t)
         solutions.append(vertex)
         if t == 1.0:
+            residual = np.max(np.abs(design.matrix @ np.transpose(solutions) - design.target[:, None]))
+            if residual > FEASIBLE_TOL:
+                raise InternalLogicError(f"a leaf does not reproduce the identity: residual {residual:.3e}")
             return IdentityDecomposition(weights=np.array(weights), solutions=solutions, design=design)
         rest = rest - t * vertex
         rest[inside[hit]] = 0.0
@@ -284,8 +299,11 @@ def _leaf(ops: np.ndarray, nu: np.ndarray, support) -> Povm:
 
 def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, ops) -> list[float]:
     """Mutual information of every leaf; leaf nu is the POVM {nu_j ops[j]} over its support."""
-    ops = np.asarray(ops, dtype=complex)
-    return [mutual_information(s, _leaf(ops, nu, nu > SUPPORT_TOL)) for nu in decomposition.solutions]
+    joint = joint_distribution(s, ops)
+    return [
+        _leaf_information(joint, s.priors, support, nu[support])
+        for nu, support in zip(decomposition.solutions, decomposition.supports())
+    ]
 
 
 class PrunedPovm(Povm):
@@ -302,14 +320,23 @@ class PrunedPovm(Povm):
         object.__setattr__(self, "walk_steps", walk_steps)
 
 
-def _ascend(columns, weights, joint: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _rank_one_joint(s: Ensemble, p: Povm) -> tuple[NormalizedPovm, np.ndarray]:
+    """The checked POVM's normalized rank-one pieces and their joint matrix with ``s``."""
+    report = validate_povm(p)
+    if not report.ok:
+        raise ValueError("invalid POVM: " + "; ".join(report.violations))
+    normalized = normalize_povm(split_rank_one(p))
+    return normalized, joint_distribution(s, normalized.normalized_ops)
+
+
+def _ascend(columns, weights, joint: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Information-ascent walk from ``weights`` over the design of ``columns``.
 
     Returns the vertex, the design rank of the starting support and the
     number of steps.
     """
     rest, support, null = _feasible_start(build_design_matrix(columns), weights)
-    vertex, steps = _walk_to_vertex(rest, support, null, joint)
+    vertex, steps = _walk_to_vertex(rest, support, null, partial(_leaf_information, joint, priors))
     # Where several coordinates reach zero in one step, rounding can leave a
     # weight just above SUPPORT_TOL; its operator would count as zero.
     vertex[vertex <= ZERO_OP_TOL] = 0.0
@@ -325,13 +352,9 @@ def prune_povm(s: Ensemble, p: Povm) -> PrunedPovm:
     weights, so no step loses any, and the vertex leaf uses at most rank(D)
     operators.
     """
-    report = validate_povm(p)
-    if not report.ok:
-        raise ValueError("invalid POVM: " + "; ".join(report.violations))
-    normalized = normalize_povm(split_rank_one(p))
+    normalized, joint = _rank_one_joint(s, p)
     ops = normalized.normalized_ops
-    joint = joint_distribution(s, ops)[:, :, None]
-    nu, rank, steps = _ascend(ops, normalized.weights, joint)
+    nu, rank, steps = _ascend(ops, normalized.weights, joint, s.priors)
     return PrunedPovm(_leaf(ops, nu, nu > 0), rank, steps)
 
 
@@ -348,14 +371,14 @@ def prune_symmetric_povm(
     information-ascent walk runs in that far smaller slice: the returned POVM
     is a union of at most dim-of-commutant orbits (real symmetric commutant
     when ``real_mode`` and the data are real).  Operators come in |G|-element
-    orbit blocks, block j scaled by the vertex weight nu_j.
+    orbit blocks, block j scaled by the vertex weight nu_j.  The walk scores
+    the pieces on their m x n joint matrix (see the module docstring): the
+    symmetry check guarantees that conjugation permutes the states and keeps
+    the priors.
     """
     if not is_symmetric_ensemble(s, rep):
         raise NotSymmetricError("ensemble is not symmetric under the given representation")
-    report = validate_povm(p)
-    if not report.ok:
-        raise ValueError("invalid POVM: " + "; ".join(report.violations))
-    normalized = normalize_povm(split_rank_one(p))
+    normalized, joint = _rank_one_joint(s, p)
     ops = normalized.normalized_ops
     if real_mode:
         bound = real_orbit_bound(rep)
@@ -363,14 +386,7 @@ def prune_symmetric_povm(
             raise RealRepRequiredError("real_mode requires real POVM operators")
     else:
         bound = complex_orbit_bound(rep)
-    sums = orbit_sum(ops, rep)
-    # The symmetrized leaf has one operator per (piece, group element); built
-    # one element at a time, its joint matrix never holds |G| * n operators.
-    joint = np.empty((len(s), len(ops), rep.order))
-    for g, u in enumerate(rep.elements):
-        joint[:, :, g] = joint_distribution(s, _conjugates(ops, u))
-    joint /= rep.order
-    nu, rank, steps = _ascend(sums, normalized.weights, joint)
+    nu, rank, steps = _ascend(orbit_sum(ops, rep), normalized.weights, joint, s.priors)
     orbits = np.count_nonzero(nu)
     if orbits > bound:
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")

@@ -427,11 +427,19 @@ def cmd_prune(args) -> int:
     if problem.ensemble is None or problem.povm is None:
         print("error: pruning needs both an ensemble and a POVM", file=sys.stderr)
         return EXIT_DOMAIN
-    generators = None
+    generators = problem.generators
     if group_problem is not None:
+        if group_problem.dimension != problem.dimension:
+            raise ProblemFileError(
+                f"{args.group}: dimension {group_problem.dimension} != {problem.dimension} of {args.path}"
+            )
+        if group_problem.generators is None:
+            print("error: group file contains no generators", file=sys.stderr)
+            return EXIT_DOMAIN
         generators = group_problem.generators
-    elif problem.generators is not None:
-        generators = problem.generators
+    if args.real and generators is None:
+        print("error: --real needs group generators, from --group or the problem file", file=sys.stderr)
+        return EXIT_USAGE
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     rep: FiniteRep | None = None

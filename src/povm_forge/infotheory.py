@@ -45,11 +45,9 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
     return probs
 
 
-def _information(probs: np.ndarray) -> float:
-    """I = sum H(p_ij) - sum H(row_i) - sum H(col_j) of an m x n joint matrix, in bits."""
-    return float(
-        plogp(probs).sum() - plogp(probs.sum(axis=1)).sum() - plogp(probs.sum(axis=0)).sum()
-    )
+def _formal_information(probs: np.ndarray, priors: np.ndarray) -> float:
+    """I = sum H(p_ij) - sum H(p_i) - sum H(col_j) of an m x n joint matrix with row weights p_i, in bits."""
+    return float(plogp(probs).sum() - plogp(priors).sum() - plogp(probs.sum(axis=0)).sum())
 
 
 def mutual_information(s: Ensemble, p: Povm) -> float:
@@ -57,7 +55,8 @@ def mutual_information(s: Ensemble, p: Povm) -> float:
     report = validate_povm(p, allow_zero=True)
     if not report.ok:
         raise ValueError("invalid POVM: " + "; ".join(report.violations))
-    return _information(joint_distribution(s, p))
+    probs = joint_distribution(s, p)
+    return _formal_information(probs, probs.sum(axis=1))
 
 
 def orbit_information(s: Ensemble, c) -> float:
@@ -68,10 +67,7 @@ def orbit_information(s: Ensemble, c) -> float:
     is the quantity whose convex combinations reproduce the information of
     orbit-union POVMs, and it can be negative.
     """
-    probs = joint_distribution(s, c)
-    return float(
-        plogp(probs).sum() - plogp(s.priors).sum() - plogp(probs.sum(axis=0)).sum()
-    )
+    return _formal_information(joint_distribution(s, c), s.priors)
 
 
 def equality_condition(s: Ensemble, p, q, j: int) -> bool:

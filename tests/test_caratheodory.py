@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from povm_forge import (
     trine_group,
     validate_povm,
 )
-from povm_forge.caratheodory import NormalizationError
+from povm_forge import caratheodory
+from povm_forge.caratheodory import InternalLogicError, NormalizationError, score_leaves
+from povm_forge.cli import load_problem
+from povm_forge.infotheory import _formal_information, joint_distribution
 from povm_forge.symmetry import NotSymmetricError
 from helpers import (
     orbit_ensemble,
@@ -378,3 +382,116 @@ def test_prune_symmetric_ascent_keeps_information_within_orbit_bound(rep):
         sums = [orbit_sum(normalize_povm(Povm([op])).normalized_ops[0], rep) for op in pieces]
         assert numeric_rank(build_design_matrix(sums)) == orbits <= pruned.design_rank
         assert pruned.walk_steps <= len(split_rank_one(p)) - pruned.design_rank
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data")
+
+
+def two_trine_orbits_unequal_priors():
+    rep = trine_group()
+    rng = np.random.default_rng(54)
+    first = orbit_ensemble(rep, random_state(rng, 3))
+    second = orbit_ensemble(rep, random_state(rng, 3, pure=False))
+    priors = np.concatenate([0.3 * first.priors, 0.7 * second.priors])
+    return Ensemble(np.concatenate([first.states, second.states]), priors), rep
+
+
+def orbit_case(rep):
+    return orbit_ensemble(rep, random_state(np.random.default_rng(rep.order), rep.dim)), rep
+
+
+CLIFFORD_D2 = [np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), np.diag([1.0, 1j])]
+SYMMETRIC_CASES = {
+    "trines-two-orbits": two_trine_orbits_unequal_priors,
+    "s3-shipped": lambda: orbit_case(generate_group(load_problem(os.path.join(DATA, "s3_irrep_2d.json")).generators)),
+    "weyl-heisenberg-d3": lambda: orbit_case(generate_group(weyl_heisenberg_generators(3))),
+    "clifford-d2": lambda: orbit_case(generate_group(CLIFFORD_D2)),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRIC_CASES.values(), ids=SYMMETRIC_CASES.keys())
+def test_symmetrized_leaf_information_is_formal_information_of_pieces(case, monkeypatch):
+    # conjugation permutes the states and keeps the priors, so the |G| copies
+    # of each piece add nothing the formal information of the pieces misses
+    s, rep = case()
+    p = random_povm(np.random.default_rng([55, rep.order]), rep.dim, 2 * rep.dim)
+    normalized = normalize_povm(split_rank_one(p))
+    ops = normalized.normalized_ops
+    joint = joint_distribution(s, ops)
+    vertices = []
+    ascend = caratheodory._ascend
+
+    def recording(*args):
+        result = ascend(*args)
+        vertices.append(result[0])
+        return result
+
+    monkeypatch.setattr(caratheodory, "_ascend", recording)
+    pruned = prune_symmetric_povm(s, p, rep)
+    assert len(vertices) == 1
+    for nu in (normalized.weights, vertices[0]):
+        kept = nu > 0
+        symmetrized = symmetrize(Povm(ops[kept] * nu[kept, None, None]), rep)
+        assert abs(_formal_information(joint * nu, s.priors) - mutual_information(s, symmetrized)) <= 1e-12
+    assert abs(_formal_information(joint * vertices[0], s.priors) - mutual_information(s, pruned)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "generators", [[trine_group().elements[1]], weyl_heisenberg_generators(3), CLIFFORD_D2],
+    ids=["trines", "weyl-heisenberg-d3", "clifford-d2"],
+)
+def test_prune_symmetric_builds_one_joint_matrix(generators, monkeypatch):
+    rep = generate_group(generators)
+    s, _ = orbit_case(rep)
+    p = random_povm(np.random.default_rng(56), rep.dim, rep.dim + 1)
+    shapes = []
+    original = caratheodory.joint_distribution
+
+    def counting(ensemble, ops):
+        shapes.append(np.shape(ops))
+        return original(ensemble, ops)
+
+    monkeypatch.setattr(caratheodory, "joint_distribution", counting)
+    prune_symmetric_povm(s, p, rep)
+    assert shapes == [(len(split_rank_one(p)), rep.dim, rep.dim)]
+
+
+def leaf_povm_informations(s, decomposition, ops):
+    return [
+        mutual_information(s, Povm(ops[support] * nu[support, None, None]))
+        for nu, support in zip(decomposition.solutions, decomposition.supports())
+    ]
+
+
+def decompose_cases():
+    problem = load_problem(os.path.join(DATA, "lifted_trines_0.05.json"))
+    yield problem.ensemble, problem.povm
+    rng = np.random.default_rng(57)
+    for d in (2, 3, 4):
+        for rank_one in (True, False):
+            yield random_ensemble(rng, d, d + 1), random_povm(rng, d, 3 * d, rank_one=rank_one)
+
+
+def test_score_leaves_equals_information_of_leaf_povms():
+    for s, p in decompose_cases():
+        normalized = normalize_povm(p)
+        decomposition = decompose_identity(normalized)
+        scores = score_leaves(s, decomposition, normalized.normalized_ops)
+        expected = leaf_povm_informations(s, decomposition, normalized.normalized_ops)
+        assert len(scores) == len(expected) == len(decomposition)
+        assert np.max(np.abs(np.subtract(scores, expected))) <= 1e-12
+        assert int(np.argmax(scores)) == int(np.argmax(expected))
+
+
+def test_decompose_rejects_a_leaf_off_the_identity(monkeypatch):
+    walk = caratheodory._walk_to_vertex
+
+    def perturbed(*args):
+        vertex, steps = walk(*args)
+        vertex = vertex.copy()
+        vertex[np.flatnonzero(vertex)[0]] += 1e-6
+        return vertex, steps
+
+    monkeypatch.setattr(caratheodory, "_walk_to_vertex", perturbed)
+    with pytest.raises(InternalLogicError, match="leaf does not reproduce the identity"):
+        decompose_identity(four_projector_normalized())

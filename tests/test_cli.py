@@ -371,6 +371,38 @@ def test_prune_not_symmetric_exit_one(tmp_path, capsys):
     assert main(["prune", path]) == 1
 
 
+def assert_prune_rejected(tmp_path, capsys, monkeypatch, argv, code, message):
+    """``prune argv`` exits with ``code`` and ``message`` before any pruning work starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("pruning work started")
+
+    for name in ("mutual_information", "generate_group", "prune_povm", "prune_symmetric_povm"):
+        monkeypatch.setattr(cli, name, fail)
+    out_dir = tmp_path / "out"
+    assert main(["prune", *argv, "--out-dir", str(out_dir)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert not out_dir.exists()
+
+
+def test_prune_group_file_without_generators_exit_one(tmp_path, capsys, monkeypatch):
+    four = fixture("four_projectors_d2.json")
+    assert_prune_rejected(tmp_path, capsys, monkeypatch, [four, "--group", four], 1,
+                          "error: group file contains no generators")
+
+
+def test_prune_real_without_generators_exit_two(tmp_path, capsys, monkeypatch):
+    assert_prune_rejected(tmp_path, capsys, monkeypatch, [fixture("four_projectors_d2.json"), "--real"], 2,
+                          "--real needs group generators")
+
+
+def test_prune_group_file_of_another_dimension_exit_two(tmp_path, capsys, monkeypatch):
+    # a dimension-3 group file for a dimension-2 problem, as inside one file
+    argv = [fixture("four_projectors_d2.json"), "--group", fixture("lifted_trines_0.05.json")]
+    assert_prune_rejected(tmp_path, capsys, monkeypatch, argv, 2, "dimension 3 != 2")
+
+
 def child_env():
     """The environment of a child process that finds the package in the checkout's src/."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")

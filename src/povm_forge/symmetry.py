@@ -3,8 +3,9 @@
 Groups are stored extensionally as one stacked (|G|, d, d) array of unitary
 matrices, such as the low-dimensional Clifford and Weyl-Heisenberg groups.
 Closure from generators costs O(|G| d^2) per generator, so orders in the
-thousands close in a fraction of a second.  The group acts on operators in one
-place, a broadcast conjugation over that stack.  The two orbit-count bounds
+thousands close in a fraction of a second; the generators are kept, and the
+ensemble symmetry check runs over them alone.  The group acts on operators in
+one place, a broadcast conjugation over that stack.  The two orbit-count bounds
 are computed from character sums alone; no explicit decomposition into
 irreducible blocks is ever performed.
 """
@@ -51,14 +52,22 @@ class FiniteRep:
     """A finite group given concretely as unitary matrices.
 
     ``elements`` is one stacked (|G|, d, d) complex array with the identity
-    first; a list of matrices is stacked on construction.
+    first; a list of matrices is stacked on construction.  ``generators`` is
+    a (k, d, d) stack that generates the group, as given to
+    ``generate_group`` ((0, d, d) for the trivial group); built from
+    elements alone, the group takes its elements as generators, since any
+    element list generates its group.
     """
 
     dim: int
     elements: np.ndarray
+    generators: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "elements", np.asarray(self.elements, dtype=complex))
+        generators = self.elements if self.generators is None else self.generators
+        generators = np.asarray(generators, dtype=complex).reshape(-1, self.dim, self.dim)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def order(self) -> int:
@@ -172,7 +181,7 @@ def generate_group(generators, max_order: int = 10000, dim: int | None = None) -
                         "form a projective representation, supply a central extension"
                     )
                 table.add(product, key)
-    return FiniteRep(dim=dim, elements=np.stack(table.matrices))
+    return FiniteRep(dim=dim, elements=np.stack(table.matrices), generators=gen_stack)
 
 
 def _check_dim(what: str, dim: int, rep: FiniteRep) -> None:
@@ -240,60 +249,34 @@ def real_orbit_bound(rep: FiniteRep) -> int:
 
 def _greedy_match(conj: np.ndarray, states: np.ndarray, priors: np.ndarray) -> bool:
     """Match each conjugate to the first unused state within ``MATCH_TOL`` with an equal prior."""
-    # One element at a time keeps the (m, m, d, d) difference small.
-    close = np.max(np.abs(conj[:, None] - states), axis=(2, 3)) <= MATCH_TOL
     used = np.zeros(len(states), dtype=bool)
     for i in range(len(states)):
-        free = np.flatnonzero(close[i] & ~used)
+        # One conjugate at a time keeps the difference array at (m, d, d).
+        close = np.max(np.abs(conj[i] - states), axis=(1, 2)) <= MATCH_TOL
+        free = np.flatnonzero(close & ~used)
         if free.size == 0:
             return False
         match = free[0]
         used[match] = True
-        # Each orbit member is matched to i directly by some element, so
-        # pairwise prior checks cover every orbit.
+        # Each state's prior equals that of the state its conjugate matches,
+        # so priors are equal along every generator edge of an orbit.
         if abs(priors[i] - priors[match]) > MATCH_TOL:
             return False
     return True
 
 
-def _nearest_match(conj: np.ndarray, states: np.ndarray, priors: np.ndarray) -> bool:
-    """True when each conjugate has exactly one state within ``MATCH_TOL``, its
-    nearest, these states form a permutation and the priors agree.
-
-    Then ``_greedy_match`` would pick the same pairs and accept; False leaves
-    the element to it.  The nearest state maximizes Re<c, rho_l> - |rho_l|^2 / 2,
-    one Gram matrix product.
-    """
-    m, d = len(states), states.shape[-1]
-    flat = states.reshape(m, -1)
-    sq_norms = np.sum(np.abs(flat) ** 2, axis=1)
-    scores = (conj.reshape(m, -1).conj() @ flat.T).real - 0.5 * sq_norms
-    match = np.argmax(scores, axis=1)
-    if np.bincount(match, minlength=m).max() > 1:
-        return False
-    if np.max(np.abs(conj - states[match])) > MATCH_TOL:
-        return False
-    if np.max(np.abs(priors - priors[match])) > MATCH_TOL:
-        return False
-    # Max-abs within MATCH_TOL bounds the Frobenius distance by d * MATCH_TOL;
-    # the relative slack covers rounding in the Gram-matrix distances.
-    far = (d * MATCH_TOL) ** 2 + 1e-9 * sq_norms.max()
-    # Conjugation keeps norms, so |c_i - rho_l|^2 = |rho_i|^2 - 2 score_il.
-    scores[np.arange(m), match] = -np.inf
-    return bool(np.min(sq_norms - 2.0 * scores.max(axis=1)) > far)
-
-
 def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep) -> bool:
     """True iff conjugation permutes the states and priors are orbit-constant.
 
-    Each element is settled by one nearest-state match when every conjugate
-    has a unique close state; duplicate or near-duplicate states and
-    ensembles that are not symmetric fall back to a greedy first-unused
-    match.  Both give the same verdict.
+    Only the generators are checked: conjugation by a product of group
+    elements is the product of their permutations, a homomorphism, so if each
+    generator permutes the states and keeps the priors, every element does.
+    Each generator is matched by a greedy first-unused match within
+    ``MATCH_TOL`` (max-abs), which handles duplicate states.  Tolerances
+    compose along words: an element that is a word of length L in the
+    generators is matched only within about L * d * ``MATCH_TOL``, and since
+    priors are compared along generator edges they may drift by up to
+    L * ``MATCH_TOL`` within an orbit.
     """
     _check_dim("ensemble", s.dim, rep)
-    for u in rep.elements:
-        conj = _conjugates(s.states, u)
-        if not (_nearest_match(conj, s.states, s.priors) or _greedy_match(conj, s.states, s.priors)):
-            return False
-    return True
+    return all(_greedy_match(_conjugates(s.states, g), s.states, s.priors) for g in rep.generators)

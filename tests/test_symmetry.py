@@ -25,7 +25,7 @@ from povm_forge import (
 )
 from povm_forge.cli import load_problem
 from povm_forge.quantum import StructuralError
-from povm_forge.symmetry import MATCH_TOL, _conjugates, _ElementTable, _nearest_match
+from povm_forge.symmetry import MATCH_TOL, FiniteRep, _ElementTable
 from helpers import orbit_ensemble, planar_rotation, random_state, weyl_heisenberg_generators
 
 
@@ -44,6 +44,7 @@ def test_empty_generators_trivial_group():
     assert rep.order == 1
     assert rep.dim == 4
     assert np.array_equal(rep.elements, np.eye(4)[None])
+    assert rep.generators.shape == (0, 4, 4)
 
 
 def test_cyclic_phase_group_order_eight():
@@ -200,8 +201,6 @@ def test_real_bound_requires_real_rep():
 
 def test_character_sum_must_be_integral():
     # a non-group element list (identity plus an unmatched rotation) is not closed
-    from povm_forge.symmetry import FiniteRep
-
     bogus = FiniteRep(dim=2, elements=[np.eye(2), planar_rotation(0.5)])
     assert bogus.elements.shape == (2, 2, 2)
     with pytest.raises(ClosureDefectError):
@@ -347,11 +346,14 @@ def symmetry_cases():
     priors = uniform.copy()
     priors[3] += 1e-6
     yield "one-prior-moved-1e-6", rep, Ensemble(states, priors / priors.sum()), False
+    # the orbit of the shift alone: permuted by the first generator, not the second
+    shift = rep.generators[0]
+    shifted = [np.linalg.matrix_power(shift, a) @ states[0] @ np.linalg.matrix_power(shift, -a) for a in range(5)]
+    yield "shift-orbit-only", rep, Ensemble(shifted, np.full(5, 0.2)), False
     # A swap of two basis vectors maps a to b and a' to b', where every entry
     # of a' is 0.9 * MATCH_TOL from a's.  Listing b' before b makes the greedy
     # match pair a with b' and reject the unequal priors, although the nearest
-    # states (resolved by the Gram matrix in d = 4) form a prior-preserving
-    # permutation.
+    # states form a prior-preserving permutation.
     swap = np.eye(4)[[1, 0, 2, 3]]
     a = random_state(np.random.default_rng(72), 4)
     a_near = a + 0.9 * MATCH_TOL * np.ones((4, 4))
@@ -368,15 +370,44 @@ def test_symmetry_verdict_matches_greedy_reference(case):
     assert is_symmetric_ensemble(s, rep) is expected
 
 
-def test_distinct_orbit_settled_by_nearest_match():
-    rep, states = weyl_heisenberg_orbit(5, 71)
-    stack = np.asarray(states)
-    priors = np.full(len(states), 1.0 / len(states))
-    assert all(_nearest_match(_conjugates(stack, u), stack, priors) for u in rep.elements)
-    # duplicated states leave every element to the greedy match
-    doubled = np.concatenate([stack, stack])
-    assert not any(_nearest_match(_conjugates(doubled, u), doubled, np.tile(priors, 2) / 2)
-                   for u in rep.elements)
+@pytest.mark.parametrize("case", list(symmetry_cases()), ids=lambda case: case[0])
+def test_symmetry_verdict_independent_of_generating_set(case):
+    _, rep, s, expected = case
+    gens = rep.generators
+    # the identity and a product of two generators add nothing to the group
+    redundant = [np.eye(rep.dim), *gens, gens[0] @ gens[-1]]
+    assert is_symmetric_ensemble(s, FiniteRep(rep.dim, elements=rep.elements)) is expected
+    assert is_symmetric_ensemble(s, generate_group(redundant)) is expected
+
+
+def test_generate_group_keeps_its_generators():
+    gens = weyl_heisenberg_generators(3)
+    rep = generate_group(gens)
+    assert np.array_equal(rep.generators, np.array(gens, dtype=complex))
+    # a group built from its elements alone is generated by them
+    assert np.array_equal(FiniteRep(3, elements=rep.elements).generators, rep.elements)
+
+
+def weyl_heisenberg_orbit_stack(d, seed):
+    """The d^2 states X^a Z^b rho Z^-b X^-a of one random pure state, broadcast in one product."""
+    shifts = np.stack([np.roll(np.eye(d), a, axis=0) for a in range(d)])
+    clocks = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    units = (shifts[:, None] * clocks[None, :, None, :]).reshape(d * d, d, d)
+    rho = random_state(np.random.default_rng(seed), d)
+    return units @ rho @ units.conj().swapaxes(-1, -2)
+
+
+def test_large_duplicated_orbit_symmetric():
+    # order 1331: the per-element greedy reference would take about a minute
+    rep = generate_group(weyl_heisenberg_generators(11))
+    states = weyl_heisenberg_orbit_stack(11, 73)
+    doubled = np.concatenate([states, states])
+    m = len(doubled)
+    assert m == 242
+    assert is_symmetric_ensemble(Ensemble(doubled, np.full(m, 1.0 / m)), rep)
+    priors = np.full(m, 1.0 / m)
+    priors[5] += 1e-6
+    assert not is_symmetric_ensemble(Ensemble(doubled, priors / priors.sum()), rep)
 
 
 def linear_scan_closure(generators):

@@ -66,7 +66,6 @@ from .caratheodory import (
     decompose_identity,
     numeric_rank,
     prune_povm,
-    prune_symmetric_povm,
     split_rank_one,
 )
 from .trines import (
@@ -74,7 +73,6 @@ from .trines import (
     RankArgumentReport,
     SurfaceScan,
     TwoOrbitSolution,
-    completeness_weight,
     double_trines,
     double_trines_closed_form,
     hessian_at,

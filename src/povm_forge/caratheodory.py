@@ -5,8 +5,7 @@ vector into a solution of a linear system D lambda = c.  The feasible set is a
 compact polytope, so lambda is a convex combination of basic feasible
 solutions, each supported on at most rank(D) operators.  Walking the weights
 to one such extreme point, never downhill in mutual information, prunes a
-measurement to at most d^2 rank-one operators (or fewer under symmetry)
-without losing information.
+measurement to at most d^2 rank-one operators without losing information.
 
 The decomposition is the constructive Caratheodory chain: walk the weights
 along null vectors of the support columns (an SVD null basis, updated by
@@ -29,7 +28,10 @@ information of J nu, where J[i, j] = p(i) tr(rho_i Pi'_j) is one m x n joint
 matrix.  Under a symmetry group the walk runs over orbit sums on that same
 matrix: conjugation by g permutes the states and keeps the priors, so the
 column of g Pi'_j g^dagger / |G| is column j permuted and divided by |G|, and
-the two log2|G| terms of the symmetrized leaf cancel.
+the two log2|G| terms of the symmetrized leaf cancel.  The walk then ends on
+at most dim-of-commutant orbits.  Plain pruning is the trivial group: every
+orbit sum is its piece, the commutant is every Hermitian matrix, and the bound
+is d^2.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ import numpy as np
 
 from .hermitian import HERM_TOL, coords, eig_hermitian, hermitian_part
 from .infotheory import _formal_information, joint_distribution
-from .quantum import ZERO_OP_TOL, Ensemble, NormalizedPovm, Povm, normalize_povm, validate_povm
+from .quantum import ZERO_OP_TOL, Ensemble, NormalizedPovm, Povm, normalize_povm, validate_ensemble, validate_povm
 from .symmetry import (
     FiniteRep,
     NotSymmetricError,
     RealRepRequiredError,
     complex_orbit_bound,
+    generate_group,
     is_symmetric_ensemble,
     orbit_sum,
     real_orbit_bound,
@@ -114,8 +117,9 @@ def _null_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of ``a``, one vector per column.
 
     Singular values at or below ``RANK_TOL`` times the largest count as zero.
+    Only a wide matrix needs the full right factor to span its null space.
     """
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
     return vt[rank:].T
 
@@ -292,11 +296,6 @@ def split_rank_one(p: Povm) -> Povm:
     return Povm(pieces[w > EIGENVALUE_CUTOFF])
 
 
-def _leaf(ops: np.ndarray, nu: np.ndarray, support) -> Povm:
-    """The POVM {nu_j ops[j]} over ``support``."""
-    return Povm(ops[support] * nu[support, None, None])
-
-
 def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, ops) -> list[float]:
     """Mutual information of every leaf; leaf nu is the POVM {nu_j ops[j]} over its support."""
     joint = joint_distribution(s, ops)
@@ -320,74 +319,45 @@ class PrunedPovm(Povm):
         object.__setattr__(self, "walk_steps", walk_steps)
 
 
-def _rank_one_joint(s: Ensemble, p: Povm) -> tuple[NormalizedPovm, np.ndarray]:
-    """The checked POVM's normalized rank-one pieces and their joint matrix with ``s``."""
-    report = validate_povm(p)
-    if not report.ok:
-        raise ValueError("invalid POVM: " + "; ".join(report.violations))
-    normalized = normalize_povm(split_rank_one(p))
-    return normalized, joint_distribution(s, normalized.normalized_ops)
-
-
-def _ascend(columns, weights, joint: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Information-ascent walk from ``weights`` over the design of ``columns``.
-
-    Returns the vertex, the design rank of the starting support and the
-    number of steps.
-    """
-    rest, support, null = _feasible_start(build_design_matrix(columns), weights)
-    vertex, steps = _walk_to_vertex(rest, support, null, partial(_leaf_information, joint, priors))
-    # Where several coordinates reach zero in one step, rounding can leave a
-    # weight just above SUPPORT_TOL; its operator would count as zero.
-    vertex[vertex <= ZERO_OP_TOL] = 0.0
-    return vertex, len(support) - null.shape[1], steps
-
-
-def prune_povm(s: Ensemble, p: Povm) -> PrunedPovm:
-    """Shrink a POVM to at most d^2 rank-one operators without losing information.
-
-    The operators are eigen-split to rank one and normalized, and their
-    weights walk to a vertex of the identity polytope, each step moving to the
-    more informative end of its null line.  Information is convex in the
-    weights, so no step loses any, and the vertex leaf uses at most rank(D)
-    operators.
-    """
-    normalized, joint = _rank_one_joint(s, p)
-    ops = normalized.normalized_ops
-    nu, rank, steps = _ascend(ops, normalized.weights, joint, s.priors)
-    return PrunedPovm(_leaf(ops, nu, nu > 0), rank, steps)
-
-
-def prune_symmetric_povm(
-    s: Ensemble,
-    p: Povm,
-    rep: FiniteRep,
-    real_mode: bool = False,
-) -> PrunedPovm:
+def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bool = False) -> PrunedPovm:
     """Prune a POVM for a symmetric ensemble to a union of few group orbits.
 
-    Symmetrizing leaves the information unchanged, and the orbit sums of the
-    rank-one pieces live in the commutant of the representation, so the
-    information-ascent walk runs in that far smaller slice: the returned POVM
-    is a union of at most dim-of-commutant orbits (real symmetric commutant
-    when ``real_mode`` and the data are real).  Operators come in |G|-element
-    orbit blocks, block j scaled by the vertex weight nu_j.  The walk scores
-    the pieces on their m x n joint matrix (see the module docstring): the
-    symmetry check guarantees that conjugation permutes the states and keeps
-    the priors.
+    The operators are eigen-split to rank one and normalized, and their
+    weights walk to a vertex of the identity polytope over the orbit sums,
+    each step moving to the more informative end of its null line.
+    Information is convex in the weights and unchanged by symmetrizing, so no
+    step loses any, and the returned POVM is a union of at most
+    dim-of-commutant orbits (real symmetric commutant when ``real_mode`` and
+    the data are real).  Operators come in |G|-element orbit blocks, block j
+    scaled by the vertex weight nu_j.  Without ``rep`` the group is trivial:
+    each orbit is one operator and the bound is d^2 (d(d+1)/2 with
+    ``real_mode``).  The walk scores the pieces on their m x n joint matrix
+    (see the module docstring).
     """
+    if rep is None:
+        rep = generate_group([], dim=p.dim)
     if not is_symmetric_ensemble(s, rep):
         raise NotSymmetricError("ensemble is not symmetric under the given representation")
-    normalized, joint = _rank_one_joint(s, p)
+    for what, report in (("ensemble", validate_ensemble(s)), ("POVM", validate_povm(p))):
+        if not report.ok:
+            raise ValueError(f"invalid {what}: " + "; ".join(report.violations))
+    normalized = normalize_povm(split_rank_one(p))
     ops = normalized.normalized_ops
+    joint = joint_distribution(s, ops)
     if real_mode:
         bound = real_orbit_bound(rep)
         if np.max(np.abs(ops.imag)) > HERM_TOL:
             raise RealRepRequiredError("real_mode requires real POVM operators")
     else:
         bound = complex_orbit_bound(rep)
-    nu, rank, steps = _ascend(orbit_sum(ops, rep), normalized.weights, joint, s.priors)
-    orbits = np.count_nonzero(nu)
+    rest, support, null = _feasible_start(build_design_matrix(orbit_sum(ops, rep)), normalized.weights)
+    nu, steps = _walk_to_vertex(rest, support, null, partial(_leaf_information, joint, s.priors))
+    # Where several coordinates reach zero in one step, rounding can leave a
+    # weight just above SUPPORT_TOL; its operator would count as zero.
+    nu[nu <= ZERO_OP_TOL] = 0.0
+    kept = nu > 0
+    orbits = np.count_nonzero(kept)
     if orbits > bound:
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
-    return PrunedPovm(symmetrize(_leaf(ops, nu, nu > 0), rep), rank, steps)
+    leaf = Povm(ops[kept] * nu[kept, None, None])
+    return PrunedPovm(symmetrize(leaf, rep), len(support) - null.shape[1], steps)

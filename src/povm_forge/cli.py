@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .caratheodory import decompose_identity, prune_povm, prune_symmetric_povm, score_leaves
+from .caratheodory import decompose_identity, prune_povm, score_leaves
 from .hermitian import HERM_TOL
 from .infotheory import mutual_information
 from .quantum import (
@@ -393,10 +393,12 @@ def cmd_decompose(args) -> int:
     if problem.povm is None:
         print("error: file contains no POVM", file=sys.stderr)
         return EXIT_DOMAIN
-    report = validate_povm(problem.povm, tol=args.tol)
-    if not report.ok:
-        for line in report.violations:
-            print(f"povm: {line}", file=sys.stderr)
+    violations = [f"povm: {v}" for v in validate_povm(problem.povm, tol=args.tol).violations]
+    if problem.ensemble is not None:
+        violations += [f"ensemble: {v}" for v in validate_ensemble(problem.ensemble, tol=args.tol).violations]
+    if violations:
+        for line in violations:
+            print(line, file=sys.stderr)
         return EXIT_DOMAIN
     try:
         normalized = normalize_povm(problem.povm)
@@ -447,9 +449,7 @@ def cmd_prune(args) -> int:
         info_before = mutual_information(problem.ensemble, problem.povm)
         if generators is not None:
             rep = generate_group(generators, dim=problem.dimension)
-            pruned = prune_symmetric_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
-        else:
-            pruned = prune_povm(problem.ensemble, problem.povm)
+        pruned = prune_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

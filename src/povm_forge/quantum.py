@@ -159,7 +159,8 @@ def validate_ensemble(s: Ensemble, tol: float = HERM_TOL) -> ValidationReport:
     if np.any(s.priors < 0):
         violations.append("priors contain negative entries")
     total = float(np.sum(s.priors))
-    if abs(total - 1.0) > 1e-12:
+    # Written so that a NaN sum fails too.
+    if not abs(total - 1.0) <= 1e-12:
         violations.append(f"priors sum to {total:.15g}, expected 1")
     return ValidationReport(not violations, violations)
 

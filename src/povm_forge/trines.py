@@ -218,21 +218,6 @@ def optimize_single_orbit(alpha: float) -> tuple[float, float]:
     return float(b_star), float(info)
 
 
-def completeness_weight(x_first: float, x_second: float) -> float:
-    """Mixing weight lam with lam * x_first + (1 - lam) * x_second = 1/3.
-
-    Requires the two values to straddle (or touch) 1/3; the result then lies
-    in [0, 1].  Two coincident points must both sit on the plane itself.
-    """
-    lo, hi = min(x_first, x_second), max(x_first, x_second)
-    third = 1.0 / 3.0
-    if lo > third + 1e-9 or hi < third - 1e-9:
-        raise ValueError(f"x values {x_first}, {x_second} do not straddle 1/3")
-    if abs(x_first - x_second) < 1e-12:
-        return 1.0
-    return float(np.clip((third - x_second) / (x_first - x_second), 0.0, 1.0))
-
-
 def optimize_two_orbits(alpha: float) -> TwoOrbitSolution:
     """Best found mixture of two orbits with x_first <= 1/3 <= x_second.
 

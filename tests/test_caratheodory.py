@@ -22,7 +22,6 @@ from povm_forge import (
     orbit_sum,
     pretty_good_measurement,
     prune_povm,
-    prune_symmetric_povm,
     split_rank_one,
     symmetrize,
     trine_group,
@@ -233,9 +232,16 @@ def test_prune_symmetric_trivial_group_matches_plain_bound():
     rng = np.random.default_rng(36)
     s = random_ensemble(rng, 2, 3)
     p = random_povm(rng, 2, 5)
-    pruned = prune_symmetric_povm(s, p, generate_group([], dim=2))
+    pruned = prune_povm(s, p, generate_group([], dim=2))
     assert len(pruned) <= 4
     assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
+    # without a group the prune runs under the trivial one, bit for bit
+    plain = prune_povm(s, p)
+    assert np.array_equal(plain.operators, pruned.operators)
+    assert (plain.design_rank, plain.walk_steps) == (pruned.design_rank, pruned.walk_steps)
+    # real data: the real orbit bound d(d+1)/2 of the trivial group holds
+    real = prune_povm(s, random_real_povm(rng, 2, 6), real_mode=True)
+    assert len(real) <= 3
 
 
 def test_prune_symmetric_lifted_trines_two_orbits():
@@ -243,7 +249,7 @@ def test_prune_symmetric_lifted_trines_two_orbits():
     s = lifted_trines(0.05)
     basis = Povm([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])])
     p = symmetrize(basis, rep)
-    pruned = prune_symmetric_povm(s, p, rep, real_mode=True)
+    pruned = prune_povm(s, p, rep, real_mode=True)
     assert len(pruned) // rep.order <= 2
     assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
 
@@ -254,7 +260,7 @@ def test_prune_symmetric_double_trines_single_orbit():
     rep = trine_group()
     _, projected = double_trines()
     pgm = pretty_good_measurement(projected)
-    pruned = prune_symmetric_povm(projected, pgm, rep, real_mode=True)
+    pruned = prune_povm(projected, pgm, rep, real_mode=True)
     assert len(pruned) // rep.order == 1
     assert abs(mutual_information(projected, pruned) - 1.369) <= 1e-3
 
@@ -293,7 +299,7 @@ def test_prune_symmetric_weyl_heisenberg_symmetrized_povm():
         for u in rep.elements
     ])
     assert len(p) == 81
-    pruned = prune_symmetric_povm(s, p, rep)
+    pruned = prune_povm(s, p, rep)
     assert len(pruned) % rep.order == 0
     assert len(pruned) // rep.order <= complex_orbit_bound(rep)
     assert validate_povm(pruned).ok
@@ -305,7 +311,7 @@ def test_prune_symmetric_requires_symmetry():
     s = random_ensemble(rng, 3, 3)
     p = random_povm(rng, 3, 3)
     with pytest.raises(NotSymmetricError):
-        prune_symmetric_povm(s, p, trine_group())
+        prune_povm(s, p, trine_group())
 
 
 def test_best_leaf_at_least_average():
@@ -372,7 +378,7 @@ def test_prune_symmetric_ascent_keeps_information_within_orbit_bound(rep):
     for rank_one in (True, False):
         s = orbit_ensemble(rep, random_state(rng, rep.dim))
         p = random_povm(rng, rep.dim, 2 * rep.dim, rank_one=rank_one)
-        pruned = prune_symmetric_povm(s, p, rep)
+        pruned = prune_povm(s, p, rep)
         assert validate_povm(pruned).ok
         assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
         orbits, rest = divmod(len(pruned), rep.order)
@@ -419,15 +425,15 @@ def test_symmetrized_leaf_information_is_formal_information_of_pieces(case, monk
     ops = normalized.normalized_ops
     joint = joint_distribution(s, ops)
     vertices = []
-    ascend = caratheodory._ascend
+    walk = caratheodory._walk_to_vertex
 
     def recording(*args):
-        result = ascend(*args)
+        result = walk(*args)
         vertices.append(result[0])
         return result
 
-    monkeypatch.setattr(caratheodory, "_ascend", recording)
-    pruned = prune_symmetric_povm(s, p, rep)
+    monkeypatch.setattr(caratheodory, "_walk_to_vertex", recording)
+    pruned = prune_povm(s, p, rep)
     assert len(vertices) == 1
     for nu in (normalized.weights, vertices[0]):
         kept = nu > 0
@@ -452,7 +458,7 @@ def test_prune_symmetric_builds_one_joint_matrix(generators, monkeypatch):
         return original(ensemble, ops)
 
     monkeypatch.setattr(caratheodory, "joint_distribution", counting)
-    prune_symmetric_povm(s, p, rep)
+    prune_povm(s, p, rep)
     assert shapes == [(len(split_rank_one(p)), rep.dim, rep.dim)]
 
 

@@ -88,6 +88,20 @@ def test_validate_bad_priors_exit_one(tmp_path, capsys):
     assert "priors" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["prune"], ["prune", "--real"], ["decompose"]],
+                         ids=["validate", "prune", "prune-real", "decompose"])
+def test_nan_priors_exit_one(tmp_path, capsys, command):
+    # Python's json reads NaN; a NaN prior makes every information NaN or 0
+    with open(fixture("lifted_trines_0.05.json"), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["priors"] = [float("nan")] * len(doc["states"])
+    path = write_problem(tmp_path, "nan.json", doc)
+    assert main([command[0], path, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "priors sum to nan" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_validate_malformed_json_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -376,7 +390,7 @@ def assert_prune_rejected(tmp_path, capsys, monkeypatch, argv, code, message):
     def fail(*args, **kwargs):
         raise AssertionError("pruning work started")
 
-    for name in ("mutual_information", "generate_group", "prune_povm", "prune_symmetric_povm"):
+    for name in ("mutual_information", "generate_group", "prune_povm"):
         monkeypatch.setattr(cli, name, fail)
     out_dir = tmp_path / "out"
     assert main(["prune", *argv, "--out-dir", str(out_dir)]) == code

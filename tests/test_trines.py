@@ -5,7 +5,6 @@ import pytest
 
 from povm_forge import (
     Povm,
-    completeness_weight,
     convex_combine,
     double_trines,
     double_trines_closed_form,
@@ -146,7 +145,8 @@ def test_double_trines_two_point_chords_stay_below_plane_maximum():
     g2 = _max_over_b(0.5, xs2)[1]
     for x1, v1 in zip(xs1, g1):
         for x2, v2 in zip(xs2, g2):
-            lam = completeness_weight(x1, x2)
+            # the weight that puts the mixture's x at 1/3; both ends meet there
+            lam = 1.0 if x1 == x2 else (1.0 / 3.0 - x2) / (x1 - x2)
             assert lam * v1 + (1 - lam) * v2 <= plane_max + 1e-9
 
 
@@ -165,23 +165,6 @@ def test_optimize_single_orbit_double_trines():
 def test_optimize_single_orbit_degenerate():
     b_star, info = optimize_single_orbit(1.0)
     assert abs(info) <= 1e-12
-
-
-def test_completeness_weight():
-    assert abs(completeness_weight(0.0, 0.3831) - 0.1299) <= 1e-3
-    assert completeness_weight(1.0 / 3.0, 1.0 / 3.0) == 1.0
-    with pytest.raises(ValueError):
-        completeness_weight(0.4, 0.5)
-
-
-def test_completeness_weight_feasible_range():
-    rng = np.random.default_rng(44)
-    for _ in range(50):
-        x1 = rng.uniform(0, 1.0 / 3.0)
-        x2 = rng.uniform(1.0 / 3.0, 1.0)
-        lam = completeness_weight(x1, x2)
-        assert 0.0 <= lam <= 1.0
-        assert abs(lam * x1 + (1 - lam) * x2 - 1.0 / 3.0) <= 1e-12
 
 
 def test_optimize_two_orbits_slightly_lifted():

@@ -8,9 +8,10 @@ to one such extreme point, never downhill in mutual information, prunes a
 measurement to at most d^2 rank-one operators without losing information.
 
 The decomposition is the constructive Caratheodory chain: walk the weights
-along null vectors of the support columns (an SVD null basis, updated by
-Householder reflections as columns leave) to a vertex, peel off as much of
+along null vectors of the support columns to a vertex, peel off as much of
 that vertex as stays nonnegative, and repeat on the renormalized remainder.
+Each step of the walk takes one null vector of at most rows + 1 support
+columns, so its cost does not grow with the number of operators.
 The face dimension drops with every peel, so a support of n operators yields
 at most n - rank(D) + 1 leaves.
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -90,11 +90,6 @@ class DesignMatrix:
 
     matrix: np.ndarray
     target: np.ndarray
-    dim: int
-
-    @property
-    def n_columns(self) -> int:
-        return self.matrix.shape[1]
 
 
 def build_design_matrix(normalized_ops) -> DesignMatrix:
@@ -110,7 +105,7 @@ def build_design_matrix(normalized_ops) -> DesignMatrix:
     matrix = np.vstack([np.ones(len(ops)), coords(ops).T])
     target = np.zeros(1 + d * d)
     target[: 1 + d] = 1.0
-    return DesignMatrix(matrix=matrix, target=target, dim=d)
+    return DesignMatrix(matrix=matrix, target=target)
 
 
 def _null_basis(a: np.ndarray) -> np.ndarray:
@@ -127,7 +122,8 @@ def _null_basis(a: np.ndarray) -> np.ndarray:
 def numeric_rank(d: DesignMatrix | np.ndarray) -> int:
     """Rank of a matrix: singular values above ``RANK_TOL`` times the largest."""
     matrix = d.matrix if isinstance(d, DesignMatrix) else np.asarray(d, dtype=float)
-    return matrix.shape[1] - _null_basis(matrix).shape[1]
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +146,6 @@ class IdentityDecomposition:
         return [np.flatnonzero(nu > SUPPORT_TOL) for nu in self.solutions]
 
 
-def _restrict_null(null: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Null basis once the coordinates ``rows`` leave the support.
-
-    The vectors of span(null) that vanish on ``rows`` remain; one Householder
-    reflection per row rotates them into all but the first column, so the
-    basis stays orthonormal.  A row that no null vector touches drops no
-    direction.
-    """
-    for row in rows:
-        a = null[row]
-        norm = np.linalg.norm(a)
-        if norm > RANK_TOL:
-            u = a.copy()
-            u[0] += np.copysign(norm, a[0])
-            null = (null - np.outer(null @ u, u) * (2.0 / (u @ u)))[:, 1:]
-    return np.delete(null, rows, axis=0)
-
-
 def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Far end of v + t q, t >= 0, that stays nonnegative.
 
@@ -186,56 +164,46 @@ def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(end > SUPPORT_TOL, end, 0.0)
 
 
-def _leaf_information(joint: np.ndarray, priors: np.ndarray, support, nu: np.ndarray) -> float:
-    """Information of the leaf with weights ``nu`` on ``support``.
+def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, score: Callable | None = None) -> tuple[np.ndarray, int]:
+    """Move ``lam`` inside its face to a vertex of the polytope ``matrix`` x = c, x >= 0.
 
-    ``joint[i, j]`` is the joint probability of state i and normalized
-    operator j at unit weight; the leaf's rows sum to the priors.
-    """
-    return _formal_information(joint[:, support] * nu, priors)
-
-
-def _walk_to_vertex(
-    lam: np.ndarray, support: np.ndarray, null: np.ndarray, score: Callable | None = None
-) -> tuple[np.ndarray, int]:
-    """Move ``lam`` inside its face to a vertex of the polytope.
-
-    ``null`` is an orthonormal null basis of the design columns on ``support``,
-    the nonzero coordinates of ``lam``.  While it is nonempty, step along its
-    first vector until a coordinate hits zero and restrict the basis to the
-    smaller support; the walk ends when the support columns are linearly
-    independent.  Without ``score`` every step goes forward along that vector;
-    with it (``_leaf_information`` of a joint matrix) each step goes to
-    whichever end of the line scores higher, the forward end on a tie.
-    Returns the vertex and the number of steps.
+    Each step takes a null vector of the design columns on the window, the
+    first rows + 1 nonzero coordinates of the current point; any rows + 1
+    columns are dependent, so a full window always has one.  The walk ends
+    when the whole support fits in the window and has no null vector: its
+    columns are then linearly independent.  Without ``score`` every step goes
+    forward along the null vector to the far end of its line; with it (a
+    function of the full weight vector) each step goes to whichever end
+    scores higher, the forward end on a tie.  Returns the vertex and the
+    number of steps.
     """
     v = lam.copy()
     steps = 0
-    while null.shape[1]:
-        end = _line_end(v[support], null[:, 0])
+    while True:
+        window = np.flatnonzero(v)[: matrix.shape[0] + 1]
+        null = _null_basis(matrix[:, window])
+        if not null.shape[1]:
+            return v, steps
+        q = np.zeros_like(v)
+        q[window] = null[:, 0]
+        end = _line_end(v, q)
         if score is not None:
-            back = _line_end(v[support], -null[:, 0])
-            if score(support, back) > score(support, end):
+            back = _line_end(v, -q)
+            if score(back) > score(end):
                 end = back
-        gone = np.flatnonzero(end == 0.0)
-        v[support] = end
-        null = _restrict_null(null, gone)
-        support = np.delete(support, gone)
+        v = end
         steps += 1
-    return v, steps
 
 
-def _feasible_start(design: DesignMatrix, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked weights, their support and an orthonormal null basis of its columns."""
+def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
+    """Checked weights, with coordinates at or below ``SUPPORT_TOL`` set to zero."""
     lam = np.asarray(weights, dtype=float)
     if np.any(lam <= 0):
         raise InfeasibleError("all weights must be positive")
     residual = np.max(np.abs(design.matrix @ lam - design.target))
     if residual > FEASIBLE_TOL:
         raise InfeasibleError(f"weights do not reproduce the identity: residual {residual:.3e}")
-    rest = np.where(lam > SUPPORT_TOL, lam, 0.0)
-    support = np.flatnonzero(rest)
-    return rest, support, _null_basis(design.matrix[:, support])
+    return np.where(lam > SUPPORT_TOL, lam, 0.0)
 
 
 def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
@@ -250,20 +218,19 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     Every leaf is checked to reproduce the identity within ``FEASIBLE_TOL``.
     """
     design = build_design_matrix(normalized.normalized_ops)
-    # One SVD for the whole chain: every peel only shrinks the support, so the
-    # null basis of the remainder follows by restriction.
-    rest, support, null = _feasible_start(design, normalized.weights)
-    max_leaves = null.shape[1] + 1
+    rest = _feasible_start(design, normalized.weights)
+    support = rest > 0
+    max_leaves = np.count_nonzero(support) - numeric_rank(design.matrix[:, support]) + 1
     weights: list[float] = []
     solutions: list[np.ndarray] = []
     mass = 1.0
     while len(solutions) < max_leaves:
-        vertex, _ = _walk_to_vertex(rest, support, null)
+        vertex, steps = _walk_to_vertex(design.matrix, rest)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
-        # Without a null vector the remainder is itself a vertex.
-        t = min(ratios[hit], 1.0) if null.shape[1] else 1.0
+        # Without a step the remainder is itself a vertex.
+        t = min(ratios[hit], 1.0) if steps else 1.0
         weights.append(mass * t)
         solutions.append(vertex)
         if t == 1.0:
@@ -276,9 +243,6 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
         rest[rest <= SUPPORT_TOL] = 0.0
         rest /= rest.sum()
         mass *= 1.0 - t
-        gone = np.flatnonzero(rest[support] == 0.0)
-        null = _restrict_null(null, gone)
-        support = np.delete(support, gone)
     raise InternalLogicError(f"Caratheodory chain exceeded {max_leaves} leaves")
 
 
@@ -299,24 +263,24 @@ def split_rank_one(p: Povm) -> Povm:
 def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, ops) -> list[float]:
     """Mutual information of every leaf; leaf nu is the POVM {nu_j ops[j]} over its support."""
     joint = joint_distribution(s, ops)
-    return [
-        _leaf_information(joint, s.priors, support, nu[support])
-        for nu, support in zip(decomposition.solutions, decomposition.supports())
-    ]
+    return [_formal_information(joint * nu, s.priors) for nu in decomposition.solutions]
 
 
 class PrunedPovm(Povm):
-    """A pruned POVM with the counts of the walk that produced it.
+    """A pruned POVM with the counts and the information of the walk that produced it.
 
-    ``design_rank`` is the rank of the design columns the walk started from
-    and ``walk_steps`` the number of null-line steps it took to the vertex.
+    ``design_rank`` is the rank of the design columns the walk started from,
+    ``walk_steps`` the number of null-line steps it took to the vertex and
+    ``info_bits`` the walk's score of that vertex: the mutual information of
+    the pruned POVM with the ensemble.
     The operators are taken over from an already checked ``Povm``.
     """
 
-    def __init__(self, povm: Povm, design_rank: int, walk_steps: int):
+    def __init__(self, povm: Povm, design_rank: int, walk_steps: int, info_bits: float):
         object.__setattr__(self, "operators", povm.operators)
         object.__setattr__(self, "design_rank", design_rank)
         object.__setattr__(self, "walk_steps", walk_steps)
+        object.__setattr__(self, "info_bits", info_bits)
 
 
 def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bool = False) -> PrunedPovm:
@@ -350,8 +314,9 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
             raise RealRepRequiredError("real_mode requires real POVM operators")
     else:
         bound = complex_orbit_bound(rep)
-    rest, support, null = _feasible_start(build_design_matrix(orbit_sum(ops, rep)), normalized.weights)
-    nu, steps = _walk_to_vertex(rest, support, null, partial(_leaf_information, joint, s.priors))
+    design = build_design_matrix(orbit_sum(ops, rep))
+    rest = _feasible_start(design, normalized.weights)
+    nu, steps = _walk_to_vertex(design.matrix, rest, lambda x: _formal_information(joint * x, s.priors))
     # Where several coordinates reach zero in one step, rounding can leave a
     # weight just above SUPPORT_TOL; its operator would count as zero.
     nu[nu <= ZERO_OP_TOL] = 0.0
@@ -360,4 +325,5 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     if orbits > bound:
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
     leaf = Povm(ops[kept] * nu[kept, None, None])
-    return PrunedPovm(symmetrize(leaf, rep), len(support) - null.shape[1], steps)
+    rank = numeric_rank(design.matrix[:, rest > 0])
+    return PrunedPovm(symmetrize(leaf, rep), rank, steps, _formal_information(joint * nu, s.priors))

@@ -453,7 +453,7 @@ def cmd_prune(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    info_after = mutual_information(problem.ensemble, pruned)
+    info_after = pruned.info_bits
     doc = problem_to_json(problem.dimension, povm=pruned, metadata={"pruned_from": args.path})
     doc["report"] = {
         "operators_before": len(problem.povm),

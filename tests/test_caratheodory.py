@@ -501,3 +501,53 @@ def test_decompose_rejects_a_leaf_off_the_identity(monkeypatch):
     monkeypatch.setattr(caratheodory, "_walk_to_vertex", perturbed)
     with pytest.raises(InternalLogicError, match="leaf does not reproduce the identity"):
         decompose_identity(four_projector_normalized())
+
+
+def test_pruned_info_bits_is_mutual_information():
+    # the walk's score of its vertex is the information that prune reports
+    problem = load_problem(os.path.join(DATA, "lifted_trines_0.05.json"))
+    cases = [(problem.ensemble, problem.povm, generate_group(problem.generators), True)]
+    rng = np.random.default_rng(58)
+    for d in (2, 3, 4):
+        for rank_one in (True, False):
+            cases.append((random_ensemble(rng, d, d + 1), random_povm(rng, d, 2 * d, rank_one=rank_one), None, False))
+    for case in SYMMETRIC_CASES.values():
+        s, rep = case()
+        cases.append((s, random_povm(np.random.default_rng([58, rep.order]), rep.dim, 2 * rep.dim), rep, False))
+    for s, p, rep, real_mode in cases:
+        pruned = prune_povm(s, p, rep, real_mode=real_mode)
+        assert abs(pruned.info_bits - mutual_information(s, pruned)) <= 1e-12
+
+
+def test_walk_steps_see_at_most_rows_plus_one_columns(monkeypatch):
+    # one null vector per step: the SVD sees a window of at most d^2 + 2
+    # columns however many outcomes the POVM has
+    d = 2
+    rng = np.random.default_rng(59)
+    s = random_ensemble(rng, d, d + 1)
+    p = random_povm(rng, d, 40, rank_one=True)
+    widths = []
+    original = caratheodory._null_basis
+
+    def recording(a):
+        widths.append(a.shape[1])
+        return original(a)
+
+    monkeypatch.setattr(caratheodory, "_null_basis", recording)
+    prune_povm(s, p)
+    decompose_identity(normalize_povm(p))
+    assert widths and max(widths) <= d * d + 2
+
+
+def test_prune_and_decompose_many_rank_one_outcomes():
+    d, n = 2, 120
+    rng = np.random.default_rng(60)
+    s = random_ensemble(rng, d, d + 1)
+    p = random_povm(rng, d, n, rank_one=True)
+    pruned = prune_povm(s, p)
+    assert len(pruned) <= d * d
+    assert numeric_rank(build_design_matrix(normalize_povm(pruned).normalized_ops)) == len(pruned)
+    assert mutual_information(s, pruned) >= mutual_information(s, p) - 1e-9
+    assert pruned.walk_steps <= n - pruned.design_rank
+    normalized = normalize_povm(p)
+    assert_decomposition_invariants(normalized, decompose_identity(normalized))

@@ -324,6 +324,11 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     orbits = np.count_nonzero(kept)
     if orbits > bound:
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
+    # The kept columns are independent at a vertex, so they fix their weights:
+    # solving for them again puts back the mass the zeroing dropped.
+    nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
+    if np.any(nu[kept] <= 0):
+        raise InternalLogicError("a re-solved vertex weight is not positive")
     leaf = Povm(ops[kept] * nu[kept, None, None])
     rank = numeric_rank(design.matrix[:, rest > 0])
     return PrunedPovm(symmetrize(leaf, rep), rank, steps, _formal_information(joint * nu, s.priors))

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .caratheodory import decompose_identity, prune_povm, score_leaves
 from .hermitian import HERM_TOL
-from .infotheory import mutual_information
+from .infotheory import _formal_information, joint_distribution, mutual_information
 from .quantum import (
     Ensemble,
     Povm,
@@ -71,10 +71,14 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+# json reads true and false as bool, a subclass of int; they are not numbers here.
+_NUMBER_TYPES = (int, float)
+
+
 def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)):
+    if type(value) in _NUMBER_TYPES:
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(type(v) in _NUMBER_TYPES for v in value):
         return complex(value[0], value[1])
     raise ProblemFileError(f"expected a number or [re, im] pair, got {value!r}")
 
@@ -109,7 +113,7 @@ def load_problem(path: str) -> ProblemFile:
     if not isinstance(doc, dict) or "dimension" not in doc:
         raise ProblemFileError(f"{path}: expected an object with a 'dimension' key")
     d = doc["dimension"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ProblemFileError(f"{path}: dimension must be a positive integer")
     try:
         ensemble = None
@@ -118,6 +122,8 @@ def load_problem(path: str) -> ProblemFile:
             priors = doc.get("priors")
             if priors is None:
                 priors = [1.0 / len(states)] * len(states)
+            elif not isinstance(priors, list) or not all(type(p) in _NUMBER_TYPES for p in priors):
+                raise ProblemFileError(f"{path}: priors must be a list of numbers")
             ensemble = Ensemble(states, np.asarray(priors, dtype=float))
         povm = None
         if "povm" in doc:
@@ -446,10 +452,12 @@ def cmd_prune(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     rep: FiniteRep | None = None
     try:
-        info_before = mutual_information(problem.ensemble, problem.povm)
         if generators is not None:
             rep = generate_group(generators, dim=problem.dimension)
         pruned = prune_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
+        # mutual_information without its second validation: prune_povm checked the POVM.
+        joint = joint_distribution(problem.ensemble, problem.povm)
+        info_before = _formal_information(joint, joint.sum(axis=1))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

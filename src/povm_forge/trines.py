@@ -9,6 +9,11 @@ azimuth gives g(x) = max_b I(x, b).  The best complete mixture of two orbits
 on opposite sides of that plane is the upper concave envelope of g at
 x = 1/3, found by a zooming grid search over pairs of x values; each zoom
 step evaluates g on both sides of the plane in one batched call.
+
+Every value comes from one closed form: the rotation permutes the trine
+states cyclically, so an orbit's joint matrix is circulant with entries
+q_k / 3, q_k = <psi|s_k>^2, and I = log2 3 + sum_k q_k log2 q_k - Q log2 Q
+with Q = sum_k q_k.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .quantum import Ensemble
 from .symmetry import FiniteRep, generate_group
 
 B_PERIOD = 2.0 * math.pi / 3.0
+# Azimuths of the three trine states within their plane.
+_PHASES = B_PERIOD * np.arange(3)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Azimuth search: coarse seeds per x, then golden section down to _B_XTOL.
 _B_SEEDS = 128
@@ -76,25 +83,14 @@ def psi(a: float, b: float) -> np.ndarray:
     return np.array([math.cos(a), math.sin(a) * math.cos(b), math.sin(a) * math.sin(b)])
 
 
-def _trine_vectors(alpha: float) -> np.ndarray:
-    """State vectors of the lifted trines as rows of a 3 x 3 real matrix."""
+def lifted_trines(alpha: float) -> Ensemble:
+    """Lifted trines ensemble with uniform priors; symmetric under trine_rotation()."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"lift parameter must lie in [0, 1], got {alpha}")
     up = math.sqrt(alpha)
     planar = math.sqrt(1.0 - alpha)
     s = math.sqrt(3.0) / 2.0
-    return np.array(
-        [
-            [up, planar, 0.0],
-            [up, -0.5 * planar, s * planar],
-            [up, -0.5 * planar, -s * planar],
-        ]
-    )
-
-
-def lifted_trines(alpha: float) -> Ensemble:
-    """Lifted trines ensemble with uniform priors; symmetric under trine_rotation()."""
-    vectors = _trine_vectors(alpha)
+    vectors = [[up, planar, 0.0], [up, -0.5 * planar, s * planar], [up, -0.5 * planar, -s * planar]]
     states = [np.outer(v, v).astype(complex) for v in vectors]
     return Ensemble(states, np.full(3, 1.0 / 3.0))
 
@@ -111,27 +107,22 @@ def orbit_projectors(a: float, b: float) -> list[np.ndarray]:
 
 
 def _orbit_info_values(alpha: float, a, b) -> np.ndarray:
-    """Vectorized formal orbit information over broadcast arrays of (a, b)."""
+    """Formal orbit information over broadcast arrays of (a, b), in closed form.
+
+    R fixes the lift axis and cycles the states, so R^j psi overlaps state i
+    as psi overlaps state i + j: the joint matrix is circulant with entries
+    q_k / 3, q_k = (sqrt(alpha) cos a + sqrt(1 - alpha) sin a cos(b - 2 pi k / 3))^2.
+    Every column sums to Q / 3 with Q = sum_k q_k, so
+    I = log2 3 + sum_k q_k log2 q_k - Q log2 Q.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"lift parameter must lie in [0, 1], got {alpha}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    sin_a = np.sin(a)
-    vec = np.stack(
-        np.broadcast_arrays(np.cos(a), sin_a * np.cos(b), sin_a * np.sin(b)), axis=-1
-    )
-    states = _trine_vectors(alpha)
-    r = trine_rotation()
-    columns = []
-    rotated = vec
-    for _ in range(3):
-        overlap = rotated @ states.T
-        columns.append(overlap * overlap / 3.0)
-        rotated = rotated @ r.T
-    probs = np.stack(columns, axis=-1)  # (..., state i, orbit element j)
-    return (
-        plogp(probs).sum(axis=(-2, -1))
-        + math.log2(3.0)
-        - plogp(probs.sum(axis=-2)).sum(axis=-1)
-    )
+    up = math.sqrt(alpha) * np.cos(a)
+    planar = math.sqrt(1.0 - alpha) * np.sin(a)
+    q = (up[..., None] + planar[..., None] * np.cos(b[..., None] - _PHASES)) ** 2
+    return math.log2(3.0) + plogp(q).sum(axis=-1) - plogp(q.sum(axis=-1))
 
 
 def orbit_info(alpha: float, a: float, b: float) -> float:
@@ -185,7 +176,7 @@ def _max_over_b(alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     seeds = np.linspace(0.0, B_PERIOD, _B_SEEDS, endpoint=False)
     step = B_PERIOD / _B_SEEDS
     # One seeding call for every x; at the 98 start points of the envelope search
-    # its temporaries peak near 6 MB.
+    # its temporaries peak near 1.5 MB (a few 98 x 128 x 3 overlap arrays).
     best_seed = seeds[np.argmax(_orbit_info_values(alpha, a[..., None], seeds), axis=-1)]
     # The surface is periodic in b, so the bracket may spill outside [0, period).
     lo = best_seed - step

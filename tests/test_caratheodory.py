@@ -551,3 +551,29 @@ def test_prune_and_decompose_many_rank_one_outcomes():
     assert pruned.walk_steps <= n - pruned.design_rank
     normalized = normalize_povm(p)
     assert_decomposition_invariants(normalized, decompose_identity(normalized))
+
+
+def test_pruned_povm_sums_to_the_identity_to_rounding():
+    # the walk can stop with weights of about 1e-13 that the zeroing drops
+    # (d = 4, 12 full-rank outcomes); re-solving the kept weights restores the sum
+    cases = [(s, p, None) for s, p in decompose_cases()]
+    for case in SYMMETRIC_CASES.values():
+        s, rep = case()
+        cases.append((s, random_povm(np.random.default_rng([60, rep.order]), rep.dim, 2 * rep.dim), rep))
+    for s, p, rep in cases:
+        pruned = prune_povm(s, p, rep)
+        assert np.max(np.abs(pruned.operators.sum(axis=0) - np.eye(pruned.dim))) <= 1e-14
+        assert abs(pruned.info_bits - mutual_information(s, pruned)) <= 1e-13
+
+
+def test_prune_rejects_a_non_positive_re_solved_weight(monkeypatch):
+    lstsq = np.linalg.lstsq
+
+    def negated(*args, **kwargs):
+        solution, *rest = lstsq(*args, **kwargs)
+        return (-solution, *rest)
+
+    monkeypatch.setattr(caratheodory.np.linalg, "lstsq", negated)
+    s, p = next(decompose_cases())
+    with pytest.raises(InternalLogicError, match="re-solved"):
+        prune_povm(s, p)

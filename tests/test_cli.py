@@ -16,6 +16,7 @@ from povm_forge import (
     scan_surface,
     trine_rotation,
 )
+from povm_forge import caratheodory, infotheory
 from povm_forge.cli import (
     ProblemFileError,
     _write_surface_csv,
@@ -100,6 +101,33 @@ def test_nan_priors_exit_one(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "priors sum to nan" in captured.err
     assert "Traceback" not in captured.err
+
+
+def _bool_dimension(doc):
+    doc["dimension"] = True
+
+
+def _bool_entry(doc):
+    doc["states"][0][0][0] = True
+
+
+def _string_prior(doc):
+    doc["priors"][0] = str(doc["priors"][0])
+
+
+@pytest.mark.parametrize("edit, message", [(_bool_dimension, "dimension must be a positive integer"),
+                                           (_bool_entry, "expected a number or [re, im] pair, got True"),
+                                           (_string_prior, "priors must be a list of numbers")],
+                         ids=["bool-dimension", "bool-entry", "string-prior"])
+def test_validate_rejects_non_numbers_exit_two(tmp_path, capsys, edit, message):
+    # json reads true as a bool, which Python counts as the int 1
+    doc = problem_to_json(1, ensemble=Ensemble([np.eye(1)], np.ones(1)), povm=Povm([np.eye(1)]))
+    edit(doc)
+    path = write_problem(tmp_path, "typed.json", doc)
+    assert main(["validate", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 def test_validate_malformed_json_exit_two(tmp_path, capsys):
@@ -358,6 +386,23 @@ def test_prune_with_separate_group_file(tmp_path, capsys):
     assert main(["prune", path, "--group", group_path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["group_order"] == 3
+
+
+def test_prune_validates_the_povm_once(capsys, monkeypatch):
+    # info_bits_before reuses the validation prune_povm made
+    calls = []
+    for module in (caratheodory, infotheory):
+        def counting(*args, original=module.validate_povm, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "validate_povm", counting)
+    path = fixture("lifted_trines_0.05.json")
+    assert main(["prune", path]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert len(calls) == 1
+    problem = load_problem(path)
+    assert report["info_bits_before"] == mutual_information(problem.ensemble, problem.povm)
 
 
 def test_prune_invalid_povm_exit_one(tmp_path, capsys):

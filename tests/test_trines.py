@@ -10,6 +10,7 @@ from povm_forge import (
     double_trines_closed_form,
     hessian_at,
     is_symmetric_ensemble,
+    joint_distribution,
     lifted_trines,
     mutual_information,
     optimize_single_orbit,
@@ -25,7 +26,7 @@ from povm_forge import (
     trine_rotation,
     validate_povm,
 )
-from povm_forge.trines import _max_over_b
+from povm_forge.trines import _max_over_b, _orbit_info_values
 
 NU = math.acos(math.sqrt(1.0 / 3.0))
 B_PERIOD = 2.0 * math.pi / 3.0
@@ -322,3 +323,64 @@ def test_equivalent_planar_optima():
         abs(orbit_info(0.05, math.pi / 2, math.pi / 6) - orbit_info(0.05, math.pi / 2, math.pi / 2))
         <= 1e-12
     )
+
+
+def generic_orbit_info(alpha, a, b):
+    return orbit_information(lifted_trines(alpha), orbit_projectors(a, b))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.0])
+def test_orbit_info_values_matches_generic_route(alpha):
+    rng = np.random.default_rng([44, int(100 * alpha)])
+    for a, b in zip(rng.uniform(0, math.pi, 10), rng.uniform(0, 2 * math.pi, 10)):
+        assert abs(_orbit_info_values(alpha, a, b) - generic_orbit_info(alpha, a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_orbit_info_values_broadcasts(alpha):
+    rng = np.random.default_rng(45)
+    a = rng.uniform(0, math.pi, 4)
+    b = rng.uniform(0, 2 * math.pi, 5)
+    for args in ((a[:, None], b), (a[0], b), (a, b[0]), (np.asarray(a[0]), np.asarray(b[0]))):
+        values = _orbit_info_values(alpha, *args)
+        assert np.shape(values) == np.broadcast(*args).shape
+        for index in np.ndindex(np.shape(values)):
+            ai, bi = (np.broadcast_to(x, np.shape(values))[index] for x in args)
+            assert abs(values[index] - generic_orbit_info(alpha, ai, bi)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_orbit_info_values_with_a_vanishing_overlap(k):
+    # at alpha = 0 the seed psi(pi/2, pi/2 + 2 pi k / 3) is orthogonal to one trine state
+    b = math.pi / 2 + k * B_PERIOD
+    v = psi(math.pi / 2, b)
+    assert abs(v @ lifted_trines(0.0).states[k] @ v) <= 1e-15
+    assert abs(_orbit_info_values(0.0, math.pi / 2, b) - generic_orbit_info(0.0, math.pi / 2, b)) <= 1e-12
+
+
+def test_orbit_info_values_alpha_one_closed_form():
+    # every state is the lift axis: q_k = x, so I = log2(3) (1 - 3x)
+    xs = np.linspace(0.0, 1.0, 11)
+    values = _orbit_info_values(1.0, np.arccos(np.sqrt(xs))[:, None], np.linspace(0.0, 2 * math.pi, 7))
+    assert np.max(np.abs(values - math.log2(3.0) * (1.0 - 3.0 * xs)[:, None])) <= 1e-12
+
+
+def test_orbit_joint_matrix_is_circulant():
+    rng = np.random.default_rng(46)
+    for alpha in (0.05, 0.5):
+        s = lifted_trines(alpha)
+        for a, b in zip(rng.uniform(0, math.pi, 5), rng.uniform(0, 2 * math.pi, 5)):
+            joint = joint_distribution(s, orbit_projectors(a, b))
+            for i in range(3):
+                for j in range(3):
+                    assert abs(joint[i, j] - joint[(i + j) % 3, 0]) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5])
+def test_orbit_functions_reject_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="lift parameter"):
+        orbit_info(alpha, NU, 0.0)
+    with pytest.raises(ValueError, match="lift parameter"):
+        scan_surface(alpha, nx=3, nb=3)
+    with pytest.raises(ValueError, match="lift parameter"):
+        optimize_single_orbit(alpha)

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERM_TOL, coords, eig_hermitian, hermitian_part
+from .hermitian import HERM_TOL, RANK_TOL, ZERO_TOL, coords, eig_hermitian, hermitian_part
 from .infotheory import _formal_information, joint_distribution
-from .quantum import ZERO_OP_TOL, Ensemble, NormalizedPovm, Povm, normalize_povm, validate_ensemble, validate_povm
+from .quantum import Ensemble, NormalizedPovm, Povm, normalize_povm, validate_ensemble, validate_povm
 from .symmetry import (
     FiniteRep,
     NotSymmetricError,
@@ -57,9 +57,6 @@ from .symmetry import (
     symmetrize,
 )
 
-RANK_TOL = 1e-10
-EIGENVALUE_CUTOFF = 1e-12
-SUPPORT_TOL = 1e-13
 # Largest max|D lambda - c| accepted for given weights and for every leaf: a
 # validated POVM sums to the identity only within HERM_TOL.
 FEASIBLE_TOL = 1e-8
@@ -132,7 +129,8 @@ class IdentityDecomposition:
 
     ``weights[i]`` is the convex coefficient of leaf ``solutions[i]``; each
     leaf is a nonnegative vector nu with sum(nu) = 1, sum_j nu_j Pi'_j = I,
-    and support no larger than the rank of the design matrix.
+    and support no larger than the rank of the design matrix; every entry is
+    either zero or above ``ZERO_TOL``.
     """
 
     weights: np.ndarray
@@ -143,14 +141,14 @@ class IdentityDecomposition:
         return len(self.solutions)
 
     def supports(self) -> list[np.ndarray]:
-        return [np.flatnonzero(nu > SUPPORT_TOL) for nu in self.solutions]
+        return [np.flatnonzero(nu > ZERO_TOL) for nu in self.solutions]
 
 
 def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Far end of v + t q, t >= 0, that stays nonnegative.
 
     The coordinate that stops the step is set to zero exactly, and so is
-    every coordinate at or below ``SUPPORT_TOL``.
+    every coordinate at or below ``ZERO_TOL``.
     """
     # Row 0 of the design matrix is all ones, so null vectors sum to zero
     # and carry a negative entry.
@@ -161,7 +159,7 @@ def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     hit = int(np.argmin(ratios))
     end = v + ratios[hit] * q
     end[negative[hit]] = 0.0
-    return np.where(end > SUPPORT_TOL, end, 0.0)
+    return np.where(end > ZERO_TOL, end, 0.0)
 
 
 def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, score: Callable | None = None) -> tuple[np.ndarray, int]:
@@ -196,14 +194,14 @@ def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, score: Callable | None 
 
 
 def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
-    """Checked weights, with coordinates at or below ``SUPPORT_TOL`` set to zero."""
+    """Checked weights, with coordinates at or below ``ZERO_TOL`` set to zero."""
     lam = np.asarray(weights, dtype=float)
     if np.any(lam <= 0):
         raise InfeasibleError("all weights must be positive")
     residual = np.max(np.abs(design.matrix @ lam - design.target))
     if residual > FEASIBLE_TOL:
         raise InfeasibleError(f"weights do not reproduce the identity: residual {residual:.3e}")
-    return np.where(lam > SUPPORT_TOL, lam, 0.0)
+    return np.where(lam > ZERO_TOL, lam, 0.0)
 
 
 def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
@@ -240,7 +238,7 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
             return IdentityDecomposition(weights=np.array(weights), solutions=solutions, design=design)
         rest = rest - t * vertex
         rest[inside[hit]] = 0.0
-        rest[rest <= SUPPORT_TOL] = 0.0
+        rest[rest <= ZERO_TOL] = 0.0
         rest /= rest.sum()
         mass *= 1.0 - t
     raise InternalLogicError(f"Caratheodory chain exceeded {max_leaves} leaves")
@@ -251,13 +249,13 @@ def split_rank_one(p: Povm) -> Povm:
 
     Refining outcomes this way never decreases the mutual information, and the
     pieces sum to the original operators exactly (up to the discarded
-    eigenvalues at or below ``EIGENVALUE_CUTOFF``).
+    eigenvalues at or below ``ZERO_TOL``).
     """
     w, v = eig_hermitian(p.operators)
     vecs = v.swapaxes(1, 2)  # vecs[j, k] is the k-th eigenvector of operator j
     pieces = hermitian_part(w[:, :, None, None] * (vecs[:, :, :, None] * vecs.conj()[:, :, None, :]))
     # Boolean indexing keeps operator-major order, eigenvalues ascending.
-    return Povm(pieces[w > EIGENVALUE_CUTOFF])
+    return Povm(pieces[w > ZERO_TOL])
 
 
 def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, ops) -> list[float]:
@@ -317,15 +315,12 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     design = build_design_matrix(orbit_sum(ops, rep))
     rest = _feasible_start(design, normalized.weights)
     nu, steps = _walk_to_vertex(design.matrix, rest, lambda x: _formal_information(joint * x, s.priors))
-    # Where several coordinates reach zero in one step, rounding can leave a
-    # weight just above SUPPORT_TOL; its operator would count as zero.
-    nu[nu <= ZERO_OP_TOL] = 0.0
     kept = nu > 0
     orbits = np.count_nonzero(kept)
     if orbits > bound:
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
     # The kept columns are independent at a vertex, so they fix their weights:
-    # solving for them again puts back the mass the zeroing dropped.
+    # solving for them again puts back the mass the walk's ZERO_TOL floor dropped.
     nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
     if np.any(nu[kept] <= 0):
         raise InternalLogicError("a re-solved vertex weight is not positive")

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# The tolerances every module shares (tabulated in the README): how far a
+# matrix identity or a sign may be off, the spectral cutoff relative to the
+# largest singular value or eigenvalue, and the absolute rounding floor.
 HERM_TOL = 1e-9
-PSD_TOL = 1e-10
-NULL_TOL = 1e-9
+RANK_TOL = 1e-10
+ZERO_TOL = 1e-12
 
 
 class InvalidDimensionError(ValueError):
@@ -102,26 +105,27 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(as_hermitian(m))
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
+def is_psd(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
     w, _ = eig_hermitian(m)
     return bool(w[0] >= -tol)
 
 
 def _psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of a PSD matrix and the mask of those above NULL_TOL times the largest."""
+    """Eigenpairs of a matrix that is PSD within ``HERM_TOL``, and the mask of
+    those above ``RANK_TOL`` times the largest."""
     w, v = eig_hermitian(m)
-    if w[0] < -PSD_TOL:
+    if w[0] < -HERM_TOL:
         raise PositivityError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    return w, v, w > NULL_TOL * max(w[-1], 0.0)
+    return w, v, w > RANK_TOL * max(w[-1], 0.0)
 
 
 def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a positive semidefinite matrix.
 
-    Eigenvalues above the null cutoff map to lambda**-0.5, those below map
-    to 0.  On the support of M the product N M N is the orthogonal projector
-    onto range(M).
+    Eigenvalues above ``RANK_TOL`` times the largest map to lambda**-0.5,
+    the others to 0.  On the support of M the product N M N is the
+    orthogonal projector onto range(M).
     """
     w, v, above = _psd_spectrum(m)
     f = np.zeros_like(w)

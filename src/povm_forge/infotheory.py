@@ -14,8 +14,6 @@ import numpy as np
 from .hermitian import HERM_TOL
 from .quantum import Ensemble, Povm, StructuralError, validate_povm
 
-NEGATIVE_PROB_TOL = 1e-12
-
 
 def plogp(u: np.ndarray) -> np.ndarray:
     """Elementwise u * log2(u) with the continuity convention at 0."""
@@ -29,9 +27,10 @@ def plogp(u: np.ndarray) -> np.ndarray:
 def joint_distribution(s: Ensemble, p) -> np.ndarray:
     """Joint probabilities p_ij = p(i) tr(Pi_j rho_i) as an m x n matrix.
 
-    Tiny negative values (>= -1e-12, from rounding in PSD operators) are
-    clamped to zero; anything more negative raises, since it signals a genuine
-    positivity violation rather than noise.  ``p`` is a Povm or a stack (or
+    Negative values down to -``HERM_TOL`` (the sign error that
+    ``validate_povm`` and ``validate_ensemble`` accept) are clamped to zero;
+    anything more negative raises, since it signals a genuine positivity
+    violation rather than noise.  ``p`` is a Povm or a stack (or
     list) of operators that need not sum to the identity.
     """
     ops = p.operators if isinstance(p, Povm) else np.asarray(p, dtype=complex)
@@ -39,7 +38,7 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
         raise StructuralError(f"dimension mismatch: ensemble {s.dim} vs operators {ops.shape[-1]}")
     probs = s.priors[:, None] * np.einsum("jab,iba->ij", ops, s.states).real
     low = probs.min()
-    if low < -NEGATIVE_PROB_TOL:
+    if low < -HERM_TOL:
         raise ValueError(f"joint probability {low:.3e} is negative beyond tolerance")
     np.clip(probs, 0.0, None, out=probs)
     return probs

@@ -15,7 +15,7 @@ import numpy as np
 
 from .hermitian import (
     HERM_TOL,
-    PSD_TOL,
+    ZERO_TOL,
     HermiticityError,
     as_hermitian,
     eig_hermitian,
@@ -23,8 +23,6 @@ from .hermitian import (
     inv_sqrt_psd,
     support_projector,
 )
-
-ZERO_OP_TOL = 1e-12
 
 
 class StructuralError(ValueError):
@@ -125,19 +123,19 @@ class ValidationReport:
 def validate_povm(p: Povm, tol: float = HERM_TOL, allow_zero: bool = False) -> ValidationReport:
     """Check positivity of every operator and completeness of their sum.
 
-    Zero operators (max-norm <= 1e-12) are rejected unless ``allow_zero`` is
-    set; padding constructions legitimately carry them.
+    Zero operators (max-norm <= ``ZERO_TOL``) are rejected unless
+    ``allow_zero`` is set; padding constructions legitimately carry them.
     """
     ops = p.operators
     lowest = eig_hermitian(ops)[0][:, 0]
     not_psd = lowest < -tol
-    zero = (np.max(np.abs(ops), axis=(1, 2)) <= ZERO_OP_TOL) & (not allow_zero)
+    zero = (np.max(np.abs(ops), axis=(1, 2)) <= ZERO_TOL) & (not allow_zero)
     violations = []
     for i in np.flatnonzero(not_psd | zero):
         if not_psd[i]:
             violations.append(f"operator {i} is not PSD: min eigenvalue {lowest[i]:.3e}")
         if zero[i]:
-            violations.append(f"operator {i} is zero (max-norm <= {ZERO_OP_TOL:.0e})")
+            violations.append(f"operator {i} is zero (max-norm <= {ZERO_TOL:.0e})")
     defect = np.max(np.abs(ops.sum(axis=0) - np.eye(p.dim)))
     if defect > tol:
         violations.append(f"operators do not sum to the identity: max deviation {defect:.3e}")
@@ -160,14 +158,14 @@ def validate_ensemble(s: Ensemble, tol: float = HERM_TOL) -> ValidationReport:
         violations.append("priors contain negative entries")
     total = float(np.sum(s.priors))
     # Written so that a NaN sum fails too.
-    if not abs(total - 1.0) <= 1e-12:
+    if not abs(total - 1.0) <= ZERO_TOL:
         violations.append(f"priors sum to {total:.15g}, expected 1")
     return ValidationReport(not violations, violations)
 
 
 def _nonzero(ops: np.ndarray) -> np.ndarray:
-    """The operators of a stack whose max-norm exceeds ``ZERO_OP_TOL``."""
-    return ops[np.max(np.abs(ops), axis=(1, 2)) > ZERO_OP_TOL]
+    """The operators of a stack whose max-norm exceeds ``ZERO_TOL``."""
+    return ops[np.max(np.abs(ops), axis=(1, 2)) > ZERO_TOL]
 
 
 def convex_combine(p: Povm, q: Povm, lam: float) -> Povm:
@@ -202,7 +200,7 @@ def normalize_povm(p: Povm) -> NormalizedPovm:
     """Rewrite a POVM so the identity is a convex combination of trace-d operators."""
     d = p.dim
     traces = np.trace(p.operators, axis1=1, axis2=2).real
-    if np.any(traces <= ZERO_OP_TOL):
+    if np.any(traces <= ZERO_TOL):
         bad = int(np.argmin(traces))
         raise DegenerateOperatorError(f"operator {bad} has non-positive trace {traces[bad]:.3e}")
     return NormalizedPovm(weights=traces / d, normalized_ops=p.operators * (d / traces)[:, None, None])
@@ -222,6 +220,6 @@ def pretty_good_measurement(s: Ensemble) -> Povm:
     n = inv_sqrt_psd(rho)
     ops = hermitian_part(n @ weighted @ n)
     completion = np.eye(s.dim) - support_projector(rho)
-    if np.max(np.abs(completion)) > PSD_TOL:
+    if np.max(np.abs(completion)) > ZERO_TOL:
         ops = np.concatenate([ops, hermitian_part(completion)[None]])
     return Povm(ops)

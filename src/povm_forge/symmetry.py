@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import as_hermitian, hermitian_part
+from .hermitian import HERM_TOL, as_hermitian, hermitian_part
 from .quantum import Ensemble, Povm, StructuralError
 
 MATCH_TOL = 1e-8
-UNITARY_TOL = 1e-9
 # Bucket width of the closure lookup: any width above MATCH_TOL is exact, and
 # the margin covers rounding in the projection.
 BUCKET_STEP = 4 * MATCH_TOL
@@ -79,7 +78,8 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise UnitarityError(f"expected a square matrix, got shape {u.shape}")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > UNITARY_TOL:
+    # Written so that a NaN or Inf entry fails too.
+    if not defect <= HERM_TOL:
         raise UnitarityError(f"matrix is not unitary: max |U^dagger U - I| = {defect:.3e}")
     return u
 
@@ -239,7 +239,7 @@ def real_orbit_bound(rep: FiniteRep) -> int:
     of the trivial representation in the symmetric square,
     (1/|G|) sum_g (chi(g)^2 + chi(g^2)) / 2.
     """
-    if np.max(np.abs(rep.elements.imag)) > UNITARY_TOL:
+    if np.max(np.abs(rep.elements.imag)) > HERM_TOL:
         raise RealRepRequiredError("representation has complex entries; real bound undefined")
     real = rep.elements.real
     chi = np.einsum("gii->g", real)

@@ -168,6 +168,15 @@ def test_bound_without_generators(tmp_path, capsys):
     assert main(["bound", path]) == 1
 
 
+def test_bound_nan_generator_exit_one(tmp_path, capsys):
+    # Python's json reads NaN; the generator must fail the unitarity check
+    path = tmp_path / "nan_generator.json"
+    path.write_text('{"dimension": 2, "generators": [[[NaN, 0], [0, 1]]]}')
+    assert main(["bound", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "not unitary" in err and "Traceback" not in err
+
+
 def test_generator_dimension_mismatch_exit_two(tmp_path, capsys):
     # a 2 x 2 swap in a file that declares dimension 3
     path = write_problem(tmp_path, "mismatch.json", {"dimension": 3, "generators": [[[0, 1], [1, 0]]]})
@@ -349,6 +358,17 @@ def test_decompose_has_no_json_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", fixture("four_projectors_d2.json"), "--json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "prune", "decompose"])
+def test_povm_at_the_sign_tolerance_exit_zero(tmp_path, capsys, command):
+    # an eigenvalue of -5e-10 passes validation, so every command accepts it
+    povm = Povm([np.diag([1.0, -5e-10]), np.diag([0.0, 1.0 + 5e-10])])
+    ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
+    path = write_problem(tmp_path, "floor.json", problem_to_json(2, ensemble=ensemble, povm=povm))
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "prune" else []
+    assert main([command, path, *extra]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_prune_plain(tmp_path, capsys):

@@ -1,5 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
+
+import povm_forge
+from povm_forge import hermitian
 
 from povm_forge import (
     HermiticityError,
@@ -163,3 +169,18 @@ def test_as_hermitian_rejects_nan():
     m = np.full((2, 2), np.nan, dtype=complex)
     with pytest.raises(HermiticityError):
         as_hermitian(m)
+
+
+def test_tolerances_are_five_and_shared():
+    # one constant per idea; the three every layer needs live in hermitian
+    holders: dict[str, list] = {}
+    for info in pkgutil.iter_modules(povm_forge.__path__):
+        module = importlib.import_module(f"povm_forge.{info.name}")
+        for name, value in vars(module).items():
+            if name.endswith("_TOL") and isinstance(value, float):
+                holders.setdefault(name, []).append(value)
+    assert set(holders) == {"HERM_TOL", "RANK_TOL", "ZERO_TOL", "FEASIBLE_TOL", "MATCH_TOL"}
+    for name, values in holders.items():
+        assert all(value is values[0] for value in values), name
+    for name in ("HERM_TOL", "RANK_TOL", "ZERO_TOL"):
+        assert all(value is getattr(hermitian, name) for value in holders[name]), name

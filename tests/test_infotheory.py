@@ -18,6 +18,7 @@ from povm_forge import (
     split_operator,
     symmetrize,
     trine_group,
+    validate_povm,
 )
 from povm_forge.infotheory import plogp
 from helpers import random_ensemble, random_povm, random_state
@@ -63,6 +64,15 @@ def test_joint_rejects_large_negative():
     s = orthogonal_pair()
     with pytest.raises(ValueError):
         joint_distribution(s, [np.diag([-1e-6, 0.0])])
+
+
+def test_joint_clamps_what_validation_accepts():
+    # validate_povm allows an eigenvalue of -5e-10, which gives the joint
+    # entry -2.5e-10; the sign floor of both is HERM_TOL
+    p = Povm([np.diag([1.0, -5e-10]), np.diag([0.0, 1.0 + 5e-10])])
+    assert validate_povm(p).ok
+    assert joint_distribution(orthogonal_pair(), p).min() == 0.0
+    assert mutual_information(orthogonal_pair(), p) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_plogp_zero_convention():

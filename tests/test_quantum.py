@@ -8,9 +8,11 @@ from povm_forge import (
     Ensemble,
     HermiticityError,
     NormalizedPovm,
+    PositivityError,
     Povm,
     StructuralError,
     convex_combine,
+    is_psd,
     lifted_trines,
     mutual_information,
     normalize_povm,
@@ -66,6 +68,20 @@ def test_validate_ensemble_bad_trace():
     report = validate_ensemble(s)
     assert not report.ok
     assert any("trace" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("low, ok", [(-5e-10, True), (-5e-9, False)])
+def test_positivity_checks_agree(low, ok):
+    # is_psd, both validators and the PGM's square root share one sign tolerance
+    state = np.diag([1.0 - low, low])
+    assert is_psd(state) is ok
+    assert validate_ensemble(Ensemble([state], [1.0])).ok is ok
+    assert validate_povm(Povm([state, np.eye(2) - state])).ok is ok
+    if ok:
+        assert validate_povm(pretty_good_measurement(Ensemble([state], [1.0]))).ok
+    else:
+        with pytest.raises(PositivityError):
+            pretty_good_measurement(Ensemble([state], [1.0]))
 
 
 def test_convex_combine_lambda_one_keeps_first():

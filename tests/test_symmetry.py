@@ -102,6 +102,15 @@ def test_non_unitary_generator_rejected():
         generate_group([np.diag([1.0, 2.0])])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_generator_rejected(bad):
+    # a NaN defect compares False with any tolerance; accepted, the generator
+    # would send every product to one bucket and overflow max_order instead
+    with pytest.raises(UnitarityError):
+        generate_group([np.array([[bad, 0.0], [0.0, 1.0]])], max_order=16)
+
+
 def test_infinite_group_overflows():
     with pytest.raises(GroupNotFiniteError):
         generate_group([planar_rotation(1.0)], max_order=64)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERM_TOL, RANK_TOL, ZERO_TOL, coords, eig_hermitian, hermitian_part
+from .hermitian import HERM_TOL, RANK_TOL, ZERO_TOL, coords, eig_hermitian
 from .infotheory import _formal_information, joint_distribution
 from .quantum import Ensemble, NormalizedPovm, Povm, normalize_povm, validate_ensemble, validate_povm
 from .symmetry import (
@@ -253,7 +253,7 @@ def split_rank_one(p: Povm) -> Povm:
     """
     w, v = eig_hermitian(p.operators)
     vecs = v.swapaxes(1, 2)  # vecs[j, k] is the k-th eigenvector of operator j
-    pieces = hermitian_part(w[:, :, None, None] * (vecs[:, :, :, None] * vecs.conj()[:, :, None, :]))
+    pieces = w[:, :, None, None] * (vecs[:, :, :, None] * vecs.conj()[:, :, None, :])
     # Boolean indexing keeps operator-major order, eigenvalues ascending.
     return Povm(pieces[w > ZERO_TOL])
 

@@ -7,7 +7,8 @@ emitted floats use Python's shortest round-trip representation, which
 re-parses bit-identically.
 
 Exit codes: 0 success, 1 domain failure (validation, symmetry, closure),
-2 usage or parse failure.
+2 usage or parse failure.  Commands raise; ``main`` alone turns an error into
+an exit code and an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from .quantum import (
     validate_povm,
 )
 from .symmetry import (
-    FiniteRep,
     GroupNotFiniteError,
     complex_orbit_bound,
     generate_group,
     real_orbit_bound,
 )
 from .trines import (
+    HESSIAN_STEP,
     double_trines,
     double_trines_closed_form,
     hessian_at,
@@ -211,16 +212,11 @@ def cmd_validate(args) -> int:
 def cmd_bound(args) -> int:
     problem = load_problem(args.path)
     if problem.generators is None:
-        print("error: file contains no generators", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        rep = generate_group(problem.generators, dim=problem.dimension)
-        result = {"order": rep.order, "complex": complex_orbit_bound(rep)}
-        if args.real:
-            result["real"] = real_orbit_bound(rep)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("file contains no generators")
+    rep = generate_group(problem.generators, dim=problem.dimension)
+    result = {"order": rep.order, "complex": complex_orbit_bound(rep)}
+    if args.real:
+        result["real"] = real_orbit_bound(rep)
     if args.json:
         print(json.dumps(result))
     else:
@@ -338,7 +334,7 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
         json.dump(
             {
                 "at": {"x": 1.0 / 3.0, "b": 0.0},
-                "step": 1e-4,
+                "step": HESSIAN_STEP,
                 "matrix": [list(map(float, row)) for row in hessian],
                 "eigenvalues": eigenvalues,
                 "closed_form_diagonal": closed_hessian,
@@ -397,8 +393,7 @@ def cmd_experiment(args) -> int:
 def cmd_decompose(args) -> int:
     problem = load_problem(args.path)
     if problem.povm is None:
-        print("error: file contains no POVM", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("file contains no POVM")
     violations = [f"povm: {v}" for v in validate_povm(problem.povm, tol=args.tol).violations]
     if problem.ensemble is not None:
         violations += [f"ensemble: {v}" for v in validate_ensemble(problem.ensemble, tol=args.tol).violations]
@@ -406,21 +401,17 @@ def cmd_decompose(args) -> int:
         for line in violations:
             print(line, file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        normalized = normalize_povm(problem.povm)
-        decomposition = decompose_identity(normalized)
-        doc = {
-            "weights": [float(w) for w in decomposition.weights],
-            "supports": [[int(j) for j in sup] for sup in decomposition.supports()],
-            "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
-        }
-        if problem.ensemble is not None:
-            infos = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
-            doc["leaf_info_bits"] = infos
-            doc["best_leaf"] = int(np.argmax(infos))
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    normalized = normalize_povm(problem.povm)
+    decomposition = decompose_identity(normalized)
+    doc = {
+        "weights": [float(w) for w in decomposition.weights],
+        "supports": [[int(j) for j in sup] for sup in decomposition.supports()],
+        "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
+    }
+    if problem.ensemble is not None:
+        infos = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
+        doc["leaf_info_bits"] = infos
+        doc["best_leaf"] = int(np.argmax(infos))
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -433,8 +424,7 @@ def cmd_prune(args) -> int:
     problem = load_problem(args.path)
     group_problem = load_problem(args.group) if args.group else None
     if problem.ensemble is None or problem.povm is None:
-        print("error: pruning needs both an ensemble and a POVM", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("pruning needs both an ensemble and a POVM")
     generators = problem.generators
     if group_problem is not None:
         if group_problem.dimension != problem.dimension:
@@ -442,25 +432,18 @@ def cmd_prune(args) -> int:
                 f"{args.group}: dimension {group_problem.dimension} != {problem.dimension} of {args.path}"
             )
         if group_problem.generators is None:
-            print("error: group file contains no generators", file=sys.stderr)
-            return EXIT_DOMAIN
+            raise ValueError("group file contains no generators")
         generators = group_problem.generators
     if args.real and generators is None:
         print("error: --real needs group generators, from --group or the problem file", file=sys.stderr)
         return EXIT_USAGE
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    rep: FiniteRep | None = None
-    try:
-        if generators is not None:
-            rep = generate_group(generators, dim=problem.dimension)
-        pruned = prune_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
-        # mutual_information without its second validation: prune_povm checked the POVM.
-        joint = joint_distribution(problem.ensemble, problem.povm)
-        info_before = _formal_information(joint, joint.sum(axis=1))
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    rep = generate_group(generators, dim=problem.dimension) if generators is not None else None
+    pruned = prune_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
+    # mutual_information without its second validation: prune_povm checked the POVM.
+    joint = joint_distribution(problem.ensemble, problem.povm)
+    info_before = _formal_information(joint, joint.sum(axis=1))
     info_after = pruned.info_bits
     doc = problem_to_json(problem.dimension, povm=pruned, metadata={"pruned_from": args.path})
     doc["report"] = {
@@ -549,6 +532,9 @@ def main(argv=None) -> int:
     except (OSError, ProblemFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -111,29 +111,17 @@ def is_psd(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return bool(w[0] >= -tol)
 
 
-def _psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of a matrix that is PSD within ``HERM_TOL``, and the mask of
-    those above ``RANK_TOL`` times the largest."""
-    w, v = eig_hermitian(m)
-    if w[0] < -HERM_TOL:
-        raise PositivityError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    return w, v, w > RANK_TOL * max(w[-1], 0.0)
-
-
 def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root of a positive semidefinite matrix.
+    """Pseudo-inverse square root of a matrix that is PSD within ``HERM_TOL``.
 
     Eigenvalues above ``RANK_TOL`` times the largest map to lambda**-0.5,
     the others to 0.  On the support of M the product N M N is the
     orthogonal projector onto range(M).
     """
-    w, v, above = _psd_spectrum(m)
+    w, v = eig_hermitian(m)
+    if w[0] < -HERM_TOL:
+        raise PositivityError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
+    above = w > RANK_TOL * max(w[-1], 0.0)
     f = np.zeros_like(w)
     f[above] = 1.0 / np.sqrt(w[above])
     return hermitian_part((v * f) @ v.conj().T)
-
-
-def support_projector(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto range(M) for PSD M, using the same eigenvalue cutoff."""
-    _, v, above = _psd_spectrum(m)
-    return hermitian_part((v * np.where(above, 1.0, 0.0)) @ v.conj().T)

@@ -19,9 +19,7 @@ from .hermitian import (
     HermiticityError,
     as_hermitian,
     eig_hermitian,
-    hermitian_part,
     inv_sqrt_psd,
-    support_projector,
 )
 
 
@@ -210,16 +208,15 @@ def pretty_good_measurement(s: Ensemble) -> Povm:
     """Square-root measurement of an ensemble.
 
     With rho the average state, the operators are rho^-1/2 p(i) rho_i rho^-1/2
-    using the pseudo-inverse square root on the support of rho.  If rho is
-    rank-deficient the complement of the support projector is appended so the
-    result is a complete POVM; that completion operator never fires on the
-    ensemble states.
+    using the pseudo-inverse square root on the support of rho.  Their sum is
+    the projector onto that support, so if rho is rank-deficient the remainder
+    I - sum is appended to complete the POVM; that completion operator never
+    fires on the ensemble states.
     """
     weighted = s.priors[:, None, None] * s.states
-    rho = hermitian_part(weighted.sum(axis=0))
-    n = inv_sqrt_psd(rho)
-    ops = hermitian_part(n @ weighted @ n)
-    completion = np.eye(s.dim) - support_projector(rho)
+    n = inv_sqrt_psd(weighted.sum(axis=0))
+    ops = n @ weighted @ n
+    completion = np.eye(s.dim) - ops.sum(axis=0)
     if np.max(np.abs(completion)) > ZERO_TOL:
-        ops = np.concatenate([ops, hermitian_part(completion)[None]])
+        ops = np.concatenate([ops, completion[None]])
     return Povm(ops)

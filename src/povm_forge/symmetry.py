@@ -77,9 +77,13 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise UnitarityError(f"expected a square matrix, got shape {u.shape}")
+    # Every entry of a unitary has modulus at most 1.  Checked before the
+    # product, so a NaN, Inf or huge entry fails without a numpy warning.
+    largest = np.max(np.abs(u))
+    if not largest <= 1.0 + HERM_TOL:
+        raise UnitarityError(f"matrix is not unitary: an entry has modulus {largest:.3e} > 1")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    # Written so that a NaN or Inf entry fails too.
-    if not defect <= HERM_TOL:
+    if defect > HERM_TOL:
         raise UnitarityError(f"matrix is not unitary: max |U^dagger U - I| = {defect:.3e}")
     return u
 

@@ -28,6 +28,8 @@ from .quantum import Ensemble
 from .symmetry import FiniteRep, generate_group
 
 B_PERIOD = 2.0 * math.pi / 3.0
+# Finite-difference step of hessian_at in both x and b.
+HESSIAN_STEP = 1e-4
 # Azimuths of the three trine states within their plane.
 _PHASES = B_PERIOD * np.arange(3)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -296,7 +298,7 @@ def double_trines_closed_form() -> float:
     return (2.0 * math.sqrt(2.0) * gamma - 9.0 * math.log(2.0)) / (6.0 * math.log(2.0))
 
 
-def hessian_at(alpha: float, x: float, b: float, h: float = 1e-4) -> np.ndarray:
+def hessian_at(alpha: float, x: float, b: float, h: float = HESSIAN_STEP) -> np.ndarray:
     """Central finite-difference Hessian of I(arccos sqrt(x), b) at (x, b)."""
 
     def f(xv: float, bv: float) -> float:

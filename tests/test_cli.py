@@ -482,6 +482,30 @@ def test_prune_group_file_of_another_dimension_exit_two(tmp_path, capsys, monkey
     assert_prune_rejected(tmp_path, capsys, monkeypatch, argv, 2, "dimension 3 != 2")
 
 
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        (["validate", fixture("lifted_trines_0.05.json")], "validate_ensemble"),
+        (["bound", fixture("lifted_trines_0.05.json")], "generate_group"),
+        (["experiment", "lifted-trines", "--nx", "2", "--nb", "2"], "scan_surface"),
+        (["decompose", fixture("four_projectors_d2.json")], "normalize_povm"),
+        (["prune", fixture("four_projectors_d2.json")], "prune_povm"),
+    ],
+    ids=["validate", "bound", "experiment", "decompose", "prune"],
+)
+def test_library_errors_exit_one_through_main(tmp_path, capsys, monkeypatch, argv, call, error):
+    # every command lets library errors reach main, the one place that maps them
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, call, fail)
+    monkeypatch.chdir(tmp_path)  # the experiment's default --out-dir
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: injected failure") and "Traceback" not in err
+
+
 def child_env():
     """The environment of a child process that finds the package in the checkout's src/."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")

@@ -19,7 +19,7 @@ from povm_forge import (
     is_psd,
     psi,
 )
-from povm_forge.hermitian import as_hermitian, support_projector
+from povm_forge.hermitian import as_hermitian
 
 
 def test_basis_d1():
@@ -148,16 +148,17 @@ def test_inv_sqrt_pseudo_inverse():
 
 def test_inv_sqrt_support_projector_oracle():
     # independent oracle: numpy eigendecomposition of the rank-2 average state
-    from povm_forge import double_trines
+    # of the planar trines
+    from povm_forge import lifted_trines
 
-    _, projected = double_trines()
-    rho = sum(p * s for p, s in zip(projected.priors, projected.states))
+    trines = lifted_trines(0.0)
+    rho = sum(p * s for p, s in zip(trines.priors, trines.states))
     n = inv_sqrt_psd(rho)
     w, v = np.linalg.eigh(rho)
     keep = (w > 1e-9 * w.max()).astype(float)
+    assert keep.sum() == 2
     projector = (v * keep) @ v.conj().T
     assert np.max(np.abs(n @ rho @ n - projector)) <= 1e-9
-    assert np.max(np.abs(support_projector(rho) - projector)) <= 1e-9
 
 
 def test_inv_sqrt_rejects_negative():

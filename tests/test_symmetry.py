@@ -102,11 +102,11 @@ def test_non_unitary_generator_rejected():
         generate_group([np.diag([1.0, 2.0])])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "huge"])
 def test_non_finite_generator_rejected(bad):
-    # a NaN defect compares False with any tolerance; accepted, the generator
-    # would send every product to one bucket and overflow max_order instead
+    # rejected before U^dagger U is formed, so numpy warns of no invalid value
+    # or overflow; accepted, a NaN or Inf generator would send every product
+    # to one bucket and overflow max_order instead
     with pytest.raises(UnitarityError):
         generate_group([np.array([[bad, 0.0], [0.0, 1.0]])], max_order=16)
 

@@ -256,7 +256,7 @@ def test_max_over_b_batch_equals_separate_calls(alpha):
     b2, g2 = _max_over_b(alpha, xs2)
     assert np.array_equal(b_star, np.concatenate([b1, b2]))
     assert np.array_equal(g, np.concatenate([g1, g2]))
-    # a scalar x gives 0-d results; its vector matmuls may round unlike a batch
+    # a scalar x gives 0-d results; numpy math on a lone value may round unlike a batch
     b_one, g_one = _max_over_b(alpha, xs2[3])
     assert np.shape(b_one) == np.shape(g_one) == ()
     assert abs(g_one - g2[3]) <= 1e-12

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERM_TOL, RANK_TOL, ZERO_TOL, coords, eig_hermitian
+from .hermitian import HERM_TOL, RANK_TOL, ZERO_TOL, coords
 from .infotheory import _formal_information, joint_distribution
 from .quantum import Ensemble, NormalizedPovm, Povm, normalize_povm, validate_ensemble, validate_povm
 from .symmetry import (
@@ -249,9 +249,10 @@ def split_rank_one(p: Povm) -> Povm:
 
     Refining outcomes this way never decreases the mutual information, and the
     pieces sum to the original operators exactly (up to the discarded
-    eigenvalues at or below ``ZERO_TOL``).
+    eigenvalues at or below ``ZERO_TOL``).  It reuses the eigensolve of
+    ``validate_povm``: both read ``p.spectrum``.
     """
-    w, v = eig_hermitian(p.operators)
+    w, v = p.spectrum
     vecs = v.swapaxes(1, 2)  # vecs[j, k] is the k-th eigenvector of operator j
     pieces = w[:, :, None, None] * (vecs[:, :, :, None] * vecs.conj()[:, :, None, :])
     # Boolean indexing keeps operator-major order, eigenvalues ascending.

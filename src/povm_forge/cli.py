@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .caratheodory import decompose_identity, prune_povm, score_leaves
-from .hermitian import HERM_TOL
 from .infotheory import _formal_information, joint_distribution, mutual_information
 from .quantum import (
     Ensemble,
@@ -180,11 +179,11 @@ def cmd_validate(args) -> int:
     violations: list[str] = []
     report: dict = {"path": args.path, "dimension": problem.dimension}
     if problem.ensemble is not None:
-        result = validate_ensemble(problem.ensemble, tol=args.tol)
+        result = validate_ensemble(problem.ensemble)
         report["ensemble"] = {"ok": result.ok, "violations": result.violations}
         violations += [f"ensemble: {v}" for v in result.violations]
     if problem.povm is not None:
-        result = validate_povm(problem.povm, tol=args.tol)
+        result = validate_povm(problem.povm)
         report["povm"] = {"ok": result.ok, "violations": result.violations}
         violations += [f"povm: {v}" for v in result.violations]
     if problem.generators is not None:
@@ -394,9 +393,9 @@ def cmd_decompose(args) -> int:
     problem = load_problem(args.path)
     if problem.povm is None:
         raise ValueError("file contains no POVM")
-    violations = [f"povm: {v}" for v in validate_povm(problem.povm, tol=args.tol).violations]
+    violations = [f"povm: {v}" for v in validate_povm(problem.povm).violations]
     if problem.ensemble is not None:
-        violations += [f"ensemble: {v}" for v in validate_ensemble(problem.ensemble, tol=args.tol).violations]
+        violations += [f"ensemble: {v}" for v in validate_ensemble(problem.ensemble).violations]
     if violations:
         for line in violations:
             print(line, file=sys.stderr)
@@ -486,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a problem file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-    p.add_argument("--tol", type=float, default=HERM_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bound", help="orbit-count bounds from the group in a problem file")
@@ -506,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a POVM into basic feasible solutions")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=HERM_TOL)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("prune", help="prune a POVM without losing mutual information")

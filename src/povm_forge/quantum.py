@@ -10,6 +10,7 @@ duplicate operators are allowed everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,12 +70,22 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Measurement given by positive operators, stacked as one (n, d, d) array, summing to the identity."""
+    """Measurement given by positive operators, stacked as one (n, d, d) array, summing to the identity.
+
+    The stack is read-only, so the cached ``spectrum`` cannot go stale.
+    """
 
     operators: np.ndarray
 
     def __init__(self, operators):
-        object.__setattr__(self, "operators", _as_operator_stack(operators, "POVM"))
+        stack = _as_operator_stack(operators, "POVM")
+        stack.flags.writeable = False
+        object.__setattr__(self, "operators", stack)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eig_hermitian`` of the operator stack: ascending eigenvalues and eigenvectors per operator."""
+        return eig_hermitian(self.operators)
 
     @property
     def dim(self) -> int:
@@ -118,15 +129,15 @@ class ValidationReport:
         return self.ok
 
 
-def validate_povm(p: Povm, tol: float = HERM_TOL, allow_zero: bool = False) -> ValidationReport:
-    """Check positivity of every operator and completeness of their sum.
+def validate_povm(p: Povm, allow_zero: bool = False) -> ValidationReport:
+    """Check positivity (from ``p.spectrum``) and completeness within ``HERM_TOL``, the one check of every command.
 
     Zero operators (max-norm <= ``ZERO_TOL``) are rejected unless
     ``allow_zero`` is set; padding constructions legitimately carry them.
     """
     ops = p.operators
-    lowest = eig_hermitian(ops)[0][:, 0]
-    not_psd = lowest < -tol
+    lowest = p.spectrum[0][:, 0]
+    not_psd = lowest < -HERM_TOL
     zero = (np.max(np.abs(ops), axis=(1, 2)) <= ZERO_TOL) & (not allow_zero)
     violations = []
     for i in np.flatnonzero(not_psd | zero):
@@ -135,17 +146,17 @@ def validate_povm(p: Povm, tol: float = HERM_TOL, allow_zero: bool = False) -> V
         if zero[i]:
             violations.append(f"operator {i} is zero (max-norm <= {ZERO_TOL:.0e})")
     defect = np.max(np.abs(ops.sum(axis=0) - np.eye(p.dim)))
-    if defect > tol:
+    if defect > HERM_TOL:
         violations.append(f"operators do not sum to the identity: max deviation {defect:.3e}")
     return ValidationReport(not violations, violations)
 
 
-def validate_ensemble(s: Ensemble, tol: float = HERM_TOL) -> ValidationReport:
-    """Check that states are unit-trace PSD and priors form a distribution."""
+def validate_ensemble(s: Ensemble) -> ValidationReport:
+    """Check that states are PSD and of unit trace within ``HERM_TOL``, and priors form a distribution."""
     lowest = eig_hermitian(s.states)[0][:, 0]
     traces = np.trace(s.states, axis1=1, axis2=2).real
-    not_psd = lowest < -tol
-    off_trace = np.abs(traces - 1.0) > tol
+    not_psd = lowest < -HERM_TOL
+    off_trace = np.abs(traces - 1.0) > HERM_TOL
     violations = []
     for i in np.flatnonzero(not_psd | off_trace):
         if not_psd[i]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERM_TOL, as_hermitian, hermitian_part
+from .hermitian import HERM_TOL, as_hermitian
 from .quantum import Ensemble, Povm, StructuralError
 
 MATCH_TOL = 1e-8
@@ -207,11 +207,12 @@ def symmetrize(p: Povm, rep: FiniteRep) -> Povm:
 def orbit_sum(op: np.ndarray, rep: FiniteRep) -> np.ndarray:
     """Group average (1/|G|) sum_g sigma(g) op sigma(g)^dagger; commutes with the rep.
 
-    A stack of operators gives the stack of their orbit sums.
+    A stack of operators gives the stack of their orbit sums, Hermitian up to
+    rounding (``coords`` symmetrizes its input).
     """
     op = as_hermitian(op)
     _check_dim("operator", op.shape[-1], rep)
-    return hermitian_part(_conjugates(op[..., None, :, :], rep.elements).mean(axis=-3))
+    return _conjugates(op[..., None, :, :], rep.elements).mean(axis=-3)
 
 
 def _character_sum_to_int(total: float, rep: FiniteRep, label: str) -> int:

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import os
+import pkgutil
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from povm_forge import (
     trine_group,
     validate_povm,
 )
+import povm_forge
 from povm_forge import caratheodory
 from povm_forge.caratheodory import InternalLogicError, NormalizationError, score_leaves
 from povm_forge.cli import load_problem
@@ -460,6 +463,25 @@ def test_prune_symmetric_builds_one_joint_matrix(generators, monkeypatch):
     monkeypatch.setattr(caratheodory, "joint_distribution", counting)
     prune_povm(s, p, rep)
     assert shapes == [(len(split_rank_one(p)), rep.dim, rep.dim)]
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "trines"])
+def test_prune_makes_one_eigensolve_per_input(symmetric, monkeypatch):
+    # validate_povm and split_rank_one share the POVM's spectrum
+    shapes = []
+    for info in pkgutil.iter_modules(povm_forge.__path__):
+        module = importlib.import_module(f"povm_forge.{info.name}")
+        if hasattr(module, "eig_hermitian"):
+            def counting(m, original=module.eig_hermitian):
+                shapes.append(np.shape(m))
+                return original(m)
+
+            monkeypatch.setattr(module, "eig_hermitian", counting)
+    rep = trine_group() if symmetric else None
+    s = lifted_trines(0.05)
+    p = symmetrize(Povm([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]), trine_group())
+    prune_povm(s, p, rep)
+    assert shapes == [s.states.shape, p.operators.shape]
 
 
 def leaf_povm_informations(s, decomposition, ops):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from povm_forge import caratheodory, infotheory
 from povm_forge.cli import (
     ProblemFileError,
     _write_surface_csv,
+    build_parser,
     load_problem,
     main,
     matrix_from_json,
@@ -348,16 +350,41 @@ def assert_domain_error(capsys):
     assert "Traceback" not in err
 
 
-def test_decompose_infeasible_povm_exit_one(tmp_path, capsys):
-    # passes validation at the loose tolerance, but the weights miss the identity
-    assert main(["decompose", near_complete_problem(tmp_path), "--tol", "1e-3"]) == 1
-    assert_domain_error(capsys)
+@pytest.mark.parametrize("command", ["validate", "decompose", "prune"])
+def test_near_complete_povm_exit_one_on_every_command(tmp_path, capsys, command):
+    # one tolerance: what validate rejects, decompose and prune reject too
+    assert main([command, near_complete_problem(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "sum to the identity" in err
+    assert "Traceback" not in err
+
+
+def test_decompose_has_no_tol_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", near_complete_problem(tmp_path), "--tol", "1e-3"])
+    assert exc.value.code == 2
 
 
 def test_decompose_has_no_json_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", fixture("four_projectors_d2.json"), "--json"])
     assert exc.value.code == 2
+
+
+def test_cli_options_are_pinned():
+    # every knob is listed here, so a new one has to edit this pin
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert options == {
+        "validate": {"--json"},
+        "bound": {"--real", "--json"},
+        "experiment": {"--alpha", "--out-dir", "--nx", "--nb", "--json"},
+        "decompose": set(),
+        "prune": {"--group", "--real", "--out-dir"},
+    }
 
 
 @pytest.mark.parametrize("command", ["validate", "prune", "decompose"])
@@ -423,11 +450,6 @@ def test_prune_validates_the_povm_once(capsys, monkeypatch):
     assert len(calls) == 1
     problem = load_problem(path)
     assert report["info_bits_before"] == mutual_information(problem.ensemble, problem.povm)
-
-
-def test_prune_invalid_povm_exit_one(tmp_path, capsys):
-    assert main(["prune", near_complete_problem(tmp_path)]) == 1
-    assert_domain_error(capsys)
 
 
 def test_prune_out_dir_is_a_file_exit_two(tmp_path, capsys, monkeypatch):

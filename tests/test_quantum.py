@@ -12,6 +12,7 @@ from povm_forge import (
     Povm,
     StructuralError,
     convex_combine,
+    eig_hermitian,
     is_psd,
     lifted_trines,
     mutual_information,
@@ -29,6 +30,18 @@ NU = math.acos(math.sqrt(1.0 / 3.0))
 
 def trine_orbit_povm():
     return Povm(orbit_projectors(NU, 0.0))
+
+
+def test_povm_spectrum_is_cached_on_a_read_only_stack():
+    ops = random_povm(np.random.default_rng(3), 3, 4).operators.copy()
+    p = Povm(ops)
+    with pytest.raises(ValueError):
+        p.operators[0, 0, 0] = 2.0
+    # the caller's array is copied, not frozen
+    assert ops.flags.writeable
+    w, v = eig_hermitian(p.operators)
+    assert np.array_equal(p.spectrum[0], w) and np.array_equal(p.spectrum[1], v)
+    assert p.spectrum is p.spectrum
 
 
 def test_validate_povm_identity():
@@ -187,14 +200,14 @@ def test_pgm_orthogonal_states_is_projective():
 
 def test_pgm_lifted_trines_validates():
     pgm = pretty_good_measurement(lifted_trines(0.05))
-    assert validate_povm(pgm, tol=1e-9).ok
+    assert validate_povm(pgm).ok
 
 
 def test_pgm_planar_trines_appends_completion():
     # alpha = 0: average state has rank 2, so a third-axis completion appears
     pgm = pretty_good_measurement(lifted_trines(0.0))
     assert len(pgm) == 4
-    assert validate_povm(pgm, tol=1e-9).ok
+    assert validate_povm(pgm).ok
     assert np.allclose(pgm.operators[-1], np.diag([1.0, 0.0, 0.0]), atol=1e-9)
 
 

@@ -137,7 +137,7 @@ def test_symmetrize_basis_measurement_validates():
     basis = Povm([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])])
     out = symmetrize(basis, rep)
     assert len(out) == 9
-    assert validate_povm(out, tol=1e-9).ok
+    assert validate_povm(out).ok
 
 
 def test_orbit_sum_identity_fixed():

@@ -113,9 +113,9 @@ def test_orbit_info_sign_choices():
 
 def test_orbit_completeness_only_on_plane():
     ops = orbit_projectors(NU, 0.4)
-    assert validate_povm(Povm(ops), tol=1e-9).ok
+    assert validate_povm(Povm(ops)).ok
     off = orbit_projectors(math.acos(math.sqrt(1 / 3 + 1e-3)), 0.4)
-    assert not validate_povm(Povm(off), tol=1e-9).ok
+    assert not validate_povm(Povm(off)).ok
 
 
 def test_scan_surface_periodic_and_pointwise():

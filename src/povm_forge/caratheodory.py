@@ -57,8 +57,8 @@ from .symmetry import (
     symmetrize,
 )
 
-# Largest max|D lambda - c| accepted for given weights and for every leaf: a
-# validated POVM sums to the identity only within HERM_TOL.
+# Largest max|D lambda - c| that decompose_identity accepts for given weights
+# and for every leaf: a validated POVM sums to the identity only within HERM_TOL.
 FEASIBLE_TOL = 1e-8
 
 
@@ -194,7 +194,7 @@ def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, score: Callable | None 
 
 
 def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
-    """Checked weights, with coordinates at or below ``ZERO_TOL`` set to zero."""
+    """Checked caller-given weights of ``decompose_identity``; coordinates at or below ``ZERO_TOL`` become zero."""
     lam = np.asarray(weights, dtype=float)
     if np.any(lam <= 0):
         raise InfeasibleError("all weights must be positive")
@@ -295,15 +295,17 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     scaled by the vertex weight nu_j.  Without ``rep`` the group is trivial:
     each orbit is one operator and the bound is d^2 (d(d+1)/2 with
     ``real_mode``).  The walk scores the pieces on their m x n joint matrix
-    (see the module docstring).
+    (see the module docstring).  Completeness is ruled on once, by
+    ``validate_povm``: the split drops only eigenvalues it tolerated, so the
+    walk starts from the split weights unchecked, and the re-solved weights
+    must reproduce the identity within ``HERM_TOL``.
     """
     if rep is None:
         rep = generate_group([], dim=p.dim)
     if not is_symmetric_ensemble(s, rep):
         raise NotSymmetricError("ensemble is not symmetric under the given representation")
-    for what, report in (("ensemble", validate_ensemble(s)), ("POVM", validate_povm(p))):
-        if not report.ok:
-            raise ValueError(f"invalid {what}: " + "; ".join(report.violations))
+    validate_ensemble(s).require("ensemble")
+    validate_povm(p).require("POVM")
     normalized = normalize_povm(split_rank_one(p))
     ops = normalized.normalized_ops
     joint = joint_distribution(s, ops)
@@ -314,7 +316,7 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     else:
         bound = complex_orbit_bound(rep)
     design = build_design_matrix(orbit_sum(ops, rep))
-    rest = _feasible_start(design, normalized.weights)
+    rest = np.where(normalized.weights > ZERO_TOL, normalized.weights, 0.0)
     nu, steps = _walk_to_vertex(design.matrix, rest, lambda x: _formal_information(joint * x, s.priors))
     kept = nu > 0
     orbits = np.count_nonzero(kept)
@@ -322,9 +324,13 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
     # The kept columns are independent at a vertex, so they fix their weights:
     # solving for them again puts back the mass the walk's ZERO_TOL floor dropped.
-    nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
+    columns = design.matrix[:, kept]
+    nu[kept] = np.linalg.lstsq(columns, design.target, rcond=None)[0]
     if np.any(nu[kept] <= 0):
         raise InternalLogicError("a re-solved vertex weight is not positive")
+    residual = np.max(np.abs(columns @ nu[kept] - design.target))
+    if residual > HERM_TOL:
+        raise InternalLogicError(f"the re-solved weights do not reproduce the identity: residual {residual:.3e}")
     leaf = Povm(ops[kept] * nu[kept, None, None])
     rank = numeric_rank(design.matrix[:, rest > 0])
     return PrunedPovm(symmetrize(leaf, rep), rank, steps, _formal_information(joint * nu, s.priors))

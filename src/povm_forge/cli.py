@@ -57,7 +57,11 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-class ProblemFileError(ValueError):
+class UsageError(ValueError):
+    """Raised for a request the command line cannot serve; ``main`` maps it to exit 2."""
+
+
+class ProblemFileError(UsageError):
     """Raised when a problem file cannot be parsed into the schema."""
 
 
@@ -170,6 +174,14 @@ def problem_to_json(
     return doc
 
 
+def _write_json(out_dir: str, name: str, doc: dict, indent: int | None = 2) -> str:
+    """Write ``doc`` to ``out_dir/name`` and return the path; without an indent json uses its C encoder."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, indent=indent))
+    return path
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -280,8 +292,7 @@ def _orbit_optimum(args, out_dir: str, alpha: float, *, head: dict, tail: dict) 
         },
         **tail,
     }
-    with open(os.path.join(out_dir, "optimum.json"), "w", encoding="utf-8") as handle:
-        json.dump(optimum, handle, indent=2)
+    _write_json(out_dir, "optimum.json", optimum)
     return optimum
 
 
@@ -319,28 +330,14 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
         (81.0 - 27.0 * math.sqrt(2.0) * gamma) / (16.0 * math.log(2.0)),
         (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0)),
     ]
-    with open(os.path.join(out_dir, "pgm.json"), "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "dimension": projected.dim,
-                "povm": matrix_to_json(pgm.operators),
-                "info_bits": pgm_info,
-            },
-            handle,
-            indent=2,
-        )
-    with open(os.path.join(out_dir, "hessian.json"), "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "at": {"x": 1.0 / 3.0, "b": 0.0},
-                "step": HESSIAN_STEP,
-                "matrix": [list(map(float, row)) for row in hessian],
-                "eigenvalues": eigenvalues,
-                "closed_form_diagonal": closed_hessian,
-            },
-            handle,
-            indent=2,
-        )
+    _write_json(out_dir, "pgm.json", {**problem_to_json(projected.dim, povm=pgm), "info_bits": pgm_info})
+    _write_json(out_dir, "hessian.json", {
+        "at": {"x": 1.0 / 3.0, "b": 0.0},
+        "step": HESSIAN_STEP,
+        "matrix": [list(map(float, row)) for row in hessian],
+        "eigenvalues": eigenvalues,
+        "closed_form_diagonal": closed_hessian,
+    })
     single = optimum["single_orbit"]
     rows = [
         ("closed_form", closed, 1.369, 1e-3),
@@ -365,15 +362,11 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
 
 def cmd_experiment(args) -> int:
     if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
-        print(f"error: --alpha must lie in [0, 1], got {args.alpha}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--alpha must lie in [0, 1], got {args.alpha}")
     if args.alpha is not None and args.name == "double-trines":
-        print("error: --alpha applies to lifted-trines only; double-trines is fixed at alpha = 0.5",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--alpha applies to lifted-trines only; double-trines is fixed at alpha = 0.5")
     if args.nx < 2 or args.nb < 2:
-        print(f"error: --nx and --nb must be at least 2, got {args.nx} and {args.nb}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--nx and --nb must be at least 2, got {args.nx} and {args.nb}")
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     if args.name == "lifted-trines":
@@ -393,13 +386,9 @@ def cmd_decompose(args) -> int:
     problem = load_problem(args.path)
     if problem.povm is None:
         raise ValueError("file contains no POVM")
-    violations = [f"povm: {v}" for v in validate_povm(problem.povm).violations]
+    validate_povm(problem.povm).require("POVM")
     if problem.ensemble is not None:
-        violations += [f"ensemble: {v}" for v in validate_ensemble(problem.ensemble).violations]
-    if violations:
-        for line in violations:
-            print(line, file=sys.stderr)
-        return EXIT_DOMAIN
+        validate_ensemble(problem.ensemble).require("ensemble")
     normalized = normalize_povm(problem.povm)
     decomposition = decompose_identity(normalized)
     doc = {
@@ -434,8 +423,7 @@ def cmd_prune(args) -> int:
             raise ValueError("group file contains no generators")
         generators = group_problem.generators
     if args.real and generators is None:
-        print("error: --real needs group generators, from --group or the problem file", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--real needs group generators, from --group or the problem file")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     rep = generate_group(generators, dim=problem.dimension) if generators is not None else None
@@ -457,10 +445,7 @@ def cmd_prune(args) -> int:
         doc["report"]["orbit_count"] = len(pruned) // rep.order
         doc["report"]["group_order"] = rep.order
     if args.out_dir:
-        out_path = os.path.join(args.out_dir, "pruned.json")
-        # Without an indent json uses its C encoder.
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc))
+        out_path = _write_json(args.out_dir, "pruned.json", doc, indent=None)
         print(
             f"{len(problem.povm)} -> {len(pruned)} operators, "
             f"info {info_before:.6f} -> {info_after:.6f} bits, written to {out_path}"
@@ -526,7 +511,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ProblemFileError) as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:

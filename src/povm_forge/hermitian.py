@@ -1,9 +1,9 @@
 """Dense linear algebra for small complex Hermitian matrices.
 
-Everything here targets matrices of dimension d <= 8 or so: the trace-orthogonal
-Hermitian basis, real coordinate vectors with respect to that basis, a checked
-Hermitian eigendecomposition, positivity tests, and the pseudo-inverse square
-root used by the pretty good measurement.
+Everything here targets dense matrices of small dimension (d = 13 for the
+order-2197 Weyl-Heisenberg group): the trace-orthogonal Hermitian basis, real
+coordinates in it, a checked Hermitian eigendecomposition, positivity tests,
+and the pseudo-inverse square root used by the pretty good measurement.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(as_hermitian(m))
 
 
-def is_psd(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
+def is_psd(m: np.ndarray) -> bool:
+    """True iff the smallest eigenvalue of a Hermitian matrix is >= -``HERM_TOL``, as in both validators."""
     w, _ = eig_hermitian(m)
-    return bool(w[0] >= -tol)
+    return bool(w[0] >= -HERM_TOL)
 
 
 def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:

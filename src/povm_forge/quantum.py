@@ -128,6 +128,11 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self, what: str) -> None:
+        """Raise ``ValueError("invalid {what}: ...")``, the one wording of invalid input, unless the check passed."""
+        if not self.ok:
+            raise ValueError(f"invalid {what}: " + "; ".join(self.violations))
+
 
 def validate_povm(p: Povm, allow_zero: bool = False) -> ValidationReport:
     """Check positivity (from ``p.spectrum``) and completeness within ``HERM_TOL``, the one check of every command.

@@ -298,8 +298,9 @@ def double_trines_closed_form() -> float:
     return (2.0 * math.sqrt(2.0) * gamma - 9.0 * math.log(2.0)) / (6.0 * math.log(2.0))
 
 
-def hessian_at(alpha: float, x: float, b: float, h: float = HESSIAN_STEP) -> np.ndarray:
-    """Central finite-difference Hessian of I(arccos sqrt(x), b) at (x, b)."""
+def hessian_at(alpha: float, x: float, b: float) -> np.ndarray:
+    """Central finite-difference Hessian of I(arccos sqrt(x), b) at (x, b), with step ``HESSIAN_STEP`` in both."""
+    h = HESSIAN_STEP
 
     def f(xv: float, bv: float) -> float:
         return orbit_info(alpha, math.acos(math.sqrt(min(max(xv, 0.0), 1.0))), bv)

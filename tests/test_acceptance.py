@@ -98,7 +98,7 @@ def test_criterion_4_double_trines_optimum():
 
 
 def test_criterion_5_double_trines_hessian():
-    h = hessian_at(0.5, 1.0 / 3.0, 0.0, h=1e-4)
+    h = hessian_at(0.5, 1.0 / 3.0, 0.0)
     gamma = math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
     dxx = (81.0 - 27.0 * math.sqrt(2.0) * gamma) / (16.0 * math.log(2.0))
     dbb = (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0))

@@ -599,3 +599,16 @@ def test_prune_rejects_a_non_positive_re_solved_weight(monkeypatch):
     s, p = next(decompose_cases())
     with pytest.raises(InternalLogicError, match="re-solved"):
         prune_povm(s, p)
+
+
+def test_prune_rejects_re_solved_weights_off_the_identity(monkeypatch):
+    lstsq = np.linalg.lstsq
+
+    def scaled(*args, **kwargs):
+        solution, *rest = lstsq(*args, **kwargs)
+        return (solution * (1 + 1e-6), *rest)
+
+    monkeypatch.setattr(caratheodory.np.linalg, "lstsq", scaled)
+    s, p = next(decompose_cases())
+    with pytest.raises(InternalLogicError, match="do not reproduce the identity"):
+        prune_povm(s, p)

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from povm_forge import (
     scan_surface,
     trine_rotation,
 )
+import povm_forge
 from povm_forge import caratheodory, infotheory
 from povm_forge.cli import (
     ProblemFileError,
@@ -28,7 +30,7 @@ from povm_forge.cli import (
     matrix_to_json,
     problem_to_json,
 )
-from helpers import random_ensemble, random_povm
+from helpers import random_ensemble, random_povm, random_unit_vector
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data")
 
@@ -357,6 +359,9 @@ def test_near_complete_povm_exit_one_on_every_command(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert "sum to the identity" in err
     assert "Traceback" not in err
+    if command != "validate":
+        # decompose and prune word invalid input alike
+        assert err == "error: invalid POVM: operators do not sum to the identity: max deviation 1.000e-05\n"
 
 
 def test_decompose_has_no_tol_option(tmp_path, capsys):
@@ -385,6 +390,67 @@ def test_cli_options_are_pinned():
         "decompose": set(),
         "prune": {"--group", "--real", "--out-dir"},
     }
+
+
+def test_library_defaults_are_pinned():
+    # every settable value of the library is listed here, so a new one has to edit this pin
+    exported = {
+        name: obj for name, obj in vars(povm_forge).items()
+        if callable(obj) and not name.startswith("_") and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    exported.update({"cli.problem_to_json": cli.problem_to_json, "cli.main": cli.main})
+    defaults = {}
+    for name, obj in exported.items():
+        params = inspect.signature(obj).parameters.values()
+        settable = [p.name for p in params if p.default is not p.empty]
+        if settable:
+            defaults[name] = settable
+    assert defaults == {
+        "FiniteRep": ["generators"],
+        "ValidationReport": ["violations"],
+        "generate_group": ["max_order", "dim"],
+        "prune_povm": ["rep", "real_mode"],
+        "scan_surface": ["nx", "nb"],
+        "single_orbit_rank_argument": ["alpha", "solution"],
+        "validate_povm": ["allow_zero"],
+        "cli.problem_to_json": ["ensemble", "povm", "generators", "metadata"],
+        "cli.main": ["argv"],
+    }
+
+
+def tolerated_negative_parts_problem():
+    """A qubit POVM whose 39 random operators (1/40) v v^dagger - 9e-10 w w^dagger, w orthogonal
+    to v, each pass validation, and whose 40th is I minus them, with a two-state ensemble.
+
+    Together, the negative parts that the rank-one split drops move the identity by about 2e-8.
+    """
+    rng = np.random.default_rng(40)
+    ops = []
+    for _ in range(39):
+        v = random_unit_vector(rng, 2)
+        w = np.array([-v[1].conj(), v[0].conj()])
+        ops.append(np.outer(v, v.conj()) / 40 - 9e-10 * np.outer(w, w.conj()))
+    ops.append(np.eye(2) - sum(ops))
+    return Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5]), Povm(ops)
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose", "prune"])
+def test_tolerated_negative_parts_exit_zero_on_every_command(tmp_path, capsys, command):
+    # prune trusts validate's completeness verdict instead of ruling again on its split
+    ensemble, povm = tolerated_negative_parts_problem()
+    path = write_problem(tmp_path, "negative_parts.json", problem_to_json(2, ensemble=ensemble, povm=povm))
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "prune" else []
+    assert main([command, path, *extra]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_tolerated_negative_parts_prune_to_a_complete_povm():
+    ensemble, povm = tolerated_negative_parts_problem()
+    assert min(np.linalg.eigvalsh(povm.operators[:-1])[:, 0]) < -8e-10
+    pruned = povm_forge.prune_povm(ensemble, povm)
+    assert np.max(np.abs(pruned.operators.sum(axis=0) - np.eye(2))) <= 1e-12
+    assert povm_forge.validate_povm(pruned).ok
+    assert pruned.info_bits >= mutual_information(ensemble, povm)
 
 
 @pytest.mark.parametrize("command", ["validate", "prune", "decompose"])

@@ -298,7 +298,7 @@ def test_closed_form_value_and_equalities():
 
 
 def test_hessian_at_double_trines_optimum():
-    h = hessian_at(0.5, 1.0 / 3.0, 0.0, h=1e-4)
+    h = hessian_at(0.5, 1.0 / 3.0, 0.0)
     gamma = math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
     dxx = (81.0 - 27.0 * math.sqrt(2.0) * gamma) / (16.0 * math.log(2.0))
     dbb = (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0))

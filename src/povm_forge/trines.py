@@ -8,7 +8,9 @@ cos(a)^2 = 1/3.  With the polar coordinate x = cos(a)^2 fixed, the best
 azimuth gives g(x) = max_b I(x, b).  The best complete mixture of two orbits
 on opposite sides of that plane is the upper concave envelope of g at
 x = 1/3, found by a zooming grid search over pairs of x values; each zoom
-step evaluates g on both sides of the plane in one batched call.
+step evaluates g on both sides of the plane in one batched call.  The best
+azimuth of each x is found by safeguarded Newton steps on the closed-form
+b-derivatives of the information.
 
 Every value comes from one closed form: the rotation permutes the trine
 states cyclically, so an orbit's joint matrix is circulant with entries
@@ -32,8 +34,7 @@ B_PERIOD = 2.0 * math.pi / 3.0
 HESSIAN_STEP = 1e-4
 # Azimuths of the three trine states within their plane.
 _PHASES = B_PERIOD * np.arange(3)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Azimuth search: coarse seeds per x, then golden section down to _B_XTOL.
+# Azimuth search: coarse seeds per x, then Newton steps until a step is at most _B_XTOL.
 _B_SEEDS = 128
 _B_XTOL = 1e-10
 # Envelope search: (x_first, x_second) start grid, zoom grid points per axis,
@@ -154,25 +155,58 @@ def scan_surface(alpha: float, nx: int = 200, nb: int = 200) -> SurfaceScan:
     """Evaluate the orbit information on a uniform (x, b) grid.
 
     The numerical b-derivative is included so slices of the surface can be
-    replotted directly.  The grid is evaluated one x value at a time, which
-    keeps the temporaries to one row of the grid.
+    replotted directly.  The grid is evaluated in blocks of 20 x rows, one
+    closed-form call per block, which keeps the temporaries to a few hundred
+    KB at the default size.
     """
     if nx < 2 or nb < 2:
         raise ValueError("grid needs at least 2 points per axis")
     xs = np.linspace(0.0, 1.0, nx)
     bs = np.linspace(0.0, B_PERIOD, nb)
-    info = np.array([_orbit_info_values(alpha, a, bs) for a in np.arccos(np.sqrt(xs))])
+    a = np.arccos(np.sqrt(xs))
+    info = np.empty((nx, nb))
+    for i in range(0, nx, 20):
+        info[i : i + 20] = _orbit_info_values(alpha, a[i : i + 20, None], bs)
     dinfo_db = np.gradient(info, bs, axis=1)
     return SurfaceScan(alpha=alpha, x=xs, b=bs, info=info, dinfo_db=dinfo_db)
+
+
+def _b_slopes(alpha: float, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """dI/db and d2I/db2 of the orbit information at broadcast arrays of (a, b).
+
+    With r_k = sqrt(alpha) cos a + p cos(b - 2 pi k / 3), p = sqrt(1 - alpha) sin a,
+    Q = sum_k r_k^2 does not depend on b, so only the sum_k q_k log2 q_k term
+    moves: dI/db = -4 p sum_k r_k s_k log2|r_k| and
+    d2I/db2 = -4 p sum_k [r_k c_k log2|r_k| - p s_k^2 (log2|r_k| + 1 / ln 2)],
+    with c_k, s_k the cosine and sine of b - 2 pi k / 3 and r log2|r| = 0 at r = 0.
+    """
+    a = np.asarray(a, dtype=float)
+    phase = np.asarray(b, dtype=float)[..., None] - _PHASES
+    c, s = np.cos(phase), np.sin(phase)
+    p = (math.sqrt(1.0 - alpha) * np.sin(a))[..., None]
+    r = (math.sqrt(alpha) * np.cos(a))[..., None] + p * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log2(np.abs(r))
+        r_log_r = np.where(r == 0.0, 0.0, r * log_r)
+        slope = -4.0 * p[..., 0] * (r_log_r * s).sum(axis=-1)
+        curvature = -4.0 * p[..., 0] * (
+            r_log_r * c - p * s * s * (log_r + 1.0 / math.log(2.0))
+        ).sum(axis=-1)
+    return slope, curvature
 
 
 def _max_over_b(alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     """g(x) = max_b I(arccos sqrt(x), b) for an array of x; returns (b_star, g).
 
-    Each x is seeded on a coarse b grid, then every bracket is narrowed by the
-    same golden-section steps at once.  The brackets all start one seed step
-    either side of the best seed, so every element takes the same number of
-    steps.  b_star is folded into [0, pi/3].
+    Each x is seeded on a coarse b grid and starts at its best seed inside a
+    bracket one seed step either side.  Each step shrinks the bracket to the
+    side the closed-form slope points to, then takes the Newton step if the
+    curvature is negative and the step stays in the bracket, and bisects
+    otherwise.  An element stops once its step is at most _B_XTOL, so each
+    element follows its own path whatever else is in the batch; at most as
+    many steps as bisection alone would need are taken.  Where p =
+    sqrt(1 - alpha) sin a is 0 the information does not depend on b, and the
+    seed stands.  b_star is folded into [0, pi/3].
     """
     a = np.arccos(np.sqrt(np.clip(np.asarray(x, dtype=float), 0.0, 1.0)))
     seeds = np.linspace(0.0, B_PERIOD, _B_SEEDS, endpoint=False)
@@ -180,22 +214,26 @@ def _max_over_b(alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     # One seeding call for every x; at the 98 start points of the envelope search
     # its temporaries peak near 1.5 MB (a few 98 x 128 x 3 overlap arrays).
     best_seed = seeds[np.argmax(_orbit_info_values(alpha, a[..., None], seeds), axis=-1)]
+    b = best_seed.ravel()
+    flat_a = a.ravel()
+    todo = np.flatnonzero(math.sqrt(1.0 - alpha) * np.sin(flat_a) != 0.0)
     # The surface is periodic in b, so the bracket may spill outside [0, period).
-    lo = best_seed - step
-    hi = lo + 2.0 * step
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = _orbit_info_values(alpha, a, c)
-    fd = _orbit_info_values(alpha, a, d)
-    for _ in range(math.ceil(math.log(2.0 * step / _B_XTOL) / -math.log(_INV_PHI))):
-        left = fc >= fd
-        lo = np.where(left, lo, c)
-        hi = np.where(left, d, hi)
-        probe = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        f_probe = _orbit_info_values(alpha, a, probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
-    b_star = np.mod(0.5 * (lo + hi), B_PERIOD)
+    lo, hi = b[todo] - step, b[todo] + step
+    for _ in range(math.ceil(math.log2(2.0 * step / _B_XTOL))):
+        if todo.size == 0:
+            break
+        at = b[todo]
+        slope, curvature = _b_slopes(alpha, flat_a[todo], at)
+        rising = slope > 0.0
+        lo, hi = np.where(rising, at, lo), np.where(rising, hi, at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = at - slope / curvature
+        # A vanishing overlap r_k makes the curvature -inf and the Newton step 0: bisect there.
+        newton_ok = np.isfinite(curvature) & (curvature < 0.0) & (lo <= newton) & (newton <= hi)
+        b[todo] = np.where(newton_ok, newton, 0.5 * (lo + hi))
+        moving = np.abs(b[todo] - at) > _B_XTOL
+        todo, lo, hi = todo[moving], lo[moving], hi[moving]
+    b_star = np.mod(b.reshape(a.shape), B_PERIOD)
     # The reflection b -> -b keeps the information; fold b_star into [0, pi/3].
     b_star = np.where(b_star > 0.5 * B_PERIOD, B_PERIOD - b_star, b_star)
     return b_star, _orbit_info_values(alpha, a, b_star)

@@ -26,7 +26,8 @@ from povm_forge import (
     trine_rotation,
     validate_povm,
 )
-from povm_forge.trines import _max_over_b, _orbit_info_values
+from povm_forge import trines
+from povm_forge.trines import _b_slopes, _max_over_b, _orbit_info_values
 
 NU = math.acos(math.sqrt(1.0 / 3.0))
 B_PERIOD = 2.0 * math.pi / 3.0
@@ -125,6 +126,14 @@ def test_scan_surface_periodic_and_pointwise():
     for i, x in enumerate(scan.x):
         for j, b in enumerate(scan.b):
             assert abs(scan.info[i, j] - orbit_info(0.05, math.acos(math.sqrt(x)), b)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_scan_surface_blocks_equal_rows(alpha):
+    # 37 rows is not a multiple of the block size
+    scan = scan_surface(alpha, nx=37, nb=41)
+    rows = np.array([_orbit_info_values(alpha, a, scan.b) for a in np.arccos(np.sqrt(scan.x))])
+    assert np.array_equal(scan.info, rows)
 
 
 def test_scan_surface_double_trines_plane_slice_peaks_at_zero():
@@ -263,6 +272,68 @@ def test_max_over_b_batch_equals_separate_calls(alpha):
 
 
 @pytest.mark.parametrize(
+    "alpha, x, b",
+    [(0.05, 0.2, 0.3), (0.5, 1.0 / 3.0, 0.1), (0.17, 0.9, 1.9), (0.02, 0.0, 0.7), (0.5, 0.6, -0.4)],
+)
+def test_b_slopes_match_central_differences(alpha, x, b):
+    a = math.acos(math.sqrt(x))
+    slope, curvature = _b_slopes(alpha, a, b)
+    h = 1e-5
+    assert abs(slope - (orbit_info(alpha, a, b + h) - orbit_info(alpha, a, b - h)) / (2 * h)) <= 1e-8
+    h = 1e-4
+    second = (orbit_info(alpha, a, b + h) - 2 * orbit_info(alpha, a, b) + orbit_info(alpha, a, b - h)) / h**2
+    assert abs(curvature - second) <= 1e-6
+
+
+def test_b_slopes_where_an_overlap_vanishes():
+    # alpha = 0, x = 0, b = pi/6: r_1 = cos(-pi/2) vanishes, up to rounding
+    a, b = math.pi / 2, math.pi / 6
+    slope, curvature = _b_slopes(0.0, a, b)
+    h = 1e-5
+    assert abs(slope - (orbit_info(0.0, a, b + h) - orbit_info(0.0, a, b - h)) / (2 * h)) <= 1e-8
+    # there q_1 log q_1 ~ t^2 log t^2, whose curvature diverges to -inf like 4 log2 h:
+    # each central difference lies above the value at |r_1| ~ 1e-16
+    for h in (1e-3, 1e-4, 1e-5):
+        second = (orbit_info(0.0, a, b + h) - 2 * orbit_info(0.0, a, b) + orbit_info(0.0, a, b - h)) / h**2
+        assert curvature < second < 0.0
+    # at alpha = 0, x = 1 every r_k is exactly 0: r log2|r| is taken as 0, so the slope is 0
+    slope, _ = _b_slopes(0.0, 0.0, np.linspace(0.0, B_PERIOD, 5))
+    assert np.array_equal(slope, np.zeros(5))
+    # the seed b = pi/3 of alpha = 1/4, x = 3/4 makes r_2 exactly 0 in floating point:
+    # the slope there is 0 by symmetry, the curvature -inf, and the search still
+    # finds the maximum
+    seed = np.linspace(0.0, B_PERIOD, trines._B_SEEDS, endpoint=False)[trines._B_SEEDS // 2]
+    slope, curvature = _b_slopes(0.25, math.acos(math.sqrt(0.75)), seed)
+    assert slope == 0.0 and curvature == -np.inf
+    grid = _orbit_info_values(0.25, math.acos(math.sqrt(0.75)), np.linspace(0.0, B_PERIOD, 4001))
+    assert abs(_max_over_b(0.25, 0.75)[1] - grid.max()) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.02, 0.05, 0.17, 0.5, 1.0])
+def test_max_over_b_reaches_dense_grid_maximum(alpha, monkeypatch):
+    steps = []
+
+    def counting(*args):
+        steps.append(1)
+        return _b_slopes(*args)
+
+    monkeypatch.setattr(trines, "_b_slopes", counting)
+    xs = np.append(np.linspace(0.0, 1.0, 41), 1.0 / 3.0)
+    b_star, g = _max_over_b(alpha, xs)
+    a = np.arccos(np.sqrt(xs))[:, None]
+    grid = _orbit_info_values(alpha, a, np.linspace(0.0, B_PERIOD, 4001)).max(axis=1)
+    assert np.all(g >= grid - 1e-12)
+    # the grid max falls short of the true one only by the grid's resolution
+    assert np.all(g - grid <= 1e-6)
+    assert np.array_equal(g, _orbit_info_values(alpha, a[:, 0], b_star))
+    # every element stops on its own step before the iteration cap (29: bisection alone
+    # needs 28 steps to bring the bracket to _B_XTOL); Newton needs far fewer
+    cap = math.ceil(math.log2(2.0 * B_PERIOD / trines._B_SEEDS / trines._B_XTOL))
+    assert len(steps) < cap
+    assert len(steps) <= 8
+
+
+@pytest.mark.parametrize(
     "alpha, info_bits", [(0.05, 0.8472453808251262), (0.5, 1.3690684229434151), (1.0, 0.0)]
 )
 def test_optimize_two_orbits_pinned_values(alpha, info_bits):
@@ -307,6 +378,14 @@ def test_hessian_at_double_trines_optimum():
     assert abs(h[0, 1]) <= 1e-2
     assert h[0, 1] == h[1, 0]
     assert np.all(np.linalg.eigvalsh(h) < 0)
+
+
+def test_b_curvature_at_double_trines_optimum_is_closed_form():
+    # the b-b entry of the negative-definite Hessian check, from the closed-form slope
+    gamma = math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
+    dbb = (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0))
+    assert abs(_b_slopes(0.5, NU, 0.0)[1] - dbb) <= 1e-9
+    assert abs(hessian_at(0.5, 1.0 / 3.0, 0.0)[1, 1] - dbb) <= 1e-5
 
 
 def test_rank_argument_slightly_lifted():

@@ -24,7 +24,6 @@ from .hermitian import (
     is_psd,
 )
 from .quantum import (
-    DegenerateOperatorError,
     Ensemble,
     NormalizedPovm,
     Povm,

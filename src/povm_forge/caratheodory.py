@@ -196,8 +196,8 @@ def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, score: Callable | None 
 def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
     """Checked caller-given weights of ``decompose_identity``; coordinates at or below ``ZERO_TOL`` become zero."""
     lam = np.asarray(weights, dtype=float)
-    if np.any(lam <= 0):
-        raise InfeasibleError("all weights must be positive")
+    if np.any(lam < 0):
+        raise InfeasibleError("all weights must be nonnegative")
     residual = np.max(np.abs(design.matrix @ lam - design.target))
     if residual > FEASIBLE_TOL:
         raise InfeasibleError(f"weights do not reproduce the identity: residual {residual:.3e}")

@@ -51,7 +51,7 @@ def _formal_information(probs: np.ndarray, priors: np.ndarray) -> float:
 
 def mutual_information(s: Ensemble, p: Povm) -> float:
     """Mutual information I(S, P) in bits; the POVM is validated first."""
-    validate_povm(p, allow_zero=True).require("POVM")
+    validate_povm(p).require("POVM")
     probs = joint_distribution(s, p)
     return _formal_information(probs, probs.sum(axis=1))
 

@@ -28,10 +28,6 @@ class StructuralError(ValueError):
     """Raised on shape or dimension mismatches between operators."""
 
 
-class DegenerateOperatorError(ValueError):
-    """Raised when an operator that must have positive trace does not."""
-
-
 def _as_operator_stack(ops, what: str) -> np.ndarray:
     """Stack operators into one checked Hermitian (n, d, d) complex array."""
     try:
@@ -100,8 +96,10 @@ class NormalizedPovm:
     """POVM rewritten as a convex combination of trace-d operators.
 
     weights[i] = tr(Pi_i) / d and normalized_ops[i] = d * Pi_i / tr(Pi_i), so
-    sum_i weights[i] * normalized_ops[i] equals the identity.  The operators
-    are one stacked (n, d, d) complex array; a list is stacked on construction.
+    sum_i weights[i] * normalized_ops[i] equals the identity.  A zero operator
+    (trace at or below ``ZERO_TOL``) has weight 0 and the identity as its
+    trace-d stand-in.  The operators are one stacked (n, d, d) complex array;
+    a list is stacked on construction.
     """
 
     weights: np.ndarray
@@ -134,23 +132,16 @@ class ValidationReport:
             raise ValueError(f"invalid {what}: " + "; ".join(self.violations))
 
 
-def validate_povm(p: Povm, allow_zero: bool = False) -> ValidationReport:
+def validate_povm(p: Povm) -> ValidationReport:
     """Check positivity (from ``p.spectrum``) and completeness within ``HERM_TOL``, the one check of every command.
 
-    Zero operators (max-norm <= ``ZERO_TOL``) are rejected unless
-    ``allow_zero`` is set; padding constructions legitimately carry them.
+    A zero operator is a legal outcome that never fires.
     """
-    ops = p.operators
     lowest = p.spectrum[0][:, 0]
-    not_psd = lowest < -HERM_TOL
-    zero = (np.max(np.abs(ops), axis=(1, 2)) <= ZERO_TOL) & (not allow_zero)
-    violations = []
-    for i in np.flatnonzero(not_psd | zero):
-        if not_psd[i]:
-            violations.append(f"operator {i} is not PSD: min eigenvalue {lowest[i]:.3e}")
-        if zero[i]:
-            violations.append(f"operator {i} is zero (max-norm <= {ZERO_TOL:.0e})")
-    defect = np.max(np.abs(ops.sum(axis=0) - np.eye(p.dim)))
+    violations = [
+        f"operator {i} is not PSD: min eigenvalue {lowest[i]:.3e}" for i in np.flatnonzero(lowest < -HERM_TOL)
+    ]
+    defect = np.max(np.abs(p.operators.sum(axis=0) - np.eye(p.dim)))
     if defect > HERM_TOL:
         violations.append(f"operators do not sum to the identity: max deviation {defect:.3e}")
     return ValidationReport(not violations, violations)
@@ -185,8 +176,8 @@ def _nonzero(ops: np.ndarray) -> np.ndarray:
 def convex_combine(p: Povm, q: Povm, lam: float) -> Povm:
     """Random choice between two POVMs: {lam * Pi_i} followed by {(1-lam) * Q_j}.
 
-    Operators scaled to zero (lam in {0, 1}) are dropped, since a POVM
-    consists of non-zero operators.
+    Operators scaled to zero (lam in {0, 1}) are zero parts: a zero part
+    never fires, so it is dropped.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
@@ -199,7 +190,8 @@ def split_operator(p: Povm, index: int, lam: float) -> Povm:
     """Replace operator ``index`` by the pair lam * Pi, (1 - lam) * Pi.
 
     Splitting never changes the mutual information against any ensemble.  A
-    zero part (lam in {0, 1}) is dropped, leaving the POVM unchanged.
+    zero part (lam in {0, 1}) never fires, so it is dropped, leaving the POVM
+    unchanged.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"split weight must lie in [0, 1], got {lam}")
@@ -211,13 +203,17 @@ def split_operator(p: Povm, index: int, lam: float) -> Povm:
 
 
 def normalize_povm(p: Povm) -> NormalizedPovm:
-    """Rewrite a POVM so the identity is a convex combination of trace-d operators."""
+    """Rewrite a POVM so the identity is a convex combination of trace-d operators.
+
+    An operator whose trace is at or below ``ZERO_TOL`` is zero: it gets
+    weight 0 and the identity as its trace-d stand-in.
+    """
     d = p.dim
     traces = np.trace(p.operators, axis1=1, axis2=2).real
-    if np.any(traces <= ZERO_TOL):
-        bad = int(np.argmin(traces))
-        raise DegenerateOperatorError(f"operator {bad} has non-positive trace {traces[bad]:.3e}")
-    return NormalizedPovm(weights=traces / d, normalized_ops=p.operators * (d / traces)[:, None, None])
+    zero = traces <= ZERO_TOL
+    ops = p.operators * (d / np.where(zero, d, traces))[:, None, None]
+    ops[zero] = np.eye(d)
+    return NormalizedPovm(weights=np.where(zero, 0.0, traces / d), normalized_ops=ops)
 
 
 def pretty_good_measurement(s: Ensemble) -> Povm:

@@ -24,6 +24,8 @@ MATCH_TOL = 1e-8
 # Bucket width of the closure lookup: any width above MATCH_TOL is exact, and
 # the margin covers rounding in the projection.
 BUCKET_STEP = 4 * MATCH_TOL
+# Largest group that generate_group closes before it gives up.
+MAX_ORDER = 10000
 
 
 class UnitarityError(ValueError):
@@ -143,7 +145,7 @@ class _ElementTable:
         self.matrices.append(matrix)
 
 
-def generate_group(generators, max_order: int = 10000, dim: int | None = None) -> FiniteRep:
+def generate_group(generators, dim: int | None = None) -> FiniteRep:
     """Close a list of unitary generators under multiplication.
 
     Breadth-first: the identity comes first, then elements in discovery order,
@@ -153,7 +155,7 @@ def generate_group(generators, max_order: int = 10000, dim: int | None = None) -
     O(|G|^2 d^2) of a scan over every element found so far, with the same
     verdicts.  An empty generator list yields the trivial group (``dim`` must
     then be given); a given ``dim`` must match the generators.  Raises
-    GroupNotFiniteError if the closure exceeds ``max_order``; for a
+    GroupNotFiniteError if the closure exceeds ``MAX_ORDER`` elements; for a
     projective representation, extend the group centrally by the offending
     phases and retry with the extended generators.
     """
@@ -179,9 +181,9 @@ def generate_group(generators, max_order: int = 10000, dim: int | None = None) -
         products = (layer[:, None] @ gen_stack).reshape(-1, dim, dim)
         for product, key in zip(products, table.keys(products)):
             if table.find(product, key) < 0:
-                if len(table.matrices) >= max_order:
+                if len(table.matrices) >= MAX_ORDER:
                     raise GroupNotFiniteError(
-                        f"group closure exceeds max_order={max_order}; the generators may "
+                        f"group closure exceeds MAX_ORDER={MAX_ORDER}; the generators may "
                         "form a projective representation, supply a central extension"
                     )
                 table.add(product, key)

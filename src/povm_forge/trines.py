@@ -373,15 +373,9 @@ class RankArgumentReport:
     proportional: bool
 
 
-def single_orbit_rank_argument(
-    alpha: float = 0.05, solution: TwoOrbitSolution | None = None
-) -> RankArgumentReport:
-    """Run the two-orbit optimization and test the proportionality condition.
-
-    Pass a precomputed ``solution`` to skip the optimization.
-    """
-    if solution is None:
-        solution = optimize_two_orbits(alpha)
+def single_orbit_rank_argument(alpha: float = 0.05) -> RankArgumentReport:
+    """Run the two-orbit optimization and test the proportionality condition."""
+    solution = optimize_two_orbits(alpha)
     ensemble = lifted_trines(alpha)
     first_ops = orbit_projectors(solution.first.a, solution.first.b)
     second_ops = orbit_projectors(solution.second.a, solution.second.b)

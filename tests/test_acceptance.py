@@ -210,8 +210,8 @@ def test_criterion_8_caratheodory_suite():
     )
 
 
-def test_criterion_9_rank_argument(two_orbit_solution):
-    report_data = single_orbit_rank_argument(ALPHA, solution=two_orbit_solution)
+def test_criterion_9_rank_argument():
+    report_data = single_orbit_rank_argument(ALPHA)
     ok = (
         np.max(np.abs(report_data.vector_first - [0.2375, 0.0, 0.2375])) <= 5e-4
         and np.max(np.abs(report_data.vector_second - [0.2724, 0.0199, 0.0199])) <= 5e-4

@@ -352,6 +352,17 @@ def test_decompose_rejects_infeasible_weights():
         decompose_identity(bad)
 
 
+def test_decompose_accepts_zero_weights_and_rejects_negative_ones():
+    from povm_forge.caratheodory import InfeasibleError
+
+    ops = np.array([np.eye(2), np.diag([2.0, 0.0]), np.diag([0.0, 2.0])], dtype=complex)
+    decomposition = decompose_identity(NormalizedPovm(weights=np.array([0.0, 0.5, 0.5]), normalized_ops=ops))
+    assert all(nu[0] == 0.0 for nu in decomposition.solutions)
+    # these negative weights do reproduce the identity; only their sign is wrong
+    with pytest.raises(InfeasibleError, match="nonnegative"):
+        decompose_identity(NormalizedPovm(weights=np.array([1.5, -0.25, -0.25]), normalized_ops=ops))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("rank_one", [True, False], ids=["rank-one", "full-rank"])
 def test_prune_ascent_keeps_information_at_a_vertex(d, rank_one):

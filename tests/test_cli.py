@@ -408,11 +408,10 @@ def test_library_defaults_are_pinned():
     assert defaults == {
         "FiniteRep": ["generators"],
         "ValidationReport": ["violations"],
-        "generate_group": ["max_order", "dim"],
+        "generate_group": ["dim"],
         "prune_povm": ["rep", "real_mode"],
         "scan_surface": ["nx", "nb"],
-        "single_orbit_rank_argument": ["alpha", "solution"],
-        "validate_povm": ["allow_zero"],
+        "single_orbit_rank_argument": ["alpha"],
         "cli.problem_to_json": ["ensemble", "povm", "generators", "metadata"],
         "cli.main": ["argv"],
     }
@@ -462,6 +461,52 @@ def test_povm_at_the_sign_tolerance_exit_zero(tmp_path, capsys, command):
     extra = ["--out-dir", str(tmp_path / "out")] if command == "prune" else []
     assert main([command, path, *extra]) == 0
     assert capsys.readouterr().err == ""
+
+
+def zero_outcome_problems():
+    """Two POVMs with a zero outcome, each with a two-state ensemble: outcome 1 of
+    {diag(1, 0.3), 0, diag(0, 0.7)}, and outcome 0 of {diag(1.5e-12, -0.8e-12), I minus it},
+    whose max-norm is above ZERO_TOL but whose trace is not."""
+    ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
+    tiny = np.diag([1.5e-12, -0.8e-12])
+    return {
+        "zero": (ensemble, Povm([np.diag([1.0, 0.3]), np.zeros((2, 2)), np.diag([0.0, 0.7])]), 1),
+        "tiny-trace": (ensemble, Povm([tiny, np.eye(2) - tiny]), 0),
+    }
+
+
+def write_zero_outcome_problem(tmp_path, name):
+    ensemble, povm, zero = zero_outcome_problems()[name]
+    return write_problem(tmp_path, f"{name}.json", problem_to_json(2, ensemble=ensemble, povm=povm)), zero
+
+
+@pytest.mark.parametrize("name", ["zero", "tiny-trace"])
+@pytest.mark.parametrize("command", ["validate", "prune", "decompose"])
+def test_zero_outcome_exit_zero_on_every_command(tmp_path, capsys, name, command):
+    # a zero outcome is a legal POVM element, so no command rejects it
+    path, _ = write_zero_outcome_problem(tmp_path, name)
+    assert main([command, path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["zero", "tiny-trace"])
+def test_prune_writes_no_zero_operator(tmp_path, capsys, name):
+    path, _ = write_zero_outcome_problem(tmp_path, name)
+    assert main(["prune", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ops = np.array([matrix_from_json(m) for m in doc["povm"]])
+    assert np.all(np.max(np.abs(ops), axis=(1, 2)) > 1e-12)
+    assert doc["report"]["info_bits_after"] >= doc["report"]["info_bits_before"]
+
+
+@pytest.mark.parametrize("name", ["zero", "tiny-trace"])
+def test_decompose_puts_weight_zero_on_the_zero_outcome(tmp_path, capsys, name):
+    path, zero = write_zero_outcome_problem(tmp_path, name)
+    assert main(["decompose", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solutions"]
+    assert all(nu[zero] == 0.0 for nu in doc["solutions"])
+    assert all(zero not in support for support in doc["supports"])
 
 
 def test_prune_plain(tmp_path, capsys):

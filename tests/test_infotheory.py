@@ -32,6 +32,14 @@ def orthogonal_pair():
     )
 
 
+def test_zero_outcome_changes_no_bit_of_the_information():
+    # six joint entries with the zero column, so numpy adds the extra 0 in order and no bit moves
+    s = orthogonal_pair()
+    with_zero = Povm([np.diag([1.0, 0.3]), np.zeros((2, 2)), np.diag([0.0, 0.7])])
+    without = Povm([np.diag([1.0, 0.3]), np.diag([0.0, 0.7])])
+    assert mutual_information(s, with_zero) == mutual_information(s, without)
+
+
 def test_joint_projective():
     s = orthogonal_pair()
     p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

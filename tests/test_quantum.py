@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from povm_forge import (
-    DegenerateOperatorError,
     Ensemble,
     HermiticityError,
     NormalizedPovm,
@@ -59,10 +58,10 @@ def test_validate_povm_trine_orbit():
     assert validate_povm(trine_orbit_povm()).ok
 
 
-def test_validate_povm_rejects_zero_operator_unless_allowed():
-    p = Povm([np.eye(2), np.zeros((2, 2))])
-    assert not validate_povm(p).ok
-    assert validate_povm(p, allow_zero=True).ok
+def test_validate_povm_accepts_zero_operator():
+    # a zero outcome is a legal POVM element that never fires
+    report = validate_povm(Povm([np.eye(2), np.zeros((2, 2))]))
+    assert report.ok and report.violations == []
 
 
 def test_validate_ensemble_lifted_trines():
@@ -185,9 +184,12 @@ def test_normalize_trine_orbit():
         assert abs(np.trace(op).real - 3.0) < 1e-12
 
 
-def test_normalize_rejects_zero_trace():
-    with pytest.raises(DegenerateOperatorError):
-        normalize_povm(Povm([np.eye(2), np.zeros((2, 2))]))
+def test_normalize_gives_zero_operator_weight_zero():
+    n = normalize_povm(Povm([np.eye(2), np.zeros((2, 2))]))
+    # the zero operator's stand-in is the identity, so every normalized operator has trace d
+    assert n.weights.tolist() == [1.0, 0.0]
+    assert np.array_equal(n.normalized_ops, [np.eye(2), np.eye(2)])
+    assert np.trace(n.normalized_ops, axis1=1, axis2=2).tolist() == [2.0, 2.0]
 
 
 def test_pgm_orthogonal_states_is_projective():

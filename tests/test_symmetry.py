@@ -23,6 +23,7 @@ from povm_forge import (
     trine_rotation,
     validate_povm,
 )
+from povm_forge import symmetry
 from povm_forge.cli import load_problem
 from povm_forge.quantum import StructuralError
 from povm_forge.symmetry import MATCH_TOL, FiniteRep, _ElementTable
@@ -103,17 +104,19 @@ def test_non_unitary_generator_rejected():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "huge"])
-def test_non_finite_generator_rejected(bad):
+def test_non_finite_generator_rejected(bad, monkeypatch):
     # rejected before U^dagger U is formed, so numpy warns of no invalid value
     # or overflow; accepted, a NaN or Inf generator would send every product
-    # to one bucket and overflow max_order instead
+    # to one bucket and overflow MAX_ORDER instead
+    monkeypatch.setattr(symmetry, "MAX_ORDER", 16)
     with pytest.raises(UnitarityError):
-        generate_group([np.array([[bad, 0.0], [0.0, 1.0]])], max_order=16)
+        generate_group([np.array([[bad, 0.0], [0.0, 1.0]])])
 
 
-def test_infinite_group_overflows():
+def test_infinite_group_overflows(monkeypatch):
+    monkeypatch.setattr(symmetry, "MAX_ORDER", 64)
     with pytest.raises(GroupNotFiniteError):
-        generate_group([planar_rotation(1.0)], max_order=64)
+        generate_group([planar_rotation(1.0)])
 
 
 def test_symmetrize_trivial_group_keeps_povm():
@@ -485,10 +488,12 @@ def test_element_table_lookup_matches_linear_scan():
     assert {-1, 0, 1} == set(shifts)
 
 
-def test_max_order_equal_to_the_order_succeeds():
-    assert generate_group(clifford_generators(), max_order=192).order == 192
+def test_max_order_equal_to_the_order_succeeds(monkeypatch):
+    monkeypatch.setattr(symmetry, "MAX_ORDER", 192)
+    assert generate_group(clifford_generators()).order == 192
+    monkeypatch.setattr(symmetry, "MAX_ORDER", 191)
     with pytest.raises(GroupNotFiniteError):
-        generate_group(clifford_generators(), max_order=191)
+        generate_group(clifford_generators())
 
 
 def test_weyl_heisenberg_d11_closes():

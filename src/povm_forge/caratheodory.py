@@ -324,10 +324,19 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
     # The kept columns are independent at a vertex, so they fix their weights:
     # solving for them again puts back the mass the walk's ZERO_TOL floor dropped.
-    columns = design.matrix[:, kept]
-    nu[kept] = np.linalg.lstsq(columns, design.target, rcond=None)[0]
+    # A walk that ends on a degenerate vertex keeps a few weights near ZERO_TOL
+    # that the exact solve puts within ZERO_TOL of zero; those columns are
+    # dropped and the rest solved again, until no solved weight vanishes.
+    while True:
+        nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
+        vanishing = kept & (np.abs(nu) <= ZERO_TOL)
+        if not vanishing.any():
+            break
+        nu[vanishing] = 0.0
+        kept &= ~vanishing
     if np.any(nu[kept] <= 0):
         raise InternalLogicError("a re-solved vertex weight is not positive")
+    columns = design.matrix[:, kept]
     residual = np.max(np.abs(columns @ nu[kept] - design.target))
     if residual > HERM_TOL:
         raise InternalLogicError(f"the re-solved weights do not reproduce the identity: residual {residual:.3e}")

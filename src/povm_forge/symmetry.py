@@ -101,8 +101,14 @@ def _conjugates(ops, units: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _projection_weights(dim: int) -> np.ndarray:
-    """Fixed generic weights in [1, 2) over the 2 d^2 real entries, scaled to sum to 1."""
-    weights = np.random.default_rng(dim).uniform(1.0, 2.0, 2 * dim * dim)
+    """Fixed generic weights 1 + frac(sqrt(k + 1/2)), k = 1 .. 2 d^2, over the real entries, scaled to sum to 1.
+
+    Square roots keep integer relations among the weights rare, so matrices
+    with structured entries still spread over the buckets.  The golden-ratio
+    sequence 1 + frac(k phi) would not: its weights satisfy w_j + w_k - w_(j+k)
+    in {1, 2}, and it puts the 192 single-qubit Clifford elements in 90 buckets.
+    """
+    weights = 1.0 + np.mod(np.sqrt(np.arange(1, 2 * dim * dim + 1) + 0.5), 1.0)
     weights /= weights.sum()
     weights.flags.writeable = False
     return weights

@@ -141,7 +141,10 @@ def orbit_info(alpha: float, a: float, b: float) -> float:
 class SurfaceScan:
     """Grid of orbit informations over x in [0, 1] and b in [0, 2 pi / 3].
 
-    ``info`` and ``dinfo_db`` are (len(x), len(b)) arrays, x-major.
+    ``info`` and ``dinfo_db`` are (len(x), len(b)) arrays, x-major.  The
+    reflection I(x, b) = I(x, 2 pi / 3 - b) holds exactly on the grid: every
+    ``info`` row equals its mirror image and every ``dinfo_db`` row equals
+    minus its mirror image.
     """
 
     alpha: float
@@ -155,19 +158,27 @@ def scan_surface(alpha: float, nx: int = 200, nb: int = 200) -> SurfaceScan:
     """Evaluate the orbit information on a uniform (x, b) grid.
 
     The numerical b-derivative is included so slices of the surface can be
-    replotted directly.  The grid is evaluated in blocks of 20 x rows, one
-    closed-form call per block, which keeps the temporaries to a few hundred
-    KB at the default size.
+    replotted directly.  The trine reflection sends b to 2 pi / 3 - b and
+    permutes the three overlaps, so I(x, b) = I(x, 2 pi / 3 - b): only the
+    first ceil(nb / 2) azimuths are evaluated, in blocks of 20 x rows (one
+    closed-form call per block keeps the temporaries to a few hundred KB at
+    the default size), and the rest of each row is their mirror image.  The
+    b-derivative takes central differences at the uniform step
+    2 pi / (3 (nb - 1)), so it is exactly antisymmetric.
     """
     if nx < 2 or nb < 2:
         raise ValueError("grid needs at least 2 points per axis")
     xs = np.linspace(0.0, 1.0, nx)
     bs = np.linspace(0.0, B_PERIOD, nb)
     a = np.arccos(np.sqrt(xs))
+    half = (nb + 1) // 2
     info = np.empty((nx, nb))
     for i in range(0, nx, 20):
-        info[i : i + 20] = _orbit_info_values(alpha, a[i : i + 20, None], bs)
-    dinfo_db = np.gradient(info, bs, axis=1)
+        info[i : i + 20, :half] = _orbit_info_values(alpha, a[i : i + 20, None], bs[:half])
+    info[:, half:] = info[:, nb - half - 1 :: -1]
+    # A scalar step keeps np.gradient on its uniform branch; the array bs would
+    # take the non-uniform one whenever its steps are not bit-equal.
+    dinfo_db = np.gradient(info, B_PERIOD / (nb - 1), axis=1)
     return SurfaceScan(alpha=alpha, x=xs, b=bs, info=info, dinfo_db=dinfo_db)
 
 

@@ -33,6 +33,7 @@ import povm_forge
 from povm_forge import caratheodory
 from povm_forge.caratheodory import InternalLogicError, NormalizationError, score_leaves
 from povm_forge.cli import load_problem
+from povm_forge.hermitian import HERM_TOL
 from povm_forge.infotheory import _formal_information, joint_distribution
 from povm_forge.symmetry import NotSymmetricError
 from helpers import (
@@ -597,6 +598,33 @@ def test_pruned_povm_sums_to_the_identity_to_rounding():
         pruned = prune_povm(s, p, rep)
         assert np.max(np.abs(pruned.operators.sum(axis=0) - np.eye(pruned.dim))) <= 1e-14
         assert abs(pruned.info_bits - mutual_information(s, pruned)) <= 1e-13
+
+
+def rounded_problem(rng, d: int, outcomes: int, decimals: int) -> tuple[Ensemble, Povm]:
+    """Three rank-2 states with Dirichlet priors and a full-rank POVM S^-1/2 A_j S^-1/2,
+    written to ``decimals`` places as a problem file would be."""
+    g = rng.normal(size=(3, d, 2)) + 1j * rng.normal(size=(3, d, 2))
+    states = g @ g.conj().swapaxes(1, 2)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    priors = rng.dirichlet(np.ones(3))
+    g = rng.normal(size=(outcomes, d, d)) + 1j * rng.normal(size=(outcomes, d, d))
+    raw = g @ g.conj().swapaxes(1, 2)
+    w, v = np.linalg.eigh(raw.sum(axis=0))
+    n_half = (v / np.sqrt(w)) @ v.conj().T
+    ops = np.round(n_half @ raw @ n_half, decimals)
+    return Ensemble(list(states), priors), Povm(list((ops + ops.conj().swapaxes(1, 2)) / 2))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_prune_rounded_povms(d):
+    # 12 decimals leave the walk on a degenerate vertex with a few weights near
+    # ZERO_TOL, which the exact re-solve puts at about -1e-16
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        s, p = rounded_problem(rng, d, 2 * d, 12)
+        pruned = prune_povm(s, p)
+        assert pruned.info_bits >= mutual_information(s, p)
+        assert np.max(np.abs(pruned.operators.sum(axis=0) - np.eye(d))) <= HERM_TOL
 
 
 def test_prune_rejects_a_non_positive_re_solved_weight(monkeypatch):

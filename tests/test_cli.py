@@ -22,6 +22,7 @@ import povm_forge
 from povm_forge import caratheodory, infotheory
 from povm_forge.cli import (
     ProblemFileError,
+    _mirror_signs,
     _write_surface_csv,
     build_parser,
     load_problem,
@@ -288,10 +289,38 @@ def per_row_surface_csv(scan) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("kind", ["scan", "edge-values"])
+def mirror_rows_scan(nb: int) -> SurfaceScan:
+    """Rows that are mirrored, antisymmetric, either of the two but for the
+    sign of one zero, and neither; an odd centre entry is not mirrored."""
+    left = np.array([0.0, 0.1 + 0.2, -2.5, 5e-324, -1e16])
+    flipped = np.array([-0.0, 0.1 + 0.2, -2.5, 5e-324, -1e16])
+    centre = [-0.75] * (nb - 2 * left.size)
+    rows = np.array([
+        np.concatenate([left, centre, left[::-1]]),
+        np.concatenate([left, centre, -left[::-1]]),
+        np.concatenate([left, centre, flipped[::-1]]),
+        np.concatenate([left, centre, -flipped[::-1]]),
+        np.concatenate([left, centre, left[::-1] + 1.0]),
+    ])
+    return SurfaceScan(
+        alpha=0.05,
+        x=np.linspace(0.0, 1.0, len(rows)),
+        b=np.linspace(0.0, 2.0 * np.pi / 3.0, nb),
+        info=rows,
+        dinfo_db=-rows[::-1],
+    )
+
+
+@pytest.mark.parametrize("kind", ["scan", "scan-even", "mirror-rows", "mirror-rows-odd", "edge-values"])
 def test_surface_csv_matches_per_row_repr(tmp_path, kind):
     if kind == "scan":
         scan = scan_surface(0.05, nx=7, nb=5)
+    elif kind == "scan-even":
+        scan = scan_surface(0.3, nx=9, nb=8)
+    elif kind.startswith("mirror-rows"):
+        scan = mirror_rows_scan(11 if kind.endswith("odd") else 10)
+        assert _mirror_signs(scan.info) == [1, -1, 0, 0, 0]
+        assert _mirror_signs(scan.dinfo_db) == [0, 0, 0, -1, 1]
     else:
         # values whose shortest repr needs a sign, an exponent or 17 digits
         scan = SurfaceScan(
@@ -677,3 +706,17 @@ def test_repeated_main_calls_match_separate_processes(capsys, monkeypatch):
             [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=child_env()
         )
         assert (code, captured.out, captured.err) == (separate.returncode, separate.stdout, separate.stderr)
+
+
+@pytest.mark.parametrize("argv", [["prune", fixture("four_projectors_d2.json")],
+                                  ["prune", fixture("lifted_trines_0.05.json"), "--real"],
+                                  ["bound", fixture("s3_irrep_2d.json")]],
+                         ids=["prune", "prune-group", "bound"])
+def test_commands_do_not_import_numpy_random(argv):
+    # group closure buckets by fixed weights, not by a seeded draw
+    child = (
+        "import sys; from povm_forge.cli import main; code = main(sys.argv[1:]); "
+        "sys.exit(10 if 'numpy.random' in sys.modules else code)"
+    )
+    result = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr

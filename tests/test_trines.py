@@ -130,10 +130,25 @@ def test_scan_surface_periodic_and_pointwise():
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5])
 def test_scan_surface_blocks_equal_rows(alpha):
-    # 37 rows is not a multiple of the block size
-    scan = scan_surface(alpha, nx=37, nb=41)
-    rows = np.array([_orbit_info_values(alpha, a, scan.b) for a in np.arccos(np.sqrt(scan.x))])
-    assert np.array_equal(scan.info, rows)
+    # 37 rows is not a multiple of the block size; the first ceil(nb / 2)
+    # azimuths are evaluated and the rest is their mirror image
+    for nb in (40, 41):
+        scan = scan_surface(alpha, nx=37, nb=nb)
+        half = (nb + 1) // 2
+        rows = np.array([_orbit_info_values(alpha, a, scan.b[:half]) for a in np.arccos(np.sqrt(scan.x))])
+        assert np.array_equal(scan.info[:, :half], rows)
+        assert np.array_equal(scan.info[:, half:], rows[:, nb - half - 1 :: -1])
+
+
+@pytest.mark.parametrize("nb", [2, 3, 40, 41])
+def test_scan_surface_reflection_is_exact(nb):
+    scan = scan_surface(0.05, nx=23, nb=nb)
+    assert np.array_equal(scan.info[:, ::-1], scan.info)
+    assert np.array_equal(scan.dinfo_db[:, ::-1], -scan.dinfo_db)
+    # the uniform-step central difference of the mirrored rows
+    step = B_PERIOD / (nb - 1)
+    if nb > 2:
+        assert np.array_equal(scan.dinfo_db[:, 1:-1], (scan.info[:, 2:] - scan.info[:, :-2]) / (2.0 * step))
 
 
 def test_scan_surface_double_trines_plane_slice_peaks_at_zero():

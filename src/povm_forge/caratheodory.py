@@ -33,6 +33,18 @@ the two log2|G| terms of the symmetrized leaf cancel.  The walk then ends on
 at most dim-of-commutant orbits.  Plain pruning is the trivial group: every
 orbit sum is its piece, the commutant is every Hermitian matrix, and the bound
 is d^2.
+
+Two thresholds decide what is zero.  ``ZERO_TOL`` is rounding: a weight at or
+below it, left by a subtraction, is zero in the walk and in the chain.
+``HERM_TOL`` is what ``validate_povm`` cannot tell from zero, and only
+``prune_povm`` uses it for weights: the walk keeps such pieces, since
+dropping them first loses more than ``HERM_TOL`` bit on rounded inputs, and
+the exact re-solve after the walk drops a piece whose walk weight was at or
+below ``HERM_TOL`` once it puts it at or below ``ZERO_TOL``; any other
+re-solved weight must be above -``ZERO_TOL``.  The chain needs no such rule:
+it scores leaves on the given operators, and a remainder whose
+renormalization magnifies rounding beyond ``FEASIBLE_TOL`` goes to the leaf
+it was peeled from.
 """
 
 from __future__ import annotations
@@ -213,7 +225,10 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     dimension drops every time and at most support - rank(D) + 1 leaves come
     out.  Each leaf uses at most rank(D) of the given operators; rank(D) is at
     most r + 1 when the operators live in an r-dimensional affine slice.
-    Every leaf is checked to reproduce the identity within ``FEASIBLE_TOL``.
+    A remainder that renormalizing takes off the identity by more than
+    ``FEASIBLE_TOL`` (its mass is then tiny) is not split: the leaf it was
+    peeled from takes its mass.  Every leaf is checked to reproduce the
+    identity within ``FEASIBLE_TOL``.
     """
     design = build_design_matrix(normalized.normalized_ops)
     rest = _feasible_start(design, normalized.weights)
@@ -229,6 +244,14 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
         hit = int(np.argmin(ratios))
         # Without a step the remainder is itself a vertex.
         t = min(ratios[hit], 1.0) if steps else 1.0
+        if t < 1.0:
+            left = rest - t * vertex
+            left[inside[hit]] = 0.0
+            left[left <= ZERO_TOL] = 0.0
+            left /= left.sum()
+            # Renormalizing a remainder of tiny mass magnifies its rounding.
+            if np.max(np.abs(design.matrix @ left - design.target)) > FEASIBLE_TOL:
+                t = 1.0
         weights.append(mass * t)
         solutions.append(vertex)
         if t == 1.0:
@@ -236,10 +259,7 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
             if residual > FEASIBLE_TOL:
                 raise InternalLogicError(f"a leaf does not reproduce the identity: residual {residual:.3e}")
             return IdentityDecomposition(weights=np.array(weights), solutions=solutions, design=design)
-        rest = rest - t * vertex
-        rest[inside[hit]] = 0.0
-        rest[rest <= ZERO_TOL] = 0.0
-        rest /= rest.sum()
+        rest = left
         mass *= 1.0 - t
     raise InternalLogicError(f"Caratheodory chain exceeded {max_leaves} leaves")
 
@@ -259,9 +279,16 @@ def split_rank_one(p: Povm) -> Povm:
     return Povm(pieces[w > ZERO_TOL])
 
 
-def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, ops) -> list[float]:
-    """Mutual information of every leaf; leaf nu is the POVM {nu_j ops[j]} over its support."""
-    joint = joint_distribution(s, ops)
+def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, p: Povm) -> list[float]:
+    """Mutual information of every leaf of ``decompose_identity(normalize_povm(p))``.
+
+    Leaf nu is the POVM {nu_j Pi'_j} = {(nu_j / w_j) Pi_j} over its support.
+    The joint matrix is taken of the given operators Pi_j, whose sign
+    ``joint_distribution`` checks, and then scaled per column: a tolerated
+    negative eigenvalue of Pi_j is never divided by a small trace first.
+    """
+    w = normalize_povm(p).weights
+    joint = joint_distribution(s, p) * np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
     return [_formal_information(joint * nu, s.priors) for nu in decomposition.solutions]
 
 
@@ -324,12 +351,15 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
         raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
     # The kept columns are independent at a vertex, so they fix their weights:
     # solving for them again puts back the mass the walk's ZERO_TOL floor dropped.
-    # A walk that ends on a degenerate vertex keeps a few weights near ZERO_TOL
-    # that the exact solve puts within ZERO_TOL of zero; those columns are
-    # dropped and the rest solved again, until no solved weight vanishes.
+    # A walk that ends on a degenerate vertex keeps a few weights that the exact
+    # solve puts within ZERO_TOL of zero; a walk weight at or below HERM_TOL (a
+    # piece validate_povm cannot tell from zero) may be put anywhere below
+    # that.  Those columns are dropped and the rest solved again, until
+    # none is left.
+    tiny = nu <= HERM_TOL
     while True:
         nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
-        vanishing = kept & (np.abs(nu) <= ZERO_TOL)
+        vanishing = kept & (nu <= ZERO_TOL) & (tiny | (nu >= -ZERO_TOL))
         if not vanishing.any():
             break
         nu[vanishing] = 0.0

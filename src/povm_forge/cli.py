@@ -42,11 +42,9 @@ from .symmetry import (
     real_orbit_bound,
 )
 from .trines import (
-    HESSIAN_STEP,
     double_trines,
     double_trines_closed_form,
     hessian_at,
-    optimize_single_orbit,
     optimize_two_orbits,
     orbit_info,
     scan_surface,
@@ -313,11 +311,10 @@ def _orbit_optimum(args, out_dir: str, alpha: float, *, head: dict, tail: dict) 
     """
     scan = scan_surface(alpha, nx=args.nx, nb=args.nb)
     _write_surface_csv(os.path.join(out_dir, "surface.csv"), scan)
-    b_star, single_info = optimize_single_orbit(alpha)
     two = optimize_two_orbits(alpha)
     optimum = {
         **head,
-        "single_orbit": {"b": b_star, "info_bits": single_info},
+        "single_orbit": {"b": two.single_b, "info_bits": two.single_info},
         "two_orbit": {
             "first": {"a": two.first.a, "b": two.first.b, "x": two.first.x},
             "second": {"a": two.second.a, "b": two.second.b, "x": two.second.x},
@@ -367,7 +364,6 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
     _write_json(out_dir, "pgm.json", {**problem_to_json(projected.dim, povm=pgm), "info_bits": pgm_info})
     _write_json(out_dir, "hessian.json", {
         "at": {"x": 1.0 / 3.0, "b": 0.0},
-        "step": HESSIAN_STEP,
         "matrix": [list(map(float, row)) for row in hessian],
         "eigenvalues": eigenvalues,
         "closed_form_diagonal": closed_hessian,
@@ -378,8 +374,8 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
         ("single_orbit_b", single["b"], 0.0, 1e-6),
         ("single_orbit_info", single["info_bits"], closed, 1e-9),
         ("pgm_info", pgm_info, closed, 1e-6),
-        ("hessian_xx", hessian[0, 0], closed_hessian[0], 1e-2),
-        ("hessian_bb", hessian[1, 1], closed_hessian[1], 1e-2),
+        ("hessian_xx", hessian[0, 0], closed_hessian[0], 1e-12),
+        ("hessian_bb", hessian[1, 1], closed_hessian[1], 1e-12),
     ]
     checks, all_ok = _report_checks(rows)
     negative_definite = eigenvalues[-1] < 0
@@ -423,15 +419,14 @@ def cmd_decompose(args) -> int:
     validate_povm(problem.povm).require("POVM")
     if problem.ensemble is not None:
         validate_ensemble(problem.ensemble).require("ensemble")
-    normalized = normalize_povm(problem.povm)
-    decomposition = decompose_identity(normalized)
+    decomposition = decompose_identity(normalize_povm(problem.povm))
     doc = {
         "weights": [float(w) for w in decomposition.weights],
         "supports": [[int(j) for j in sup] for sup in decomposition.supports()],
         "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
     }
     if problem.ensemble is not None:
-        infos = score_leaves(problem.ensemble, decomposition, normalized.normalized_ops)
+        infos = score_leaves(problem.ensemble, decomposition, problem.povm)
         doc["leaf_info_bits"] = infos
         doc["best_leaf"] = int(np.argmax(infos))
     print(json.dumps(doc, indent=2))

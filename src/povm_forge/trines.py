@@ -15,7 +15,8 @@ b-derivatives of the information.
 Every value comes from one closed form: the rotation permutes the trine
 states cyclically, so an orbit's joint matrix is circulant with entries
 q_k / 3, q_k = <psi|s_k>^2, and I = log2 3 + sum_k q_k log2 q_k - Q log2 Q
-with Q = sum_k q_k.
+with Q = sum_k q_k.  The b-derivatives of the azimuth search and the Hessian
+in (x, b) are that formula differentiated by the chain rule.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .quantum import Ensemble
 from .symmetry import FiniteRep, generate_group
 
 B_PERIOD = 2.0 * math.pi / 3.0
-# Finite-difference step of hessian_at in both x and b.
-HESSIAN_STEP = 1e-4
 # Azimuths of the three trine states within their plane.
 _PHASES = B_PERIOD * np.arange(3)
 # Azimuth search: coarse seeds per x, then Newton steps until a step is at most _B_XTOL.
@@ -62,12 +61,18 @@ class OrbitParams:
 
 @dataclass(frozen=True)
 class TwoOrbitSolution:
-    """Best found mixture of two orbits straddling the plane x = 1/3."""
+    """Best found mixture of two orbits straddling the plane x = 1/3.
+
+    ``single_b`` and ``single_info`` are the single complete orbit of
+    ``optimize_single_orbit``, the mixture's lam = 1 candidate.
+    """
 
     first: OrbitParams
     second: OrbitParams
     lam: float
     info_bits: float
+    single_b: float
+    single_info: float
 
 
 def trine_rotation() -> np.ndarray:
@@ -274,7 +279,10 @@ def optimize_two_orbits(alpha: float) -> TwoOrbitSolution:
     third = 1.0 / 3.0
     b_single, single_info = optimize_single_orbit(alpha)
     single = OrbitParams(a=math.acos(math.sqrt(third)), b=b_single)
-    best = TwoOrbitSolution(first=single, second=single, lam=1.0, info_bits=single_info)
+    best = TwoOrbitSolution(
+        first=single, second=single, lam=1.0, info_bits=single_info,
+        single_b=b_single, single_info=single_info,
+    )
     xs1 = np.linspace(0.0, third, _START_GRID[0])
     xs2 = np.linspace(third, 1.0, _START_GRID[1])
     while True:
@@ -297,6 +305,8 @@ def optimize_two_orbits(alpha: float) -> TwoOrbitSolution:
                 second=OrbitParams(a=math.acos(math.sqrt(xs2[j])), b=float(b2[j])),
                 lam=float(lam[i, j]),
                 info_bits=float(chords[i, j]),
+                single_b=b_single,
+                single_info=single_info,
             )
         if max(xs1[-1] - xs1[0], xs2[-1] - xs2[0]) < _X_SPAN:
             return best
@@ -348,19 +358,44 @@ def double_trines_closed_form() -> float:
 
 
 def hessian_at(alpha: float, x: float, b: float) -> np.ndarray:
-    """Central finite-difference Hessian of I(arccos sqrt(x), b) at (x, b), with step ``HESSIAN_STEP`` in both."""
-    h = HESSIAN_STEP
+    """Hessian of I(arccos sqrt(x), b) in (x, b), by the chain rule on the closed form.
 
-    def f(xv: float, bv: float) -> float:
-        return orbit_info(alpha, math.acos(math.sqrt(min(max(xv, 0.0), 1.0))), bv)
-
-    f0 = f(x, b)
-    dxx = (f(x + h, b) - 2.0 * f0 + f(x - h, b)) / (h * h)
-    dbb = (f(x, b + h) - 2.0 * f0 + f(x, b - h)) / (h * h)
-    dxb = (f(x + h, b + h) - f(x + h, b - h) - f(x - h, b + h) + f(x - h, b - h)) / (
-        4.0 * h * h
-    )
-    return np.array([[dxx, dxb], [dxb, dbb]])
+    With r_k = sqrt(alpha x) + sqrt((1 - alpha)(1 - x)) cos(b - 2 pi k / 3),
+    u_k = r_k^2 and Q = sum_k u_k = 3 alpha x + 3 (1 - alpha)(1 - x) / 2,
+    I = log2 3 + sum_k u_k log2 u_k - Q log2 Q.  Entry (i, j) is
+    sum_k 2 r_k,i r_k,j (log2 u_k + 3 / ln 2) + 2 r_k r_k,ij (log2 u_k + 1 / ln 2),
+    and the x-x entry also subtracts Q_x^2 / (Q ln 2): Q is linear in x and
+    does not depend on b.  A vanishing overlap r_k makes the entries it
+    enters with a nonzero derivative infinite (r log2 r^2 = 0 at r = 0).  The
+    x-derivatives of sqrt(x) and sqrt(1 - x) diverge at the ends, so x must
+    lie in (0, 1).
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"lift parameter must lie in [0, 1], got {alpha}")
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"x must lie in (0, 1), got {x}")
+    ln2 = math.log(2.0)
+    c, s = np.cos(b - _PHASES), np.sin(b - _PHASES)
+    # sqrt(alpha x) and sqrt((1 - alpha)(1 - x)) with their first and second x-derivatives.
+    up = math.sqrt(alpha * x)
+    up_x = 0.5 * math.sqrt(alpha / x)
+    up_xx = -0.5 * up_x / x
+    p = math.sqrt((1.0 - alpha) * (1.0 - x))
+    p_x = -0.5 * math.sqrt((1.0 - alpha) / (1.0 - x))
+    p_xx = 0.5 * p_x / (1.0 - x)
+    r = up + p * c
+    grad = np.stack([up_x + p_x * c, -p * s])
+    curv = np.array([[up_xx + p_xx * c, -p_x * s], [-p_x * s, -p * c]])
+    outer = grad[:, None] * grad[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_u = np.log2(r * r)
+        terms = 2.0 * np.where(outer == 0.0, 0.0, outer * (log_u + 3.0 / ln2)) + 2.0 * np.where(
+            r == 0.0, 0.0, r * curv * (log_u + 1.0 / ln2)
+        )
+    hessian = terms.sum(axis=-1)
+    q = 3.0 * alpha * x + 1.5 * (1.0 - alpha) * (1.0 - x)
+    hessian[0, 0] -= (3.0 * alpha - 1.5 * (1.0 - alpha)) ** 2 / (q * ln2)
+    return hessian
 
 
 @dataclass(frozen=True, eq=False)

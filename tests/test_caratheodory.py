@@ -33,9 +33,10 @@ import povm_forge
 from povm_forge import caratheodory
 from povm_forge.caratheodory import InternalLogicError, NormalizationError, score_leaves
 from povm_forge.cli import load_problem
-from povm_forge.hermitian import HERM_TOL
+from povm_forge.hermitian import HERM_TOL, ZERO_TOL
 from povm_forge.infotheory import _formal_information, joint_distribution
 from povm_forge.symmetry import NotSymmetricError
+from test_commands_agree import tiny_operator_completed
 from helpers import (
     orbit_ensemble,
     random_ensemble,
@@ -516,11 +517,48 @@ def test_score_leaves_equals_information_of_leaf_povms():
     for s, p in decompose_cases():
         normalized = normalize_povm(p)
         decomposition = decompose_identity(normalized)
-        scores = score_leaves(s, decomposition, normalized.normalized_ops)
+        scores = score_leaves(s, decomposition, p)
         expected = leaf_povm_informations(s, decomposition, normalized.normalized_ops)
         assert len(scores) == len(expected) == len(decomposition)
         assert np.max(np.abs(np.subtract(scores, expected))) <= 1e-12
         assert int(np.argmax(scores)) == int(np.argmax(expected))
+
+
+QUBIT_BASIS = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
+
+
+def test_decompose_keeps_many_operators_that_validate_cannot_tell_from_zero():
+    # eleven operators of weight 1e-9: leaving them all out would take the
+    # weights 1.1e-8 off summing to one, beyond FEASIBLE_TOL
+    n = 11
+    p = Povm([1e-9 * np.eye(2)] * n + [(1 - n * 1e-9) * np.diag([1.0, 0.0]), (1 - n * 1e-9) * np.diag([0.0, 1.0])])
+    normalized = normalize_povm(p)
+    decomposition = decompose_identity(normalized)
+    mixture = np.dot(decomposition.weights, decomposition.solutions)
+    assert np.max(np.abs(mixture - normalized.weights)) <= ZERO_TOL
+
+
+def test_decompose_gives_a_remainder_lost_to_rounding_to_its_leaf():
+    # diag(2e-10, 1e-11) and four rank-one operators completing it: the first
+    # peel leaves a remainder of tiny mass, which renormalizing would take off
+    # the identity by more than FEASIBLE_TOL
+    _, ops = next(tiny_operator_completed(2e-10, 1))
+    normalized = normalize_povm(Povm(ops))
+    decomposition = decompose_identity(normalized)
+    assert abs(decomposition.weights.sum() - 1.0) <= ZERO_TOL
+    mixture = np.dot(decomposition.weights, decomposition.solutions)
+    assert np.max(np.abs(mixture - normalized.weights)) <= caratheodory.FEASIBLE_TOL
+
+
+def test_score_leaves_checks_signs_on_the_given_operators():
+    # normalizing would scale the tolerated -9e-10 that state |1> sees by 2 / tr(tiny), about 2e6
+    tiny = np.diag([1e-6 - 9e-10, -9e-10])
+    p = Povm([tiny, np.eye(2) - tiny])
+    decomposition = decompose_identity(normalize_povm(p))
+    scores = score_leaves(QUBIT_BASIS, decomposition, p)
+    # the one leaf is p itself; mutual_information takes the row sums, which the
+    # clipped -4.5e-10 entry moves, where score_leaves takes the priors
+    assert len(scores) == 1 and abs(scores[0] - mutual_information(QUBIT_BASIS, p)) <= HERM_TOL
 
 
 def test_decompose_rejects_a_leaf_off_the_identity(monkeypatch):

@@ -19,7 +19,7 @@ from povm_forge import (
     trine_rotation,
 )
 import povm_forge
-from povm_forge import caratheodory, infotheory
+from povm_forge import caratheodory, infotheory, trines
 from povm_forge.cli import (
     ProblemFileError,
     _mirror_signs,
@@ -271,6 +271,31 @@ def test_experiment_double_trines(tmp_path, capsys):
     assert abs(pgm["info_bits"] - 1.369) <= 1e-3
     hessian = json.loads((tmp_path / "hessian.json").read_text())
     assert hessian["eigenvalues"][1] < 0
+
+
+def test_hessian_json_is_the_closed_form(tmp_path, capsys):
+    # no finite-difference step to report; the diagonal is the paper's to rounding
+    argv = ["experiment", "double-trines", "--out-dir", str(tmp_path), "--nx", "4", "--nb", "4"]
+    assert main(argv) == 0
+    hessian = json.loads((tmp_path / "hessian.json").read_text())
+    assert set(hessian) == {"at", "matrix", "eigenvalues", "closed_form_diagonal"}
+    assert np.max(np.abs(np.diag(hessian["matrix"]) - hessian["closed_form_diagonal"])) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["lifted-trines", "double-trines"])
+def test_experiment_runs_the_single_orbit_search_once(tmp_path, capsys, monkeypatch, name):
+    calls = []
+    search = trines.optimize_single_orbit
+
+    def counted(alpha):
+        calls.append(alpha)
+        return search(alpha)
+
+    # the search may be reached through trines or through a name cli imported
+    monkeypatch.setattr(trines, "optimize_single_orbit", counted)
+    monkeypatch.setattr(cli, "optimize_single_orbit", counted, raising=False)
+    assert main(["experiment", name, "--out-dir", str(tmp_path), "--nx", "4", "--nb", "4"]) == 0
+    assert len(calls) == 1
 
 
 def test_surface_csv_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,12 @@ def test_optimize_two_orbits_returns_single_orbit_when_it_wins(alpha):
     assert two.info_bits == single
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_optimize_two_orbits_carries_the_single_orbit(alpha):
+    two = optimize_two_orbits(alpha)
+    assert (two.single_b, two.single_info) == optimize_single_orbit(alpha)
+
+
 def test_optimize_two_orbits_never_below_single_orbit():
     two = optimize_two_orbits(0.5)
     assert two.info_bits >= optimize_single_orbit(0.5)[1]
@@ -388,9 +395,9 @@ def test_hessian_at_double_trines_optimum():
     gamma = math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
     dxx = (81.0 - 27.0 * math.sqrt(2.0) * gamma) / (16.0 * math.log(2.0))
     dbb = (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0))
-    assert abs(h[0, 0] - dxx) <= 1e-2
-    assert abs(h[1, 1] - dbb) <= 1e-2
-    assert abs(h[0, 1]) <= 1e-2
+    assert abs(h[0, 0] - dxx) <= 1e-12
+    assert abs(h[1, 1] - dbb) <= 1e-12
+    assert abs(h[0, 1]) <= 1e-12
     assert h[0, 1] == h[1, 0]
     assert np.all(np.linalg.eigvalsh(h) < 0)
 
@@ -400,7 +407,48 @@ def test_b_curvature_at_double_trines_optimum_is_closed_form():
     gamma = math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
     dbb = (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0))
     assert abs(_b_slopes(0.5, NU, 0.0)[1] - dbb) <= 1e-9
-    assert abs(hessian_at(0.5, 1.0 / 3.0, 0.0)[1, 1] - dbb) <= 1e-5
+    assert abs(hessian_at(0.5, 1.0 / 3.0, 0.0)[1, 1] - dbb) <= 1e-12
+
+
+HESSIAN_POINTS = [(0.0, 0.2, 0.4), (0.05, 1.0 / 3.0, 0.1377), (0.05, 0.3831, 0.0), (0.3, 0.7, 1.9), (0.5, 0.6, 2.5), (0.9, 0.1, 0.8)]
+
+
+@pytest.mark.parametrize("alpha, x, b", HESSIAN_POINTS + [(1.0, 0.4, 0.3)])
+def test_hessian_bb_is_the_b_slopes_curvature(alpha, x, b):
+    h = hessian_at(alpha, x, b)
+    assert abs(h[1, 1] - _b_slopes(alpha, math.acos(math.sqrt(x)), b)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, x, b", HESSIAN_POINTS)
+def test_hessian_matches_central_differences(alpha, x, b):
+    # step 1e-4 leaves a truncation error of step^2 times the fourth derivatives, which grow near x = 0
+    step = 1e-4
+
+    def f(xv, bv):
+        return orbit_info(alpha, math.acos(math.sqrt(xv)), bv)
+
+    dxx = (f(x + step, b) - 2.0 * f(x, b) + f(x - step, b)) / step**2
+    dbb = (f(x, b + step) - 2.0 * f(x, b) + f(x, b - step)) / step**2
+    dxb = (f(x + step, b + step) - f(x + step, b - step) - f(x - step, b + step) + f(x - step, b - step)) / (4.0 * step**2)
+    h = hessian_at(alpha, x, b)
+    np.testing.assert_allclose(h, [[dxx, dxb], [dxb, dbb]], rtol=1e-4, atol=1e-5)
+    assert h[0, 1] == h[1, 0]
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, -0.1, 1.1])
+def test_hessian_rejects_x_at_or_beyond_the_ends(x):
+    # the x-derivatives of sqrt(x) and sqrt(1 - x) diverge there
+    with pytest.raises(ValueError, match="x must lie in"):
+        hessian_at(0.5, x, 0.0)
+
+
+def test_hessian_vanishing_overlap_is_minus_infinity():
+    # b = pi/3 at alpha = 1/4, x = 3/4 makes r_2 exactly 0, as in _b_slopes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hessian_at(0.25, 0.75, math.pi / 3)
+        curvature = _b_slopes(0.25, math.acos(math.sqrt(0.75)), math.pi / 3)[1]
+    assert h[0, 0] == h[1, 1] == curvature == -math.inf
 
 
 def test_rank_argument_slightly_lifted():

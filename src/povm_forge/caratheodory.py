@@ -15,24 +15,30 @@ columns, so its cost does not grow with the number of operators.
 The face dimension drops with every peel, so a support of n operators yields
 at most n - rank(D) + 1 leaves.
 
-Pruning needs no decomposition.  With the ensemble fixed, the joint
-distribution of the leaf {nu_j Pi'_j} is linear in nu, so its mutual
-information is convex in nu and largest at an end of every segment (the
-extreme-point argument of Davies, IEEE Trans. Inf. Theory 24, 596, 1978).
-Prune therefore returns the end of one information-ascent walk: the same
-null-line walk, moving at each step to the more informative end of the line,
-never loses information and reaches a vertex in at most n - rank(D) steps.
+Pruning needs no decomposition.  Every leaf, walked or peeled, is scored
+the same way: a leaf {nu_j Pi'_j} sums to the identity, so its rows sum to
+the priors, and its information is the formal information of J nu, where
+J[i, j] = p(i) tr(rho_i Pi'_j) is one m x n joint matrix.  With the ensemble
+fixed that information is linear in nu: the nu_j log2 nu_j terms of each
+column cancel, so I(J nu) = g . nu - sum_i h(p_i) with h(u) = u log2 u and
+the slope g_j = sum_i h(J_ij) - h(sum_i J_ij).  On the polytope g . nu is
+sum_j nu_j f(Pi'_j) + sum_i h(p_i), where f(Pi) = sum_i p_i tr(rho_i Pi)
+log2(tr rho_i Pi / tr rho Pi) is the information one outcome carries.  So
+the information is largest at an end of every segment (the extreme-point
+argument of Davies, IEEE Trans. Inf. Theory 24, 596, 1978), and prune
+returns the end of one information-ascent walk: the same null-line walk,
+turned at each step towards the end where g rises (forward on a tie), never
+loses information and reaches a vertex in at most n - rank(D) steps.  The
+slope is computed once per prune, each step computes one line end, and
+every leaf is scored by one product with it.
 
-Every leaf, walked or peeled, is scored the same way: a leaf sums to the
-identity, so its rows sum to the priors, and its information is the formal
-information of J nu, where J[i, j] = p(i) tr(rho_i Pi'_j) is one m x n joint
-matrix.  Under a symmetry group the walk runs over orbit sums on that same
-matrix: conjugation by g permutes the states and keeps the priors, so the
-column of g Pi'_j g^dagger / |G| is column j permuted and divided by |G|, and
-the two log2|G| terms of the symmetrized leaf cancel.  The walk then ends on
-at most dim-of-commutant orbits.  Plain pruning is the trivial group: every
-orbit sum is its piece, the commutant is every Hermitian matrix, and the bound
-is d^2.
+Under a symmetry group the walk runs over orbit sums on that same matrix:
+conjugation by g permutes the states and keeps the priors, so the column of
+g Pi'_j g^dagger / |G| is column j permuted and divided by |G|, and the two
+log2|G| terms of the symmetrized leaf cancel.  The walk then ends on at most
+dim-of-commutant orbits.  Plain pruning is the trivial group: every orbit
+sum is its piece, the commutant is every Hermitian matrix, and the bound is
+d^2.
 
 Two thresholds decide what is zero.  ``ZERO_TOL`` is rounding: a weight at or
 below it, left by a subtraction, is zero in the walk and in the chain.
@@ -40,22 +46,23 @@ below it, left by a subtraction, is zero in the walk and in the chain.
 ``prune_povm`` uses it for weights: the walk keeps such pieces, since
 dropping them first loses more than ``HERM_TOL`` bit on rounded inputs, and
 the exact re-solve after the walk drops a piece whose walk weight was at or
-below ``HERM_TOL`` once it puts it at or below ``ZERO_TOL``; any other
-re-solved weight must be above -``ZERO_TOL``.  The chain needs no such rule:
-it scores leaves on the given operators, and a remainder whose
-renormalization magnifies rounding beyond ``FEASIBLE_TOL`` goes to the leaf
-it was peeled from.
+below ``HERM_TOL`` once it puts it at or below ``ZERO_TOL``.
+Ill-conditioned kept columns can magnify the mass the floor dropped into a
+weight at or below zero; prune then keeps the walk's own vertex, provided
+the re-solve and that vertex both reproduce the identity within
+``HERM_TOL``.  The chain needs no such rule: it scores leaves on the given
+operators, and a remainder whose renormalization magnifies rounding beyond
+``FEASIBLE_TOL`` goes to the leaf it was peeled from.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hermitian import HERM_TOL, RANK_TOL, ZERO_TOL, coords
-from .infotheory import _formal_information, joint_distribution
+from .infotheory import _information_slope, joint_distribution, plogp
 from .quantum import Ensemble, NormalizedPovm, Povm, normalize_povm, validate_ensemble, validate_povm
 from .symmetry import (
     FiniteRep,
@@ -174,18 +181,18 @@ def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(end > ZERO_TOL, end, 0.0)
 
 
-def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, score: Callable | None = None) -> tuple[np.ndarray, int]:
+def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, gain: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Move ``lam`` inside its face to a vertex of the polytope ``matrix`` x = c, x >= 0.
 
     Each step takes a null vector of the design columns on the window, the
     first rows + 1 nonzero coordinates of the current point; any rows + 1
     columns are dependent, so a full window always has one.  The walk ends
     when the whole support fits in the window and has no null vector: its
-    columns are then linearly independent.  Without ``score`` every step goes
-    forward along the null vector to the far end of its line; with it (a
-    function of the full weight vector) each step goes to whichever end
-    scores higher, the forward end on a tie.  Returns the vertex and the
-    number of steps.
+    columns are then linearly independent.  Every step computes one line end:
+    forward along the null vector without ``gain``; with it, the slope of a
+    score g . x that is linear in the weights, the null vector is flipped
+    when g falls along it, so the step goes to the end that scores higher,
+    forward on a tie.  Returns the vertex and the number of steps.
     """
     v = lam.copy()
     steps = 0
@@ -194,14 +201,12 @@ def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, score: Callable | None 
         null = _null_basis(matrix[:, window])
         if not null.shape[1]:
             return v, steps
+        direction = null[:, 0]
+        if gain is not None and gain[window] @ direction < 0:
+            direction = -direction
         q = np.zeros_like(v)
-        q[window] = null[:, 0]
-        end = _line_end(v, q)
-        if score is not None:
-            back = _line_end(v, -q)
-            if score(back) > score(end):
-                end = back
-        v = end
+        q[window] = direction
+        v = _line_end(v, q)
         steps += 1
 
 
@@ -286,10 +291,12 @@ def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, p: Povm) -> 
     The joint matrix is taken of the given operators Pi_j, whose sign
     ``joint_distribution`` checks, and then scaled per column: a tolerated
     negative eigenvalue of Pi_j is never divided by a small trace first.
+    Information is linear in the leaf weights, so all leaves are scored by
+    one product of the stacked solutions with the slope of that matrix.
     """
     w = normalize_povm(p).weights
-    joint = joint_distribution(s, p) * np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
-    return [_formal_information(joint * nu, s.priors) for nu in decomposition.solutions]
+    gain = _information_slope(joint_distribution(s, p) * np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
+    return (np.stack(decomposition.solutions) @ gain - plogp(s.priors).sum()).tolist()
 
 
 class PrunedPovm(Povm):
@@ -297,8 +304,8 @@ class PrunedPovm(Povm):
 
     ``design_rank`` is the rank of the design columns the walk started from,
     ``walk_steps`` the number of null-line steps it took to the vertex and
-    ``info_bits`` the walk's score of that vertex: the mutual information of
-    the pruned POVM with the ensemble.
+    ``info_bits`` the walk's score g . nu - sum h(p_i) of the kept weights:
+    the mutual information of the pruned POVM with the ensemble.
     The operators are taken over from an already checked ``Povm``.
     """
 
@@ -315,17 +322,18 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     The operators are eigen-split to rank one and normalized, and their
     weights walk to a vertex of the identity polytope over the orbit sums,
     each step moving to the more informative end of its null line.
-    Information is convex in the weights and unchanged by symmetrizing, so no
+    Information is linear in the weights and unchanged by symmetrizing, so no
     step loses any, and the returned POVM is a union of at most
     dim-of-commutant orbits (real symmetric commutant when ``real_mode`` and
     the data are real).  Operators come in |G|-element orbit blocks, block j
     scaled by the vertex weight nu_j.  Without ``rep`` the group is trivial:
     each orbit is one operator and the bound is d^2 (d(d+1)/2 with
-    ``real_mode``).  The walk scores the pieces on their m x n joint matrix
-    (see the module docstring).  Completeness is ruled on once, by
-    ``validate_povm``: the split drops only eigenvalues it tolerated, so the
-    walk starts from the split weights unchecked, and the re-solved weights
-    must reproduce the identity within ``HERM_TOL``.
+    ``real_mode``).  The walk climbs the slope of the pieces' m x n joint
+    matrix, computed once (see the module docstring).  Completeness is ruled
+    on once, by ``validate_povm``: the split drops only eigenvalues it
+    tolerated, so the walk starts from the split weights unchecked, and the
+    re-solved weights (or the walk's vertex, when a re-solved weight is not
+    positive) must reproduce the identity within ``HERM_TOL``.
     """
     if rep is None:
         rep = generate_group([], dim=p.dim)
@@ -344,7 +352,9 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
         bound = complex_orbit_bound(rep)
     design = build_design_matrix(orbit_sum(ops, rep))
     rest = np.where(normalized.weights > ZERO_TOL, normalized.weights, 0.0)
-    nu, steps = _walk_to_vertex(design.matrix, rest, lambda x: _formal_information(joint * x, s.priors))
+    gain = _information_slope(joint)
+    vertex, steps = _walk_to_vertex(design.matrix, rest, gain)
+    nu = vertex.copy()
     kept = nu > 0
     orbits = np.count_nonzero(kept)
     if orbits > bound:
@@ -356,7 +366,7 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     # piece validate_povm cannot tell from zero) may be put anywhere below
     # that.  Those columns are dropped and the rest solved again, until
     # none is left.
-    tiny = nu <= HERM_TOL
+    tiny = vertex <= HERM_TOL
     while True:
         nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
         vanishing = kept & (nu <= ZERO_TOL) & (tiny | (nu >= -ZERO_TOL))
@@ -364,12 +374,16 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
             break
         nu[vanishing] = 0.0
         kept &= ~vanishing
+    residual = np.max(np.abs(design.matrix[:, kept] @ nu[kept] - design.target))
     if np.any(nu[kept] <= 0):
-        raise InternalLogicError("a re-solved vertex weight is not positive")
-    columns = design.matrix[:, kept]
-    residual = np.max(np.abs(columns @ nu[kept] - design.target))
+        # Ill-conditioned kept columns magnify the mass the floor dropped past
+        # zero; the walk's own vertex is nonnegative and may serve instead.
+        walk_residual = np.max(np.abs(design.matrix @ vertex - design.target))
+        if max(residual, walk_residual) > HERM_TOL:
+            raise InternalLogicError("a re-solved vertex weight is not positive")
+        nu, kept, residual = vertex, vertex > 0, walk_residual
     if residual > HERM_TOL:
         raise InternalLogicError(f"the re-solved weights do not reproduce the identity: residual {residual:.3e}")
     leaf = Povm(ops[kept] * nu[kept, None, None])
     rank = numeric_rank(design.matrix[:, rest > 0])
-    return PrunedPovm(symmetrize(leaf, rep), rank, steps, _formal_information(joint * nu, s.priors))
+    return PrunedPovm(symmetrize(leaf, rep), rank, steps, float(gain @ nu - plogp(s.priors).sum()))

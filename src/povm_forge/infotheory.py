@@ -44,9 +44,19 @@ def joint_distribution(s: Ensemble, p) -> np.ndarray:
     return probs
 
 
+def _information_slope(probs: np.ndarray) -> np.ndarray:
+    """g_j = sum_i H(p_ij) - H(col_j) of an m x n joint matrix, one entry per column, in bits.
+
+    Scaling column j by nu_j adds nu_j col_j log2 nu_j to both terms, so the
+    formal information of the scaled matrix is linear in the scales:
+    I(p nu) = g . nu - sum H(p_i).
+    """
+    return plogp(probs).sum(axis=0) - plogp(probs.sum(axis=0))
+
+
 def _formal_information(probs: np.ndarray, priors: np.ndarray) -> float:
     """I = sum H(p_ij) - sum H(p_i) - sum H(col_j) of an m x n joint matrix with row weights p_i, in bits."""
-    return float(plogp(probs).sum() - plogp(priors).sum() - plogp(probs.sum(axis=0)).sum())
+    return float(_information_slope(probs).sum() - plogp(priors).sum())
 
 
 def mutual_information(s: Ensemble, p: Povm) -> float:

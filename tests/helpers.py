@@ -54,6 +54,25 @@ def random_real_povm(rng, d: int, n: int) -> Povm:
     return Povm([n_inv @ op @ n_inv for op in ops])
 
 
+def gaussian_problem(rng, d: int, outcomes: int, rank_one: bool) -> tuple[Ensemble, np.ndarray]:
+    """d + 1 rank-2 states with Dirichlet priors and the Hermitian part of S^-1/2 A_j S^-1/2, S = sum_j A_j,
+    over complex Gaussian A_j, rank one or full rank: the draws of the benchmark's problem generator."""
+    g = rng.normal(size=(d + 1, d, 2)) + 1j * rng.normal(size=(d + 1, d, 2))
+    states = g @ g.conj().swapaxes(1, 2)
+    states /= np.einsum("ikk->i", states).real[:, None, None]
+    priors = rng.dirichlet(np.ones(d + 1))
+    if rank_one:
+        v = rng.normal(size=(outcomes, d)) + 1j * rng.normal(size=(outcomes, d))
+        raw = np.einsum("jk,jl->jkl", v, v.conj())
+    else:
+        g = rng.normal(size=(outcomes, d, d)) + 1j * rng.normal(size=(outcomes, d, d))
+        raw = g @ g.conj().swapaxes(1, 2)
+    w, u = np.linalg.eigh(raw.sum(axis=0))
+    n_half = (u / np.sqrt(w)) @ u.conj().T
+    ops = n_half @ raw @ n_half
+    return Ensemble(list(states), priors), (ops + ops.conj().swapaxes(1, 2)) / 2
+
+
 def weyl_heisenberg_generators(d: int) -> list[np.ndarray]:
     shift = np.roll(np.eye(d), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))

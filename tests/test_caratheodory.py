@@ -34,10 +34,11 @@ from povm_forge import caratheodory
 from povm_forge.caratheodory import InternalLogicError, NormalizationError, score_leaves
 from povm_forge.cli import load_problem
 from povm_forge.hermitian import HERM_TOL, ZERO_TOL
-from povm_forge.infotheory import _formal_information, joint_distribution
+from povm_forge.infotheory import _formal_information, _information_slope, joint_distribution, plogp
 from povm_forge.symmetry import NotSymmetricError
 from test_commands_agree import tiny_operator_completed
 from helpers import (
+    gaussian_problem,
     orbit_ensemble,
     random_ensemble,
     random_povm,
@@ -609,6 +610,48 @@ def test_walk_steps_see_at_most_rows_plus_one_columns(monkeypatch):
     prune_povm(s, p)
     decompose_identity(normalize_povm(p))
     assert widths and max(widths) <= d * d + 2
+
+
+def two_end_walk(matrix, lam, joint, priors):
+    """The walk scored at both ends of every line by the formal information of the full weight vector."""
+    v = lam.copy()
+    steps = 0
+    while True:
+        window = np.flatnonzero(v)[: matrix.shape[0] + 1]
+        null = caratheodory._null_basis(matrix[:, window])
+        if not null.shape[1]:
+            return v, steps
+        q = np.zeros_like(v)
+        q[window] = null[:, 0]
+        end, back = caratheodory._line_end(v, q), caratheodory._line_end(v, -q)
+        v = back if _formal_information(joint * back, priors) > _formal_information(joint * end, priors) else end
+        steps += 1
+
+
+@pytest.mark.parametrize("d, outcomes", [(4, 20), (6, 40)])
+def test_slope_walk_matches_a_two_end_walk(d, outcomes, monkeypatch):
+    # one slope vector picks the end that two information evaluations per step picked
+    s, ops = gaussian_problem(np.random.default_rng(d), d, outcomes, rank_one=False)
+    normalized = normalize_povm(split_rank_one(Povm(ops)))
+    joint = joint_distribution(s, normalized.normalized_ops)
+    design = build_design_matrix(orbit_sum(normalized.normalized_ops, generate_group([], dim=d)))
+    reference, reference_steps = two_end_walk(design.matrix, normalized.weights, joint, s.priors)
+    line_ends = []
+    line_end = caratheodory._line_end
+
+    def counting(v, q):
+        line_ends.append(q)
+        return line_end(v, q)
+
+    pruned = prune_povm(s, Povm(ops))
+    monkeypatch.setattr(caratheodory, "_line_end", counting)
+    vertex, steps = caratheodory._walk_to_vertex(design.matrix, normalized.weights, _information_slope(joint))
+    assert steps == pruned.walk_steps == reference_steps > 0
+    assert len(line_ends) == steps
+    assert np.array_equal(vertex, reference)
+    information = _formal_information(joint * reference, s.priors)
+    assert abs(_information_slope(joint) @ vertex - plogp(s.priors).sum() - information) <= 1e-12
+    assert abs(pruned.info_bits - information) <= 1e-12
 
 
 def test_prune_and_decompose_many_rank_one_outcomes():

@@ -10,6 +10,7 @@ a POVM written to 10 decimals carries tolerated negative eigenvalues, which
 the rank-one split drops.
 """
 
+import itertools
 import json
 import warnings
 
@@ -20,7 +21,7 @@ from povm_forge import Ensemble, Povm, inv_sqrt_psd
 from povm_forge.cli import main, matrix_from_json, problem_to_json
 from povm_forge.hermitian import HERM_TOL
 
-from helpers import random_ensemble, random_povm
+from helpers import gaussian_problem, random_ensemble, random_povm
 
 QUBIT_BASIS = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
 
@@ -81,6 +82,17 @@ def rounded(d: int, decimals: int, rank_one: bool, draws: int):
         yield ensemble, (ops + ops.conj().swapaxes(1, 2)) / 2
 
 
+def ill_conditioned_vertex(d: int, draw: int):
+    """Draw ``draw`` of rank-one POVMs of 2d outcomes written to 10 decimals (Hermitian part), with the benchmark's
+    generator: the walk's vertex fits the identity within 2e-10, but its kept columns are so ill-conditioned
+    (condition number 1e5 at d = 3) that re-solving them puts a weight below zero."""
+    rng = np.random.default_rng(7)
+    draws = (gaussian_problem(rng, d, 2 * d, rank_one=True) for _ in itertools.count())
+    ensemble, ops = next(itertools.islice(draws, draw, None))
+    ops = np.round(ops, 10)
+    yield ensemble, (ops + ops.conj().swapaxes(1, 2)) / 2
+
+
 def carved(d: int, eps: float, draws: int):
     """tiny = 1e-6 v v^dagger - eps I carved out of the last of 4 (d = 2) or 5 (d = 3) full-rank operators and appended."""
     rng = np.random.default_rng(11)
@@ -101,6 +113,7 @@ FAMILIES = {
     **{f"invisible-identity-k{k}": (lambda k=k: invisible_identity(k)) for k in (11, 100)},
     **{f"invisible-pieces-d{d}": (lambda d=d: invisible_pieces(d, 40)) for d in (2, 3)},
     **{f"rank-one-d{d}-10dp": (lambda d=d: rounded(d, 10, True, 100)) for d in (2, 3, 4)},
+    **{f"ill-conditioned-d{d}-draw{k}": (lambda d=d, k=k: ill_conditioned_vertex(d, k)) for d, k in ((3, 129), (4, 239))},
     **{
         f"full-rank-d{d}-{decimals}dp": (lambda d=d, decimals=decimals: rounded(d, decimals, False, 50))
         for d in (2, 3, 4)

@@ -20,7 +20,7 @@ from povm_forge import (
     trine_group,
     validate_povm,
 )
-from povm_forge.infotheory import plogp
+from povm_forge.infotheory import _formal_information, _information_slope, plogp
 from helpers import random_ensemble, random_povm, random_state
 
 NU = math.acos(math.sqrt(1.0 / 3.0))
@@ -85,6 +85,26 @@ def test_joint_clamps_what_validation_accepts():
 
 def test_plogp_zero_convention():
     assert plogp(np.array([0.0, 1.0, 0.5])).tolist() == [0.0, 0.0, -0.5]
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (4, 9), (49, 343)])
+def test_formal_information_is_linear_in_the_column_weights(m, n):
+    # the nu_j log2 nu_j terms of each column cancel: I(J nu) = g . nu - sum h(p_i),
+    # with zero entries, a zero column and zero weights
+    rng = np.random.default_rng([24, m, n])
+    for _ in range(5):
+        joint = rng.uniform(size=(m, n)) * (rng.uniform(size=(m, n)) > 0.2)
+        nu = rng.uniform(size=n) * (rng.uniform(size=n) > 0.2)
+        joint[:, 0] = 0.0
+        nu[1] = 0.0
+        joint[0, -1] = nu[-1] = 1.0
+        joint /= joint @ nu @ np.ones(m)  # J nu is a joint distribution, as for a leaf
+        scaled = joint * nu
+        priors = scaled.sum(axis=1)
+        direct = plogp(scaled).sum() - plogp(priors).sum() - plogp(scaled.sum(axis=0)).sum()
+        linear = _information_slope(joint) @ nu - plogp(priors).sum()
+        assert abs(_formal_information(scaled, priors) - direct) <= 1e-12
+        assert abs(linear - direct) <= 1e-12
 
 
 def test_mutual_information_perfect_discrimination():

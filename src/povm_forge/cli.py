@@ -244,50 +244,32 @@ def _float_strings(values: np.ndarray) -> list[str]:
     return repr(values.tolist())[1:-1].split(", ")
 
 
-def _mirror_signs(m: np.ndarray) -> list[int]:
-    """Per row of ``m``: 1 if each entry equals its mirror entry, -1 if it equals minus it, else 0.
+def _row_strings(values: np.ndarray, negated: bool) -> list[str]:
+    """repr of each float of a row that is its own mirror image, or minus it if ``negated``.
 
-    Entries are compared pair by pair in value and in sign bit; an odd row's
-    centre entry is its own mirror and is not compared.
-    """
-    pairs = m.shape[1] // 2
-    left, right = m[:, :pairs], m[:, ::-1][:, :pairs]
-    same_sign = np.signbit(left) == np.signbit(right)
-    mirrored = ((left == right) & same_sign).all(axis=1)
-    negated = ((left == -right) & ~same_sign).all(axis=1)
-    return np.where(mirrored, 1, np.where(negated, -1, 0)).tolist()
-
-
-def _row_strings(values: np.ndarray, mirror: int) -> list[str]:
-    """repr of each float of a row, given the row's ``_mirror_signs`` entry.
-
-    A row that is its own mirror image, or minus it, has only its left half
-    formatted; the right half reuses those strings reversed, with the leading
-    '-' toggled for minus the mirror.
+    Only the left half is formatted; the right half reuses those strings
+    reversed, with the leading '-' toggled when ``negated``.
     """
     pairs = values.size // 2
     strings = _float_strings(values[: values.size - pairs])
     reflected = strings[pairs - 1 :: -1]
-    if mirror == 1:
-        return strings + reflected
-    if mirror == -1:
-        return strings + [s[1:] if s[0] == "-" else "-" + s for s in reflected]
-    return strings + _float_strings(values[values.size - pairs :])
+    if negated:
+        reflected = [s[1:] if s[0] == "-" else "-" + s for s in reflected]
+    return strings + reflected
 
 
 def _write_surface_csv(path: str, scan) -> None:
-    """Write (x, b, info_bits, dinfo_db) rows in x-major order, one x block at a time.
+    """Write a ``scan_surface`` result as (x, b, info_bits, dinfo_db) rows, x-major, one x block at a time.
 
-    Every float is written as repr(float) writes it; the b column is formatted
-    once, and a row that is checked to equal its mirror image, or minus it,
-    has only its left half formatted (see ``_row_strings``).
+    Every float is written as repr(float) writes it.  The b column is
+    formatted once, and each row has only its left half formatted: the scan
+    guarantees the reflection (see ``SurfaceScan``), so it is not checked here.
     """
     b_strings = _float_strings(scan.b)
-    rows = zip(scan.x.tolist(), scan.info, _mirror_signs(scan.info), scan.dinfo_db, _mirror_signs(scan.dinfo_db))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("x,b,info_bits,dinfo_db\n")
-        for x, info, info_mirror, dinfo, dinfo_mirror in rows:
-            lines = zip(repeat(repr(x)), b_strings, _row_strings(info, info_mirror), _row_strings(dinfo, dinfo_mirror))
+        for x, info, dinfo in zip(scan.x.tolist(), scan.info, scan.dinfo_db):
+            lines = zip(repeat(repr(x)), b_strings, _row_strings(info, False), _row_strings(dinfo, True))
             handle.write("\n".join(map(",".join, lines)) + "\n")
 
 

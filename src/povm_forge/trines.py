@@ -114,6 +114,19 @@ def orbit_projectors(a: float, b: float) -> list[np.ndarray]:
     return ops
 
 
+def _overlaps(alpha: float, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, p, phase) over broadcast arrays of (a, b), with k = 0, 1, 2 on a new last axis.
+
+    The overlaps of psi(a, b) with the trine states are
+    r_k = sqrt(alpha) cos a + p cos(phase_k), p = sqrt(1 - alpha) sin a, phase_k = b - 2 pi k / 3.
+    """
+    a = np.asarray(a, dtype=float)
+    phase = np.asarray(b, dtype=float)[..., None] - _PHASES
+    p = (math.sqrt(1.0 - alpha) * np.sin(a))[..., None]
+    r = (math.sqrt(alpha) * np.cos(a))[..., None] + p * np.cos(phase)
+    return r, p, phase
+
+
 def _orbit_info_values(alpha: float, a, b) -> np.ndarray:
     """Formal orbit information over broadcast arrays of (a, b), in closed form.
 
@@ -125,11 +138,7 @@ def _orbit_info_values(alpha: float, a, b) -> np.ndarray:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"lift parameter must lie in [0, 1], got {alpha}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    up = math.sqrt(alpha) * np.cos(a)
-    planar = math.sqrt(1.0 - alpha) * np.sin(a)
-    q = (up[..., None] + planar[..., None] * np.cos(b[..., None] - _PHASES)) ** 2
+    q = _overlaps(alpha, a, b)[0] ** 2
     return math.log2(3.0) + plogp(q).sum(axis=-1) - plogp(q.sum(axis=-1))
 
 
@@ -147,9 +156,9 @@ class SurfaceScan:
     """Grid of orbit informations over x in [0, 1] and b in [0, 2 pi / 3].
 
     ``info`` and ``dinfo_db`` are (len(x), len(b)) arrays, x-major.  The
-    reflection I(x, b) = I(x, 2 pi / 3 - b) holds exactly on the grid: every
-    ``info`` row equals its mirror image and every ``dinfo_db`` row equals
-    minus its mirror image.
+    reflection I(x, b) = I(x, 2 pi / 3 - b) holds exactly on the grid, in
+    value and sign bit: every ``info`` row is its own mirror image and every
+    ``dinfo_db`` row is minus its mirror image (+0.0 at b = 0, -0.0 at 2 pi / 3).
     """
 
     alpha: float
@@ -164,12 +173,12 @@ def scan_surface(alpha: float, nx: int = 200, nb: int = 200) -> SurfaceScan:
 
     The numerical b-derivative is included so slices of the surface can be
     replotted directly.  The trine reflection sends b to 2 pi / 3 - b and
-    permutes the three overlaps, so I(x, b) = I(x, 2 pi / 3 - b): only the
-    first ceil(nb / 2) azimuths are evaluated, in blocks of 20 x rows (one
-    closed-form call per block keeps the temporaries to a few hundred KB at
-    the default size), and the rest of each row is their mirror image.  The
-    b-derivative takes central differences at the uniform step
-    2 pi / (3 (nb - 1)), so it is exactly antisymmetric.
+    permutes the three overlaps, so I(x, b) = I(x, 2 pi / 3 - b) = I(x, -b):
+    only the first ceil(nb / 2) azimuths are evaluated, in blocks of 20 x rows
+    (one closed-form call per block keeps the temporaries to a few hundred KB
+    at the default size), and the rest of each row is their mirror image.  The
+    b-derivative takes central differences at the step 2 pi / (3 (nb - 1)) on
+    the same columns, b = h standing in for b = -h, and the rest is minus their mirror.
     """
     if nx < 2 or nb < 2:
         raise ValueError("grid needs at least 2 points per axis")
@@ -181,9 +190,10 @@ def scan_surface(alpha: float, nx: int = 200, nb: int = 200) -> SurfaceScan:
     for i in range(0, nx, 20):
         info[i : i + 20, :half] = _orbit_info_values(alpha, a[i : i + 20, None], bs[:half])
     info[:, half:] = info[:, nb - half - 1 :: -1]
-    # A scalar step keeps np.gradient on its uniform branch; the array bs would
-    # take the non-uniform one whenever its steps are not bit-equal.
-    dinfo_db = np.gradient(info, B_PERIOD / (nb - 1), axis=1)
+    step = B_PERIOD / (nb - 1)
+    # Column |j - 1| is column j - 1, or its mirror about b = 0 at j = 0.
+    left = (info[:, 1 : half + 1] - info[:, np.abs(np.arange(-1, half - 1))]) / (2.0 * step)
+    dinfo_db = np.concatenate([left, -left[:, nb - half - 1 :: -1]], axis=1)
     return SurfaceScan(alpha=alpha, x=xs, b=bs, info=info, dinfo_db=dinfo_db)
 
 
@@ -196,11 +206,8 @@ def _b_slopes(alpha: float, a, b) -> tuple[np.ndarray, np.ndarray]:
     d2I/db2 = -4 p sum_k [r_k c_k log2|r_k| - p s_k^2 (log2|r_k| + 1 / ln 2)],
     with c_k, s_k the cosine and sine of b - 2 pi k / 3 and r log2|r| = 0 at r = 0.
     """
-    a = np.asarray(a, dtype=float)
-    phase = np.asarray(b, dtype=float)[..., None] - _PHASES
+    r, p, phase = _overlaps(alpha, a, b)
     c, s = np.cos(phase), np.sin(phase)
-    p = (math.sqrt(1.0 - alpha) * np.sin(a))[..., None]
-    r = (math.sqrt(alpha) * np.cos(a))[..., None] + p * c
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r = np.log2(np.abs(r))
         r_log_r = np.where(r == 0.0, 0.0, r * log_r)
@@ -360,42 +367,42 @@ def double_trines_closed_form() -> float:
 def hessian_at(alpha: float, x: float, b: float) -> np.ndarray:
     """Hessian of I(arccos sqrt(x), b) in (x, b), by the chain rule on the closed form.
 
-    With r_k = sqrt(alpha x) + sqrt((1 - alpha)(1 - x)) cos(b - 2 pi k / 3),
+    With the ``_overlaps`` r_k = sqrt(alpha x) + sqrt((1 - alpha)(1 - x)) cos(b - 2 pi k / 3),
     u_k = r_k^2 and Q = sum_k u_k = 3 alpha x + 3 (1 - alpha)(1 - x) / 2,
-    I = log2 3 + sum_k u_k log2 u_k - Q log2 Q.  Entry (i, j) is
-    sum_k 2 r_k,i r_k,j (log2 u_k + 3 / ln 2) + 2 r_k r_k,ij (log2 u_k + 1 / ln 2),
+    I = log2 3 + sum_k u_k log2 u_k - Q log2 Q.  Entry (x, j) is
+    sum_k 2 r_k,x r_k,j (log2 u_k + 3 / ln 2) + 2 r_k r_k,xj (log2 u_k + 1 / ln 2),
     and the x-x entry also subtracts Q_x^2 / (Q ln 2): Q is linear in x and
-    does not depend on b.  A vanishing overlap r_k makes the entries it
-    enters with a nonzero derivative infinite (r log2 r^2 = 0 at r = 0).  The
-    x-derivatives of sqrt(x) and sqrt(1 - x) diverge at the ends, so x must
-    lie in (0, 1).
+    does not depend on b.  The b-b entry is the curvature of ``_b_slopes``.  A
+    vanishing overlap r_k makes the entries it enters with a nonzero
+    derivative infinite (r log2 r^2 = 0 at r = 0).  The x-derivatives of
+    sqrt(x) and sqrt(1 - x) diverge at the ends, so x must lie in (0, 1).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"lift parameter must lie in [0, 1], got {alpha}")
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     ln2 = math.log(2.0)
-    c, s = np.cos(b - _PHASES), np.sin(b - _PHASES)
-    # sqrt(alpha x) and sqrt((1 - alpha)(1 - x)) with their first and second x-derivatives.
-    up = math.sqrt(alpha * x)
+    a = math.acos(math.sqrt(x))
+    r, p, phase = _overlaps(alpha, a, b)
+    c, s = np.cos(phase), np.sin(phase)
+    # sqrt(alpha x) and p = sqrt((1 - alpha)(1 - x)): first and second x-derivatives.
     up_x = 0.5 * math.sqrt(alpha / x)
     up_xx = -0.5 * up_x / x
-    p = math.sqrt((1.0 - alpha) * (1.0 - x))
     p_x = -0.5 * math.sqrt((1.0 - alpha) / (1.0 - x))
     p_xx = 0.5 * p_x / (1.0 - x)
-    r = up + p * c
-    grad = np.stack([up_x + p_x * c, -p * s])
-    curv = np.array([[up_xx + p_xx * c, -p_x * s], [-p_x * s, -p * c]])
-    outer = grad[:, None] * grad[None, :]
+    r_x = up_x + p_x * c
+    outer = r_x * np.stack([r_x, -p * s])
+    curv = np.stack([up_xx + p_xx * c, -p_x * s])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_u = np.log2(r * r)
         terms = 2.0 * np.where(outer == 0.0, 0.0, outer * (log_u + 3.0 / ln2)) + 2.0 * np.where(
             r == 0.0, 0.0, r * curv * (log_u + 1.0 / ln2)
         )
-    hessian = terms.sum(axis=-1)
+    xx, xb = terms.sum(axis=-1)
     q = 3.0 * alpha * x + 1.5 * (1.0 - alpha) * (1.0 - x)
-    hessian[0, 0] -= (3.0 * alpha - 1.5 * (1.0 - alpha)) ** 2 / (q * ln2)
-    return hessian
+    xx -= (3.0 * alpha - 1.5 * (1.0 - alpha)) ** 2 / (q * ln2)
+    bb = _b_slopes(alpha, a, b)[1]
+    return np.array([[xx, xb], [xb, bb]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,6 @@ import povm_forge
 from povm_forge import caratheodory, infotheory, trines
 from povm_forge.cli import (
     ProblemFileError,
-    _mirror_signs,
     _write_surface_csv,
     build_parser,
     load_problem,
@@ -314,46 +313,26 @@ def per_row_surface_csv(scan) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def mirror_rows_scan(nb: int) -> SurfaceScan:
-    """Rows that are mirrored, antisymmetric, either of the two but for the
-    sign of one zero, and neither; an odd centre entry is not mirrored."""
-    left = np.array([0.0, 0.1 + 0.2, -2.5, 5e-324, -1e16])
-    flipped = np.array([-0.0, 0.1 + 0.2, -2.5, 5e-324, -1e16])
-    centre = [-0.75] * (nb - 2 * left.size)
-    rows = np.array([
-        np.concatenate([left, centre, left[::-1]]),
-        np.concatenate([left, centre, -left[::-1]]),
-        np.concatenate([left, centre, flipped[::-1]]),
-        np.concatenate([left, centre, -flipped[::-1]]),
-        np.concatenate([left, centre, left[::-1] + 1.0]),
-    ])
-    return SurfaceScan(
-        alpha=0.05,
-        x=np.linspace(0.0, 1.0, len(rows)),
-        b=np.linspace(0.0, 2.0 * np.pi / 3.0, nb),
-        info=rows,
-        dinfo_db=-rows[::-1],
-    )
+def mirrored(left: np.ndarray, nb: int, sign: float) -> np.ndarray:
+    """Rows whose first ceil(nb / 2) entries are ``left`` and the rest ``sign`` times their mirror."""
+    return np.concatenate([left, sign * left[:, nb - left.shape[1] - 1 :: -1]], axis=1)
 
 
-@pytest.mark.parametrize("kind", ["scan", "scan-even", "mirror-rows", "mirror-rows-odd", "edge-values"])
+@pytest.mark.parametrize("kind", ["scan", "scan-even", "edge-values"])
 def test_surface_csv_matches_per_row_repr(tmp_path, kind):
     if kind == "scan":
         scan = scan_surface(0.05, nx=7, nb=5)
     elif kind == "scan-even":
         scan = scan_surface(0.3, nx=9, nb=8)
-    elif kind.startswith("mirror-rows"):
-        scan = mirror_rows_scan(11 if kind.endswith("odd") else 10)
-        assert _mirror_signs(scan.info) == [1, -1, 0, 0, 0]
-        assert _mirror_signs(scan.dinfo_db) == [0, 0, 0, -1, 1]
     else:
-        # values whose shortest repr needs a sign, an exponent or 17 digits
+        # values whose shortest repr needs a sign, an exponent or 17 digits, and
+        # zeros of both signs, mirrored as a scan mirrors them
         scan = SurfaceScan(
             alpha=0.05,
             x=np.array([-0.0, 1e16]),
-            b=np.array([5e-324, 0.1 + 0.2, 1e-5]),
-            info=np.array([[-0.0, 5e-324, 1e16], [1e-5, 0.1 + 0.2, 123456.789]]),
-            dinfo_db=np.array([[-1e-5, -0.1 - 0.2, -5e-324], [-1e16, -2.5, -0.0]]),
+            b=np.array([5e-324, 0.1 + 0.2, 1e-5, 0.5, 1.0, 2.0]),
+            info=mirrored(np.array([[-0.0, 5e-324, 1e16], [1e-5, 0.1 + 0.2, 123456.789]]), 6, 1.0),
+            dinfo_db=mirrored(np.array([[-1e-5, -0.1 - 0.2, -5e-324], [-1e16, 0.0, -0.0]]), 6, -1.0),
         )
     path = tmp_path / "surface.csv"
     _write_surface_csv(str(path), scan)

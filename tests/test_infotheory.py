@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,21 +10,26 @@ from povm_forge import (
     convex_combine,
     double_trines,
     equality_condition,
+    generate_group,
     joint_distribution,
     lifted_trines,
     mutual_information,
+    optimize_two_orbits,
     orbit_information,
     orbit_projectors,
     pretty_good_measurement,
+    prune_povm,
     split_operator,
     symmetrize,
     trine_group,
     validate_povm,
 )
+from povm_forge.cli import load_problem
 from povm_forge.infotheory import _formal_information, _information_slope, plogp
 from helpers import random_ensemble, random_povm, random_state
 
 NU = math.acos(math.sqrt(1.0 / 3.0))
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data")
 
 
 def orthogonal_pair():
@@ -284,3 +290,41 @@ def test_information_invariant_under_relabelling(d):
         order = rng.permutation(len(s))
         inputs = Ensemble(s.states[order], s.priors[order])
         assert abs(mutual_information(inputs, p) - info) <= 1e-12
+
+
+def trines_optima(alpha):
+    two = optimize_two_orbits(alpha)
+    return lifted_trines(alpha), [two.single_info, two.info_bits]
+
+
+def double_trines_pgm():
+    _, projected = double_trines()
+    return projected, [mutual_information(projected, pretty_good_measurement(projected))]
+
+
+def pruned_problem_file(name):
+    problem = load_problem(os.path.join(DATA, name))
+    rep = generate_group(problem.generators) if problem.generators is not None else None
+    return problem.ensemble, [prune_povm(problem.ensemble, problem.povm, rep).info_bits]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: trines_optima(0.05),
+    lambda: trines_optima(0.17),
+    lambda: trines_optima(0.5),
+    double_trines_pgm,
+    lambda: pruned_problem_file("four_projectors_d2.json"),
+    lambda: pruned_problem_file("lifted_trines_0.05.json"),
+], ids=["trines-0.05", "trines-0.17", "trines-0.5", "double-trines-pgm", "four-projectors-d2", "lifted-trines-0.05"])
+def test_information_never_exceeds_the_holevo_chi(case):
+    # chi = S(sum_i p_i rho_i) - sum_i p_i S(rho_i) <= log2 d bounds every measurement's information
+    ensemble, infos = case()
+
+    def entropy(rho):
+        return -float(plogp(np.linalg.eigvalsh(rho)).sum())
+
+    average = np.einsum("i,ijk->jk", ensemble.priors, ensemble.states)
+    chi = entropy(average) - sum(p * entropy(rho) for p, rho in zip(ensemble.priors, ensemble.states))
+    assert chi <= math.log2(ensemble.dim) + 1e-12
+    for info in infos:
+        assert info <= chi + 1e-12

@@ -152,6 +152,26 @@ def test_scan_surface_reflection_is_exact(nb):
         assert np.array_equal(scan.dinfo_db[:, 1:-1], (scan.info[:, 2:] - scan.info[:, :-2]) / (2.0 * step))
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("nb", [200, 8, 5])
+def test_scan_surface_rows_are_their_mirror_in_value_and_sign_bit(nb, alpha):
+    scan = scan_surface(alpha, nx=11, nb=nb)
+    # the x = 1 row has p = 0, so its slopes are zeros: +0.0 on the left, -0.0 on the right
+    assert scan.x[-1] == 1.0 and np.all(scan.dinfo_db[-1] == 0.0)
+    pairs = nb // 2
+    for rows, mirror in ((scan.info, scan.info[:, ::-1]), (scan.dinfo_db, -scan.dinfo_db[:, ::-1])):
+        assert np.array_equal(rows, mirror)
+        # an odd row's centre is its own mirror and holds a +0.0 slope
+        assert np.array_equal(np.signbit(rows[:, :pairs]), np.signbit(mirror[:, :pairs]))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_scan_surface_slope_vanishes_at_both_ends(alpha):
+    # I(x, b) = I(x, -b) = I(x, 2 pi / 3 - b), so dI/db = 0 at b = 0 and b = 2 pi / 3
+    scan = scan_surface(alpha, nx=11, nb=200)
+    assert np.all(scan.dinfo_db[:, 0] == 0.0) and np.all(scan.dinfo_db[:, -1] == 0.0)
+
+
 def test_scan_surface_double_trines_plane_slice_peaks_at_zero():
     # on the plane of complete orbits the azimuth optimum sits at b = 0
     scan = scan_surface(0.5, nx=7, nb=241)
@@ -415,8 +435,8 @@ HESSIAN_POINTS = [(0.0, 0.2, 0.4), (0.05, 1.0 / 3.0, 0.1377), (0.05, 0.3831, 0.0
 
 @pytest.mark.parametrize("alpha, x, b", HESSIAN_POINTS + [(1.0, 0.4, 0.3)])
 def test_hessian_bb_is_the_b_slopes_curvature(alpha, x, b):
-    h = hessian_at(alpha, x, b)
-    assert abs(h[1, 1] - _b_slopes(alpha, math.acos(math.sqrt(x)), b)[1]) <= 1e-12
+    # one closed form for d2I/db2: the b-b entry is the Newton search's curvature, bit for bit
+    assert hessian_at(alpha, x, b)[1, 1] == _b_slopes(alpha, math.acos(math.sqrt(x)), b)[1]
 
 
 @pytest.mark.parametrize("alpha, x, b", HESSIAN_POINTS)

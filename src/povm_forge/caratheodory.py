@@ -41,16 +41,15 @@ sum is its piece, the commutant is every Hermitian matrix, and the bound is
 d^2.
 
 Two thresholds decide what is zero.  ``ZERO_TOL`` is rounding: a weight at or
-below it, left by a subtraction, is zero in the walk and in the chain.
-``HERM_TOL`` is what ``validate_povm`` cannot tell from zero, and only
-``prune_povm`` uses it for weights: the walk keeps such pieces, since
-dropping them first loses more than ``HERM_TOL`` bit on rounded inputs, and
-the exact re-solve after the walk drops a piece whose walk weight was at or
-below ``HERM_TOL`` once it puts it at or below ``ZERO_TOL``.
-Ill-conditioned kept columns can magnify the mass the floor dropped into a
-weight at or below zero; prune then keeps the walk's own vertex, provided
-the re-solve and that vertex both reproduce the identity within
-``HERM_TOL``.  The chain needs no such rule: it scores leaves on the given
+below it, left by a subtraction, is zero in the walk and in the chain, and a
+weight within it of zero after prune's exact re-solve is dropped.
+``HERM_TOL`` is only how far an identity or a sign may be off, what
+``validate_povm`` cannot tell from zero; no weight is dropped by it, since
+dropping such pieces first loses more than ``HERM_TOL`` bit on rounded
+inputs.  Ill-conditioned kept columns can magnify the mass the walk's floor
+dropped into a re-solved weight below zero; prune then keeps the walk's own
+vertex.  Either way the pruned weights must reproduce the identity within
+``HERM_TOL``.  The chain needs no fallback: it scores leaves on the given
 operators, and a remainder whose renormalization magnifies rounding beyond
 ``FEASIBLE_TOL`` goes to the leaf it was peeled from.
 """
@@ -243,12 +242,11 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     solutions: list[np.ndarray] = []
     mass = 1.0
     while len(solutions) < max_leaves:
-        vertex, steps = _walk_to_vertex(design.matrix, rest)
+        vertex, _ = _walk_to_vertex(design.matrix, rest)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
-        # Without a step the remainder is itself a vertex.
-        t = min(ratios[hit], 1.0) if steps else 1.0
+        t = min(ratios[hit], 1.0)
         if t < 1.0:
             left = rest - t * vertex
             left[inside[hit]] = 0.0
@@ -331,9 +329,11 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     ``real_mode``).  The walk climbs the slope of the pieces' m x n joint
     matrix, computed once (see the module docstring).  Completeness is ruled
     on once, by ``validate_povm``: the split drops only eigenvalues it
-    tolerated, so the walk starts from the split weights unchecked, and the
-    re-solved weights (or the walk's vertex, when a re-solved weight is not
-    positive) must reproduce the identity within ``HERM_TOL``.
+    tolerated, so the walk starts from the split weights unchecked.  The
+    vertex's weights are solved for again; a re-solved weight within
+    ``ZERO_TOL`` of zero is dropped, and any other one at or below zero
+    keeps the walk's vertex instead.  The weights kept must reproduce the
+    identity within ``HERM_TOL``.
     """
     if rep is None:
         rep = generate_group([], dim=p.dim)
@@ -362,28 +362,22 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     # The kept columns are independent at a vertex, so they fix their weights:
     # solving for them again puts back the mass the walk's ZERO_TOL floor dropped.
     # A walk that ends on a degenerate vertex keeps a few weights that the exact
-    # solve puts within ZERO_TOL of zero; a walk weight at or below HERM_TOL (a
-    # piece validate_povm cannot tell from zero) may be put anywhere below
-    # that.  Those columns are dropped and the rest solved again, until
-    # none is left.
-    tiny = vertex <= HERM_TOL
+    # solve puts within ZERO_TOL of zero; those columns are dropped and the rest
+    # solved again, until none is left.  Ill-conditioned kept columns can
+    # magnify that mass past zero; the walk's own vertex is nonnegative and
+    # serves instead.
     while True:
         nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
-        vanishing = kept & (nu <= ZERO_TOL) & (tiny | (nu >= -ZERO_TOL))
+        vanishing = kept & (np.abs(nu) <= ZERO_TOL)
         if not vanishing.any():
             break
         nu[vanishing] = 0.0
         kept &= ~vanishing
-    residual = np.max(np.abs(design.matrix[:, kept] @ nu[kept] - design.target))
     if np.any(nu[kept] <= 0):
-        # Ill-conditioned kept columns magnify the mass the floor dropped past
-        # zero; the walk's own vertex is nonnegative and may serve instead.
-        walk_residual = np.max(np.abs(design.matrix @ vertex - design.target))
-        if max(residual, walk_residual) > HERM_TOL:
-            raise InternalLogicError("a re-solved vertex weight is not positive")
-        nu, kept, residual = vertex, vertex > 0, walk_residual
+        nu, kept = vertex, vertex > 0
+    residual = np.max(np.abs(design.matrix[:, kept] @ nu[kept] - design.target))
     if residual > HERM_TOL:
-        raise InternalLogicError(f"the re-solved weights do not reproduce the identity: residual {residual:.3e}")
+        raise InternalLogicError(f"the pruned weights do not reproduce the identity: residual {residual:.3e}")
     leaf = Povm(ops[kept] * nu[kept, None, None])
     rank = numeric_rank(design.matrix[:, rest > 0])
     return PrunedPovm(symmetrize(leaf, rep), rank, steps, float(gain @ nu - plogp(s.priors).sum()))

@@ -88,11 +88,12 @@ def _complex_from_json(value) -> complex:
 def matrix_from_json(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ProblemFileError("matrix must be a non-empty list of rows")
-    data = [[_complex_from_json(v) for v in row] for row in rows]
-    m = np.array(data, dtype=complex)
-    if m.ndim != 2:
-        raise ProblemFileError("matrix rows have inconsistent lengths")
-    return m
+    for row in rows:
+        if not isinstance(row, list):
+            raise ProblemFileError("matrix rows must be lists")
+        if len(row) != len(rows[0]):
+            raise ProblemFileError("matrix rows have inconsistent lengths")
+    return np.array([[_complex_from_json(v) for v in row] for row in rows], dtype=complex)
 
 
 @dataclass

@@ -708,7 +708,7 @@ def test_prune_rounded_povms(d):
         assert np.max(np.abs(pruned.operators.sum(axis=0) - np.eye(d))) <= HERM_TOL
 
 
-def test_prune_rejects_a_non_positive_re_solved_weight(monkeypatch):
+def test_prune_keeps_the_walk_vertex_for_a_non_positive_re_solved_weight(monkeypatch):
     lstsq = np.linalg.lstsq
 
     def negated(*args, **kwargs):
@@ -717,8 +717,10 @@ def test_prune_rejects_a_non_positive_re_solved_weight(monkeypatch):
 
     monkeypatch.setattr(caratheodory.np.linalg, "lstsq", negated)
     s, p = next(decompose_cases())
-    with pytest.raises(InternalLogicError, match="re-solved"):
-        prune_povm(s, p)
+    pruned = prune_povm(s, p)
+    assert validate_povm(pruned).ok
+    assert np.max(np.abs(pruned.operators.sum(axis=0) - np.eye(pruned.dim))) <= HERM_TOL
+    assert abs(pruned.info_bits - mutual_information(s, pruned)) <= 1e-12
 
 
 def test_prune_rejects_re_solved_weights_off_the_identity(monkeypatch):

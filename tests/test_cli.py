@@ -59,8 +59,9 @@ def test_matrix_from_json_accepts_bare_reals():
 
 
 def test_matrix_from_json_rejects_garbage():
-    with pytest.raises(ProblemFileError):
-        matrix_from_json([[[1, 2, 3]]])
+    for rows in ([[[1, 2, 3]]], [[1, 0], [0]], [1, 0]):
+        with pytest.raises(ProblemFileError):
+            matrix_from_json(rows)
 
 
 def test_load_problem_round_trips_bit_identically(tmp_path):

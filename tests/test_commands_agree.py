@@ -112,7 +112,7 @@ FAMILIES = {
     **{f"completed-t{t:g}": (lambda t=t: tiny_operator_completed(t, 100)) for t in (2e-10, 1e-9, 1e-7)},
     **{f"invisible-identity-k{k}": (lambda k=k: invisible_identity(k)) for k in (11, 100)},
     **{f"invisible-pieces-d{d}": (lambda d=d: invisible_pieces(d, 40)) for d in (2, 3)},
-    **{f"rank-one-d{d}-10dp": (lambda d=d: rounded(d, 10, True, 100)) for d in (2, 3, 4)},
+    **{f"rank-one-d{d}-10dp": (lambda d=d: rounded(d, 10, True, 300)) for d in (2, 3, 4)},
     **{f"ill-conditioned-d{d}-draw{k}": (lambda d=d, k=k: ill_conditioned_vertex(d, k)) for d, k in ((3, 129), (4, 239))},
     **{
         f"full-rank-d{d}-{decimals}dp": (lambda d=d, decimals=decimals: rounded(d, decimals, False, 50))

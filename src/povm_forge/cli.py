@@ -2,9 +2,11 @@
 
 File format: JSON objects with keys "dimension", "states", "priors", "povm",
 "generators", "metadata".  Complex numbers are [re, im] pairs and matrices are
-row-major nested arrays, so files port trivially across languages.  All
-emitted floats use Python's shortest round-trip representation, which
-re-parses bit-identically.
+row-major nested arrays, so files port trivially across languages.  A
+section's entries are all [re, im] pairs or all bare reals; each section is
+converted in one pass and checked against the declared dimension, and every
+parse error names the file and the section.  All emitted floats use Python's
+shortest round-trip representation, which re-parses bit-identically.
 
 Exit codes: 0 success, 1 domain failure (validation, symmetry, closure),
 2 usage or parse failure.  Commands raise; ``main`` alone turns an error into
@@ -74,40 +76,46 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 # json reads true and false as bool, a subclass of int; they are not numbers here.
-_NUMBER_TYPES = (int, float)
+_NUMBER_TYPES = {int, float}
 
 
-def _complex_from_json(value) -> complex:
-    if type(value) in _NUMBER_TYPES:
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(type(v) in _NUMBER_TYPES for v in value):
-        return complex(value[0], value[1])
-    raise ProblemFileError(f"expected a number or [re, im] pair, got {value!r}")
+def _stack_from_json(section, d: int) -> np.ndarray:
+    """A JSON list of d x d matrices, all of [re, im] pairs or all of bare reals, as one (k, d, d) complex array.
+
+    ``astype(float)`` keeps each number's bits; ``view(complex)`` pairs them as complex(re, im) does.
+    An empty list gives k = 0.
+    """
+    values = np.array(section, dtype=object)
+    pairs = values.shape[1:] == (d, d, 2)
+    if values.shape != (0,) and not pairs and values.shape[1:] != (d, d):
+        raise ProblemFileError(f"expected a list of {d} x {d} matrices, got an array of shape {values.shape}")
+    if not set(map(type, values.flat)) <= _NUMBER_TYPES:
+        bad = next(v for v in values.flat if type(v) not in _NUMBER_TYPES)
+        if isinstance(bad, list) and len(bad) == 2 and not pairs:
+            raise ProblemFileError(f"entries mix bare numbers and [re, im] pairs such as {bad!r}")
+        raise ProblemFileError(f"expected a number or [re, im] pair, got {bad!r}")
+    stack = values.astype(float)
+    return stack.view(complex)[..., 0] if pairs else stack.reshape(-1, d, d).astype(complex)
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ProblemFileError("matrix must be a non-empty list of rows")
-    for row in rows:
-        if not isinstance(row, list):
-            raise ProblemFileError("matrix rows must be lists")
-        if len(row) != len(rows[0]):
-            raise ProblemFileError("matrix rows have inconsistent lengths")
-    return np.array([[_complex_from_json(v) for v in row] for row in rows], dtype=complex)
+    """One matrix of [re, im] pairs or bare reals, read as a section of one."""
+    return _stack_from_json([rows], len(rows) if isinstance(rows, list) else 0)[0]
 
 
 @dataclass
 class ProblemFile:
-    """Parsed contents of a problem file; sections are optional."""
+    """Parsed contents of a problem file; sections are optional, and ``generators`` is one (k, d, d) stack."""
 
     dimension: int
     ensemble: Ensemble | None = None
     povm: Povm | None = None
-    generators: list[np.ndarray] | None = None
+    generators: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
 
 def load_problem(path: str) -> ProblemFile:
+    """Read a problem file; every error names the file, and a section's error names the section."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -118,37 +126,24 @@ def load_problem(path: str) -> ProblemFile:
     d = doc["dimension"]
     if type(d) is not int or d < 1:
         raise ProblemFileError(f"{path}: dimension must be a positive integer")
-    try:
-        ensemble = None
-        if "states" in doc:
-            states = [matrix_from_json(m) for m in doc["states"]]
-            priors = doc.get("priors")
-            if priors is None:
-                priors = [1.0 / len(states)] * len(states)
-            elif not isinstance(priors, list) or not all(type(p) in _NUMBER_TYPES for p in priors):
-                raise ProblemFileError(f"{path}: priors must be a list of numbers")
-            ensemble = Ensemble(states, np.asarray(priors, dtype=float))
-        povm = None
-        if "povm" in doc:
-            povm = Povm([matrix_from_json(m) for m in doc["povm"]])
-        generators = None
-        if "generators" in doc:
-            generators = [matrix_from_json(m) for m in doc["generators"]]
-    except ProblemFileError:
-        raise
-    except Exception as exc:
-        raise ProblemFileError(f"{path}: malformed section: {exc}") from exc
-    for section in (ensemble, povm):
-        if section is not None and section.dim != d:
-            raise ProblemFileError(f"{path}: section dimension {section.dim} != declared {d}")
-    for g in generators or ():
-        if g.shape != (d, d):
-            raise ProblemFileError(f"{path}: generator shape {g.shape} != declared ({d}, {d})")
+    priors = doc.get("priors")
+    if priors is not None and not (isinstance(priors, list) and set(map(type, priors)) <= _NUMBER_TYPES):
+        raise ProblemFileError(f"{path}: priors must be a list of numbers")
+
+    def read(section, build):
+        if section not in doc:
+            return None
+        try:
+            return build(_stack_from_json(doc[section], d))
+        except Exception as exc:
+            raise ProblemFileError(f"{path}: {section}: {exc}") from exc
+
     return ProblemFile(
         dimension=d,
-        ensemble=ensemble,
-        povm=povm,
-        generators=generators,
+        ensemble=read("states", lambda states: Ensemble(
+            states, np.ones(len(states)) / len(states) if priors is None else priors)),
+        povm=read("povm", Povm),
+        generators=read("generators", lambda generators: generators),
         metadata=doc.get("metadata", {}),
     )
 
@@ -167,7 +162,7 @@ def problem_to_json(
     if povm is not None:
         doc["povm"] = matrix_to_json(povm.operators)
     if generators is not None:
-        doc["generators"] = [matrix_to_json(g) for g in generators]
+        doc["generators"] = matrix_to_json(generators)
     if metadata:
         doc["metadata"] = metadata
     return doc

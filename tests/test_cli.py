@@ -51,11 +51,29 @@ def test_matrix_json_round_trip():
     assert matrix_to_json(m) == [[[float(z.real), float(z.imag)] for z in row] for row in m]
     again = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
     assert np.array_equal(m, again)
+    # signed zeros, the smallest subnormal, huge values and plain JSON integers keep their bits
+    rows = [[[-0.0, -0.0], [5e-324, -5e-324]], [[1e300, -1e300], [3, -7]]]
+    expected = np.array([[complex(re, im) for re, im in row] for row in rows])
+    again = matrix_from_json(json.loads(json.dumps(rows)))
+    assert np.array_equal(again.view(np.uint64), expected.view(np.uint64))
 
 
-def test_matrix_from_json_accepts_bare_reals():
+def test_matrix_from_json_accepts_bare_reals(tmp_path):
     m = matrix_from_json([[1, 0], [0, 1]])
     assert np.array_equal(m, np.eye(2))
+    # a file written wholly in bare reals loads as if every entry were [re, 0.0]
+    doc = {
+        "dimension": 2,
+        "states": [[[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]],
+        "povm": [[[1.0, 0], [0, 0]], [[0, 0], [0, 1]]],
+        "generators": [[[0, 1], [1, -0.0]]],
+    }
+    problem = load_problem(write_problem(tmp_path, "bare.json", doc))
+    assert np.array_equal(problem.ensemble.states, np.array(doc["states"]))
+    assert np.array_equal(problem.ensemble.priors, [0.5, 0.5])
+    assert np.array_equal(problem.povm.operators, np.array(doc["povm"]))
+    generators = np.array(doc["generators"], dtype=complex)
+    assert np.array_equal(problem.generators.view(np.uint64), generators.view(np.uint64))
 
 
 def test_matrix_from_json_rejects_garbage():
@@ -68,13 +86,16 @@ def test_load_problem_round_trips_bit_identically(tmp_path):
     rng = np.random.default_rng(51)
     ensemble = random_ensemble(rng, 2, 3)
     povm = random_povm(rng, 2, 4)
-    doc = problem_to_json(2, ensemble=ensemble, povm=povm, metadata={"name": "round"})
+    generators = [np.diag([1.0, -1.0]), np.array([[0, 1j], [1j, 0]])]
+    doc = problem_to_json(2, ensemble=ensemble, povm=povm, generators=generators, metadata={"name": "round"})
     path = write_problem(tmp_path, "round.json", doc)
     problem = load_problem(path)
     again = problem_to_json(
-        2, ensemble=problem.ensemble, povm=problem.povm, metadata=problem.metadata
+        2, ensemble=problem.ensemble, povm=problem.povm, generators=problem.generators, metadata=problem.metadata
     )
     assert json.dumps(doc) == json.dumps(again)
+    assert doc["generators"] == [matrix_to_json(g) for g in generators]
+    assert problem_to_json(2, generators=[]) == {"dimension": 2, "generators": []}
 
 
 def test_validate_bundled_fixtures_exit_zero(capsys):
@@ -133,6 +154,33 @@ def test_validate_rejects_non_numbers_exit_two(tmp_path, capsys, edit, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "dimension, section, value",
+    [
+        (2, "povm", [[[1, 0], [0]]]),
+        (2, "povm", [[[True, 0], [0, 1]]]),
+        (2, "states", [[[1, 0], [0, "0"]]]),
+        (2, "povm", [[[[1, 0], 0], [0, [1, 0]]]]),
+        (3, "generators", [[[0, 1], [1, 0]]]),
+        (2, "generators", {"swap": [[0, 1], [1, 0]]}),
+        (2, "povm", []),
+    ],
+    ids=["ragged-rows", "bool-entry", "string-entry", "mixed-pairs", "wrong-dimension", "not-a-list", "empty-povm"],
+)
+def test_parse_errors_name_the_file_and_section(tmp_path, capsys, dimension, section, value):
+    path = write_problem(tmp_path, "bad.json", {"dimension": dimension, section: value})
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {section}: ")
+
+
+def test_prune_names_the_bad_group_file(tmp_path, capsys):
+    group = write_problem(tmp_path, "group.json", {"dimension": 2, "generators": [[[1, 0], [0]]]})
+    assert main(["prune", fixture("four_projectors_d2.json"), "--group", group]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {group}: generators: ")
 
 
 def test_validate_malformed_json_exit_two(tmp_path, capsys):

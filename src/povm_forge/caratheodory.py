@@ -3,54 +3,53 @@
 Writing a POVM as sum_i lambda_i Pi'_i = I with tr(Pi'_i) = d turns the weight
 vector into a solution of a linear system D lambda = c.  The feasible set is a
 compact polytope, so lambda is a convex combination of basic feasible
-solutions, each supported on at most rank(D) operators.  Walking the weights
+solutions, each supported on at most rank(D) operators.  Moving the weights
 to one such extreme point, never downhill in mutual information, prunes a
 measurement to at most d^2 rank-one operators without losing information.
 
-The decomposition is the constructive Caratheodory chain: walk the weights
-along null vectors of the support columns to a vertex, peel off as much of
-that vertex as stays nonnegative, and repeat on the renormalized remainder.
-Each step of the walk takes one null vector of at most rows + 1 support
-columns, so its cost does not grow with the number of operators.
-The face dimension drops with every peel, so a support of n operators yields
-at most n - rank(D) + 1 leaves.
+Both reach a vertex by basis exchange: each support column pivots into the
+basis, or one exchange, O(rows^2) with a rank-one update of the basis
+inverse, takes it or a basic column out of the support.  The decomposition
+is the constructive Caratheodory chain: exchange the weights to a vertex,
+peel off as much of it as stays nonnegative, and repeat on the renormalized
+remainder from that vertex's basis.  The face dimension drops with every
+peel, so a support of n operators yields at most n - rank(D) + 1 leaves.
 
-Pruning needs no decomposition.  Every leaf, walked or peeled, is scored
-the same way: a leaf {nu_j Pi'_j} sums to the identity, so its rows sum to
-the priors, and its information is the formal information of J nu, where
+Pruning needs no decomposition.  Every leaf is scored the same way: a leaf
+{nu_j Pi'_j} sums to the identity, so its rows sum to the priors, and its
+information is the formal information of J nu, where
 J[i, j] = p(i) tr(rho_i Pi'_j) is one m x n joint matrix.  With the ensemble
 fixed that information is linear in nu: the nu_j log2 nu_j terms of each
 column cancel, so I(J nu) = g . nu - sum_i h(p_i) with h(u) = u log2 u and
 the slope g_j = sum_i h(J_ij) - h(sum_i J_ij).  On the polytope g . nu is
 sum_j nu_j f(Pi'_j) + sum_i h(p_i), where f(Pi) = sum_i p_i tr(rho_i Pi)
 log2(tr rho_i Pi / tr rho Pi) is the information one outcome carries.  So
-the information is largest at an end of every segment (the extreme-point
-argument of Davies, IEEE Trans. Inf. Theory 24, 596, 1978), and prune
-returns the end of one information-ascent walk: the same null-line walk,
-turned at each step towards the end where g rises (forward on a tie), never
-loses information and reaches a vertex in at most n - rank(D) steps.  The
-slope is computed once per prune, each step computes one line end, and
-every leaf is scored by one product with it.
+the best reweighting of the given pieces is the linear program max g . nu
+over the polytope, and its optimum is a vertex (the extreme-point argument
+of Davies, IEEE Trans. Inf. Theory 24, 596, 1978).  Prune solves it: the
+exchanges turn each weight towards the end where g rises, and Dantzig
+pivots then climb until no reduced cost is positive, which certifies the
+optimum, at least every leaf of a chain over the same pieces; after n
+pivots the climb stops uncertified, still at least the input.  The slope is
+computed once per prune, and every leaf is scored by one product with it.
 
-Under a symmetry group the walk runs over orbit sums on that same matrix:
+Under a symmetry group the program runs over orbit sums on that same matrix:
 conjugation by g permutes the states and keeps the priors, so the column of
 g Pi'_j g^dagger / |G| is column j permuted and divided by |G|, and the two
-log2|G| terms of the symmetrized leaf cancel.  The walk then ends on at most
+log2|G| terms of the symmetrized leaf cancel.  The vertex then has at most
 dim-of-commutant orbits.  Plain pruning is the trivial group: every orbit
 sum is its piece, the commutant is every Hermitian matrix, and the bound is
 d^2.
 
-Two thresholds decide what is zero.  ``ZERO_TOL`` is rounding: a weight at or
-below it, left by a subtraction, is zero in the walk and in the chain, and a
-weight within it of zero after prune's exact re-solve is dropped.
-``HERM_TOL`` is only how far an identity or a sign may be off, what
-``validate_povm`` cannot tell from zero; no weight is dropped by it, since
-dropping such pieces first loses more than ``HERM_TOL`` bit on rounded
-inputs.  Ill-conditioned kept columns can magnify the mass the walk's floor
-dropped into a re-solved weight below zero; prune then keeps the walk's own
-vertex.  Either way the pruned weights must reproduce the identity within
-``HERM_TOL``.  The chain needs no fallback: it scores leaves on the given
-operators, and a remainder whose renormalization magnifies rounding beyond
+Three thresholds decide what is zero.  ``ZERO_TOL`` is rounding: a weight
+or a reduced cost at or below it is zero.  ``PIVOT_TOL`` is the smallest
+pivot, relative to the largest entry of its column.  ``HERM_TOL`` is how far
+an identity or a sign may be off, what ``validate_povm`` cannot tell from
+zero; no weight is dropped by it.  Prune solves once for the weights of its
+square basis, which puts back the mass the ``ZERO_TOL`` floor dropped, and
+keeps the exchange's own weights if the solve puts one below zero; either
+way they must reproduce the identity within ``HERM_TOL``.  The chain needs
+no solve: a remainder whose renormalization magnifies rounding beyond
 ``FEASIBLE_TOL`` goes to the leaf it was peeled from.
 """
 
@@ -78,6 +77,11 @@ from .symmetry import (
 # Largest max|D lambda - c| that decompose_identity accepts for given weights
 # and for every leaf: a validated POVM sums to the identity only within HERM_TOL.
 FEASIBLE_TOL = 1e-8
+
+# Smallest pivot of a basis exchange, relative to the largest entry of the
+# entering column in basis coordinates: a smaller one is rounding, and
+# pivoting on it would leave a numerically singular basis.
+PIVOT_TOL = 1e-7
 
 
 class NormalizationError(ValueError):
@@ -123,17 +127,6 @@ def build_design_matrix(normalized_ops) -> DesignMatrix:
     return DesignMatrix(matrix=matrix, target=target)
 
 
-def _null_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of ``a``, one vector per column.
-
-    Singular values at or below ``RANK_TOL`` times the largest count as zero.
-    Only a wide matrix needs the full right factor to span its null space.
-    """
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
-    return vt[rank:].T
-
-
 def numeric_rank(d: DesignMatrix | np.ndarray) -> int:
     """Rank of a matrix: singular values above ``RANK_TOL`` times the largest."""
     matrix = d.matrix if isinstance(d, DesignMatrix) else np.asarray(d, dtype=float)
@@ -162,51 +155,69 @@ class IdentityDecomposition:
         return [np.flatnonzero(nu > ZERO_TOL) for nu in self.solutions]
 
 
-def _line_end(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Far end of v + t q, t >= 0, that stays nonnegative.
+def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) -> tuple[np.ndarray, tuple, int]:
+    """Move the feasible point ``x`` of {matrix x = c, x >= 0} to a vertex by basis exchange.
 
-    The coordinate that stops the step is set to zero exactly, and so is
-    every coordinate at or below ``ZERO_TOL``.
+    The basis starts as ``start``, a (basis, inverse) pair returned before,
+    whose columns off the support of ``x`` become slacks, or as one slack
+    column per row; slacks are held at zero.  Each support column not in the
+    basis pivots into the slack row of its largest entry in basis
+    coordinates, if above ``PIVOT_TOL`` times the column's largest; otherwise
+    one exchange moves its weight until it or a basic weight reaches zero:
+    up if its reduced cost under the slope ``gain`` is positive, else down,
+    so g . x never falls.  With ``gain``, at most n Dantzig pivots follow;
+    if they end with no reduced cost above ``ZERO_TOL``, the vertex
+    maximizes g . x.  Each step is O(rows^2), a rank-one update of the basis
+    inverse.  Returns the weights (zero at or below ``ZERO_TOL``), the
+    (basis, inverse) pair, n marking a slack, and the number of exchanges.
     """
-    # Row 0 of the design matrix is all ones, so null vectors sum to zero
-    # and carry a negative entry.
-    negative = np.flatnonzero(q < 0)
-    if negative.size == 0:
-        raise InternalLogicError("null vector lacks a negative entry; step undefined")
-    ratios = v[negative] / -q[negative]
-    hit = int(np.argmin(ratios))
-    end = v + ratios[hit] * q
-    end[negative[hit]] = 0.0
-    return np.where(end > ZERO_TOL, end, 0.0)
+    rows, n = matrix.shape
+    basis, inverse = (np.full(rows, n), np.eye(rows)) if start is None else start
+    x = np.append(x, 0.0)  # x[n] takes the slack rows' updates and is never read
+    basis[x[basis] == 0.0] = n
+    score = None if gain is None else np.append(gain, 0.0)
+    slack = basis == n
 
+    def enter(j: int) -> bool:
+        """Pivot column j into the basis, or move its weight down to zero; True for an exchange."""
+        alpha = inverse @ matrix[:, j]
+        size = np.abs(alpha)
+        cutoff = PIVOT_TOL * size.max()
+        k = (size * slack).argmax()
+        exchange = bool(size[k] <= cutoff or not slack[k])
+        if exchange:
+            up = score is not None and score[j] > score[basis] @ alpha
+            step = alpha if up else -alpha
+            falling = ((size > cutoff) & (step > 0)).nonzero()[0]
+            if up and not falling.size:
+                # Row 0 sums the weights, so a rising weight makes a basic one fall.
+                raise InternalLogicError("no basic weight falls along an exchange; step undefined")
+            ratios = x[basis[falling]] / step[falling]
+            k = falling[ratios.argmin()] if up or ratios.min(initial=np.inf) < x[j] else None
+            t = x[j] if k is None else ratios.min()
+            x[basis] -= t * step
+            x[j] += t if up else -t
+            x[x <= ZERO_TOL] = 0.0
+        if k is not None:
+            row = inverse[k] / alpha[k]
+            inverse[...] -= alpha[:, None] * row
+            inverse[k] = row
+            basis[k] = j
+            slack[k] = False
+        return exchange
 
-def _walk_to_vertex(matrix: np.ndarray, lam: np.ndarray, gain: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Move ``lam`` inside its face to a vertex of the polytope ``matrix`` x = c, x >= 0.
-
-    Each step takes a null vector of the design columns on the window, the
-    first rows + 1 nonzero coordinates of the current point; any rows + 1
-    columns are dependent, so a full window always has one.  The walk ends
-    when the whole support fits in the window and has no null vector: its
-    columns are then linearly independent.  Every step computes one line end:
-    forward along the null vector without ``gain``; with it, the slope of a
-    score g . x that is linear in the weights, the null vector is flipped
-    when g falls along it, so the step goes to the end that scores higher,
-    forward on a tie.  Returns the vertex and the number of steps.
-    """
-    v = lam.copy()
-    steps = 0
-    while True:
-        window = np.flatnonzero(v)[: matrix.shape[0] + 1]
-        null = _null_basis(matrix[:, window])
-        if not null.shape[1]:
-            return v, steps
-        direction = null[:, 0]
-        if gain is not None and gain[window] @ direction < 0:
-            direction = -direction
-        q = np.zeros_like(v)
-        q[window] = direction
-        v = _line_end(v, q)
-        steps += 1
+    entering = x > 0
+    entering[basis] = False
+    steps = sum(enter(j) for j in np.flatnonzero(entering))
+    if gain is not None:
+        for _ in range(n):
+            reduced = gain - score[basis] @ inverse @ matrix
+            reduced[basis[basis < n]] = 0.0
+            j = int(np.argmax(reduced))
+            if reduced[j] <= ZERO_TOL:
+                break
+            enter(j)
+    return x[:n], (basis, inverse), steps
 
 
 def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
@@ -223,11 +234,11 @@ def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
 def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     """Rewrite sum_i lambda_i Pi'_i = I as a convex mixture of small solutions.
 
-    Constructive Caratheodory chain: walk the remaining weights to a vertex v
-    of their face, peel off the largest t with remainder - t v >= 0, and
-    renormalize.  Each peel zeros a coordinate of v's support, so the face
-    dimension drops every time and at most support - rank(D) + 1 leaves come
-    out.  Each leaf uses at most rank(D) of the given operators; rank(D) is at
+    Constructive Caratheodory chain: exchange the remaining weights to a
+    vertex v of their face, peel off the largest t with remainder - t v >= 0,
+    and renormalize; the next exchange starts from v's basis.  Each peel
+    zeros a coordinate of v's support, so the face dimension drops every time
+    and at most support - rank(D) + 1 leaves come out.  Each leaf uses at most rank(D) of the given operators; rank(D) is at
     most r + 1 when the operators live in an r-dimensional affine slice.
     A remainder that renormalizing takes off the identity by more than
     ``FEASIBLE_TOL`` (its mass is then tiny) is not split: the leaf it was
@@ -240,9 +251,9 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     max_leaves = np.count_nonzero(support) - numeric_rank(design.matrix[:, support]) + 1
     weights: list[float] = []
     solutions: list[np.ndarray] = []
-    mass = 1.0
+    mass, start = 1.0, None
     while len(solutions) < max_leaves:
-        vertex, _ = _walk_to_vertex(design.matrix, rest)
+        vertex, start, _ = _basis_exchange(design.matrix, rest, None, start)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
@@ -298,13 +309,13 @@ def score_leaves(s: Ensemble, decomposition: IdentityDecomposition, p: Povm) -> 
 
 
 class PrunedPovm(Povm):
-    """A pruned POVM with the counts and the information of the walk that produced it.
+    """A pruned POVM with the counts and the information of the program that produced it.
 
-    ``design_rank`` is the rank of the design columns the walk started from,
-    ``walk_steps`` the number of null-line steps it took to the vertex and
-    ``info_bits`` the walk's score g . nu - sum h(p_i) of the kept weights:
-    the mutual information of the pruned POVM with the ensemble.
-    The operators are taken over from an already checked ``Povm``.
+    ``design_rank`` is the rank of the design columns prune started from,
+    ``walk_steps`` the number of exchanges that took the weights to a vertex
+    (at most n - ``design_rank``) and ``info_bits`` the score
+    g . nu - sum h(p_i) of the kept weights, the pruned POVM's mutual
+    information with the ensemble.  Its operators come from a checked ``Povm``.
     """
 
     def __init__(self, povm: Povm, design_rank: int, walk_steps: int, info_bits: float):
@@ -318,22 +329,20 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     """Prune a POVM for a symmetric ensemble to a union of few group orbits.
 
     The operators are eigen-split to rank one and normalized, and their
-    weights walk to a vertex of the identity polytope over the orbit sums,
-    each step moving to the more informative end of its null line.
-    Information is linear in the weights and unchanged by symmetrizing, so no
-    step loses any, and the returned POVM is a union of at most
-    dim-of-commutant orbits (real symmetric commutant when ``real_mode`` and
-    the data are real).  Operators come in |G|-element orbit blocks, block j
+    weights go to the most informative vertex of the identity polytope over
+    the orbit sums, the optimum of a linear program in the slope of the
+    pieces' m x n joint matrix, certified unless its pivots reach their cap of
+    n (see the module docstring).  No information is lost, and the returned
+    POVM is a union of at most dim-of-commutant orbits (real symmetric
+    commutant with ``real_mode``, which prunes the real part of operators real
+    within ``HERM_TOL``).  Operators come in |G|-element orbit blocks, block j
     scaled by the vertex weight nu_j.  Without ``rep`` the group is trivial:
     each orbit is one operator and the bound is d^2 (d(d+1)/2 with
-    ``real_mode``).  The walk climbs the slope of the pieces' m x n joint
-    matrix, computed once (see the module docstring).  Completeness is ruled
-    on once, by ``validate_povm``: the split drops only eigenvalues it
-    tolerated, so the walk starts from the split weights unchecked.  The
-    vertex's weights are solved for again; a re-solved weight within
-    ``ZERO_TOL`` of zero is dropped, and any other one at or below zero
-    keeps the walk's vertex instead.  The weights kept must reproduce the
-    identity within ``HERM_TOL``.
+    ``real_mode``).  Completeness is ruled on once, by ``validate_povm``: the
+    split drops only eigenvalues it tolerated, so the exchange starts from the
+    split weights unchecked.  The vertex's weights come from one solve on its
+    basis, dropping those within ``ZERO_TOL`` of zero, or from the exchange if
+    the solve puts one below zero.
     """
     if rep is None:
         rep = generate_group([], dim=p.dim)
@@ -341,40 +350,31 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
         raise NotSymmetricError("ensemble is not symmetric under the given representation")
     validate_ensemble(s).require("ensemble")
     validate_povm(p).require("POVM")
-    normalized = normalize_povm(split_rank_one(p))
-    ops = normalized.normalized_ops
-    joint = joint_distribution(s, ops)
     if real_mode:
-        bound = real_orbit_bound(rep)
-        if np.max(np.abs(ops.imag)) > HERM_TOL:
+        if np.max(np.abs(p.operators.imag)) > HERM_TOL:
             raise RealRepRequiredError("real_mode requires real POVM operators")
+        p = Povm(p.operators.real)
+        bound = real_orbit_bound(rep)
     else:
         bound = complex_orbit_bound(rep)
+    normalized = normalize_povm(split_rank_one(p))
+    ops = normalized.normalized_ops
     design = build_design_matrix(orbit_sum(ops, rep))
     rest = np.where(normalized.weights > ZERO_TOL, normalized.weights, 0.0)
-    gain = _information_slope(joint)
-    vertex, steps = _walk_to_vertex(design.matrix, rest, gain)
-    nu = vertex.copy()
-    kept = nu > 0
+    gain = _information_slope(joint_distribution(s, ops))
+    vertex, (basis, _), steps = _basis_exchange(design.matrix, rest, gain)
+    # One solve on the square basis puts back the mass the ZERO_TOL floor dropped.
+    real = basis < len(vertex)
+    square = np.eye(len(basis))
+    square[:, real] = design.matrix[:, basis[real]]
+    nu = np.zeros_like(vertex)
+    nu[basis[real]] = np.linalg.solve(square, design.target)[real]
+    nu = vertex if np.any(nu < -ZERO_TOL) else nu
+    kept = nu > ZERO_TOL
+    nu[~kept] = 0.0
     orbits = np.count_nonzero(kept)
     if orbits > bound:
-        raise InternalLogicError(f"the walk ended on {orbits} orbits, above the bound {bound}")
-    # The kept columns are independent at a vertex, so they fix their weights:
-    # solving for them again puts back the mass the walk's ZERO_TOL floor dropped.
-    # A walk that ends on a degenerate vertex keeps a few weights that the exact
-    # solve puts within ZERO_TOL of zero; those columns are dropped and the rest
-    # solved again, until none is left.  Ill-conditioned kept columns can
-    # magnify that mass past zero; the walk's own vertex is nonnegative and
-    # serves instead.
-    while True:
-        nu[kept] = np.linalg.lstsq(design.matrix[:, kept], design.target, rcond=None)[0]
-        vanishing = kept & (np.abs(nu) <= ZERO_TOL)
-        if not vanishing.any():
-            break
-        nu[vanishing] = 0.0
-        kept &= ~vanishing
-    if np.any(nu[kept] <= 0):
-        nu, kept = vertex, vertex > 0
+        raise InternalLogicError(f"the pruned weights keep {orbits} orbits, above the bound {bound}")
     residual = np.max(np.abs(design.matrix[:, kept] @ nu[kept] - design.target))
     if residual > HERM_TOL:
         raise InternalLogicError(f"the pruned weights do not reproduce the identity: residual {residual:.3e}")

@@ -38,7 +38,6 @@ from povm_forge.infotheory import _formal_information, _information_slope, joint
 from povm_forge.symmetry import NotSymmetricError
 from test_commands_agree import tiny_operator_completed
 from helpers import (
-    gaussian_problem,
     orbit_ensemble,
     random_ensemble,
     random_povm,
@@ -442,14 +441,14 @@ def test_symmetrized_leaf_information_is_formal_information_of_pieces(case, monk
     ops = normalized.normalized_ops
     joint = joint_distribution(s, ops)
     vertices = []
-    walk = caratheodory._walk_to_vertex
+    exchange = caratheodory._basis_exchange
 
     def recording(*args):
-        result = walk(*args)
+        result = exchange(*args)
         vertices.append(result[0])
         return result
 
-    monkeypatch.setattr(caratheodory, "_walk_to_vertex", recording)
+    monkeypatch.setattr(caratheodory, "_basis_exchange", recording)
     pruned = prune_povm(s, p, rep)
     assert len(vertices) == 1
     for nu in (normalized.weights, vertices[0]):
@@ -563,15 +562,15 @@ def test_score_leaves_checks_signs_on_the_given_operators():
 
 
 def test_decompose_rejects_a_leaf_off_the_identity(monkeypatch):
-    walk = caratheodory._walk_to_vertex
+    exchange = caratheodory._basis_exchange
 
     def perturbed(*args):
-        vertex, steps = walk(*args)
+        vertex, basis, steps = exchange(*args)
         vertex = vertex.copy()
         vertex[np.flatnonzero(vertex)[0]] += 1e-6
-        return vertex, steps
+        return vertex, basis, steps
 
-    monkeypatch.setattr(caratheodory, "_walk_to_vertex", perturbed)
+    monkeypatch.setattr(caratheodory, "_basis_exchange", perturbed)
     with pytest.raises(InternalLogicError, match="leaf does not reproduce the identity"):
         decompose_identity(four_projector_normalized())
 
@@ -590,68 +589,6 @@ def test_pruned_info_bits_is_mutual_information():
     for s, p, rep, real_mode in cases:
         pruned = prune_povm(s, p, rep, real_mode=real_mode)
         assert abs(pruned.info_bits - mutual_information(s, pruned)) <= 1e-12
-
-
-def test_walk_steps_see_at_most_rows_plus_one_columns(monkeypatch):
-    # one null vector per step: the SVD sees a window of at most d^2 + 2
-    # columns however many outcomes the POVM has
-    d = 2
-    rng = np.random.default_rng(59)
-    s = random_ensemble(rng, d, d + 1)
-    p = random_povm(rng, d, 40, rank_one=True)
-    widths = []
-    original = caratheodory._null_basis
-
-    def recording(a):
-        widths.append(a.shape[1])
-        return original(a)
-
-    monkeypatch.setattr(caratheodory, "_null_basis", recording)
-    prune_povm(s, p)
-    decompose_identity(normalize_povm(p))
-    assert widths and max(widths) <= d * d + 2
-
-
-def two_end_walk(matrix, lam, joint, priors):
-    """The walk scored at both ends of every line by the formal information of the full weight vector."""
-    v = lam.copy()
-    steps = 0
-    while True:
-        window = np.flatnonzero(v)[: matrix.shape[0] + 1]
-        null = caratheodory._null_basis(matrix[:, window])
-        if not null.shape[1]:
-            return v, steps
-        q = np.zeros_like(v)
-        q[window] = null[:, 0]
-        end, back = caratheodory._line_end(v, q), caratheodory._line_end(v, -q)
-        v = back if _formal_information(joint * back, priors) > _formal_information(joint * end, priors) else end
-        steps += 1
-
-
-@pytest.mark.parametrize("d, outcomes", [(4, 20), (6, 40)])
-def test_slope_walk_matches_a_two_end_walk(d, outcomes, monkeypatch):
-    # one slope vector picks the end that two information evaluations per step picked
-    s, ops = gaussian_problem(np.random.default_rng(d), d, outcomes, rank_one=False)
-    normalized = normalize_povm(split_rank_one(Povm(ops)))
-    joint = joint_distribution(s, normalized.normalized_ops)
-    design = build_design_matrix(orbit_sum(normalized.normalized_ops, generate_group([], dim=d)))
-    reference, reference_steps = two_end_walk(design.matrix, normalized.weights, joint, s.priors)
-    line_ends = []
-    line_end = caratheodory._line_end
-
-    def counting(v, q):
-        line_ends.append(q)
-        return line_end(v, q)
-
-    pruned = prune_povm(s, Povm(ops))
-    monkeypatch.setattr(caratheodory, "_line_end", counting)
-    vertex, steps = caratheodory._walk_to_vertex(design.matrix, normalized.weights, _information_slope(joint))
-    assert steps == pruned.walk_steps == reference_steps > 0
-    assert len(line_ends) == steps
-    assert np.array_equal(vertex, reference)
-    information = _formal_information(joint * reference, s.priors)
-    assert abs(_information_slope(joint) @ vertex - plogp(s.priors).sum() - information) <= 1e-12
-    assert abs(pruned.info_bits - information) <= 1e-12
 
 
 def test_prune_and_decompose_many_rank_one_outcomes():
@@ -709,28 +646,68 @@ def test_prune_rounded_povms(d):
 
 
 def test_prune_keeps_the_walk_vertex_for_a_non_positive_re_solved_weight(monkeypatch):
-    lstsq = np.linalg.lstsq
+    # the weights the basis exchange tracked serve when the one solve puts one below zero
+    solve = np.linalg.solve
+    calls = []
 
     def negated(*args, **kwargs):
-        solution, *rest = lstsq(*args, **kwargs)
-        return (-solution, *rest)
+        calls.append(args)
+        return -solve(*args, **kwargs)
 
-    monkeypatch.setattr(caratheodory.np.linalg, "lstsq", negated)
+    monkeypatch.setattr(caratheodory.np.linalg, "solve", negated)
     s, p = next(decompose_cases())
     pruned = prune_povm(s, p)
+    assert len(calls) == 1
     assert validate_povm(pruned).ok
     assert np.max(np.abs(pruned.operators.sum(axis=0) - np.eye(pruned.dim))) <= HERM_TOL
     assert abs(pruned.info_bits - mutual_information(s, pruned)) <= 1e-12
 
 
 def test_prune_rejects_re_solved_weights_off_the_identity(monkeypatch):
-    lstsq = np.linalg.lstsq
+    solve = np.linalg.solve
 
     def scaled(*args, **kwargs):
-        solution, *rest = lstsq(*args, **kwargs)
-        return (solution * (1 + 1e-6), *rest)
+        return solve(*args, **kwargs) * (1 + 1e-6)
 
-    monkeypatch.setattr(caratheodory.np.linalg, "lstsq", scaled)
+    monkeypatch.setattr(caratheodory.np.linalg, "solve", scaled)
     s, p = next(decompose_cases())
     with pytest.raises(InternalLogicError, match="do not reproduce the identity"):
         prune_povm(s, p)
+
+
+def best_vertex_cases(name):
+    """Small seeded prunes whose every basic solution the subset oracle can list."""
+    if name == "plain":
+        rng = np.random.default_rng(61)
+        return [
+            (random_ensemble(rng, d, d + 1), random_povm(rng, d, outcomes, rank_one=rank_one), None)
+            for d, outcomes, rank_one in ((2, 3, False), (2, 6, True), (2, 9, True), (3, 3, False), (3, 8, True),
+                                          (2, 4, False), (2, 12, True))
+        ]
+    s, rep = SYMMETRIC_CASES[name]()
+    rng = np.random.default_rng([61, rep.order])
+    return [(s, random_povm(rng, rep.dim, 2 * rep.dim, rank_one=rank_one), rep) for rank_one in (True, False)]
+
+
+@pytest.mark.parametrize("name", ["plain", *SYMMETRIC_CASES])
+def test_prune_finds_the_most_informative_vertex(name):
+    # information is linear in the weights, so the best reweighting of the pieces
+    # is the best basic solution of their (orbit-sum) design
+    for s, p, rep in best_vertex_cases(name):
+        ops = normalize_povm(split_rank_one(p)).normalized_ops
+        gain = _information_slope(joint_distribution(s, ops))
+        design = build_design_matrix(orbit_sum(ops, rep or generate_group([], dim=p.dim)))
+        best = max(gain @ nu for nu in enumerate_basic_solutions(design)) - plogp(s.priors).sum()
+        assert abs(prune_povm(s, p, rep).info_bits - best) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_prune_is_at_least_every_leaf_over_the_same_pieces(d):
+    rng = np.random.default_rng([62, d])
+    for outcomes, rank_one in ((d + 2, False), (d * d, True), (d * d + d, True)):
+        for _ in range(3):
+            s = random_ensemble(rng, d, d + 1)
+            p = random_povm(rng, d, outcomes, rank_one=rank_one)
+            pieces = split_rank_one(p)
+            leaves = score_leaves(s, decompose_identity(normalize_povm(pieces)), pieces)
+            assert prune_povm(s, p).info_bits >= max(leaves) - 1e-12

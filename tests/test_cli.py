@@ -15,6 +15,7 @@ from povm_forge import (
     cli,
     lifted_trines,
     mutual_information,
+    orbit_projectors,
     scan_surface,
     trine_rotation,
 )
@@ -773,3 +774,23 @@ def test_commands_do_not_import_numpy_random(argv):
     )
     result = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
+
+
+def test_prune_real_checks_the_given_operators(tmp_path, capsys):
+    # the outcome 1e-9 I + 1e-12i (|0><1| - |1><0|) is real within HERM_TOL, but its
+    # rank-one split lies along (|0> -+ i|1>) / sqrt 2: normalized to trace 3, those
+    # pieces have imaginary parts of 1.5
+    nu = np.arccos(np.sqrt(1.0 / 3.0))
+    tiny = np.array([[1e-9, 1e-12j, 0], [-1e-12j, 1e-9, 0], [0, 0, 1e-9]])
+    povm = Povm([(1 - 1e-9) * op for op in orbit_projectors(nu, 0.0)] + [tiny])
+    doc = problem_to_json(3, ensemble=lifted_trines(0.05), povm=povm, generators=[trine_rotation()])
+    path = write_problem(tmp_path, "tiny_complex.json", doc)
+    assert main(["validate", path]) == 0
+    assert main(["prune", path]) == 0
+    capsys.readouterr()
+    assert main(["prune", path, "--real"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ops = np.array([matrix_from_json(m) for m in out["povm"]])
+    assert not np.any(ops.imag)
+    assert out["report"]["orbit_count"] <= 2
+    assert out["report"]["info_bits_after"] >= out["report"]["info_bits_before"] - 1e-9

@@ -180,7 +180,7 @@ def test_tolerances_are_five_and_shared():
         for name, value in vars(module).items():
             if name.endswith("_TOL") and isinstance(value, float):
                 holders.setdefault(name, []).append(value)
-    assert set(holders) == {"HERM_TOL", "RANK_TOL", "ZERO_TOL", "FEASIBLE_TOL", "MATCH_TOL"}
+    assert set(holders) == {"HERM_TOL", "RANK_TOL", "ZERO_TOL", "FEASIBLE_TOL", "MATCH_TOL", "PIVOT_TOL"}
     for name, values in holders.items():
         assert all(value is values[0] for value in values), name
     for name in ("HERM_TOL", "RANK_TOL", "ZERO_TOL"):

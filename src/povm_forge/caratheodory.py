@@ -155,7 +155,7 @@ class IdentityDecomposition:
         return [np.flatnonzero(nu > ZERO_TOL) for nu in self.solutions]
 
 
-def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) -> tuple[np.ndarray, tuple, int]:
+def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) -> tuple[np.ndarray, tuple, int, int, bool]:
     """Move the feasible point ``x`` of {matrix x = c, x >= 0} to a vertex by basis exchange.
 
     The basis starts as ``start``, a (basis, inverse) pair returned before,
@@ -166,10 +166,11 @@ def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) ->
     one exchange moves its weight until it or a basic weight reaches zero:
     up if its reduced cost under the slope ``gain`` is positive, else down,
     so g . x never falls.  With ``gain``, at most n Dantzig pivots follow;
-    if they end with no reduced cost above ``ZERO_TOL``, the vertex
-    maximizes g . x.  Each step is O(rows^2), a rank-one update of the basis
-    inverse.  Returns the weights (zero at or below ``ZERO_TOL``), the
-    (basis, inverse) pair, n marking a slack, and the number of exchanges.
+    if they end with no reduced cost above ``ZERO_TOL``, the vertex is
+    certified to maximize g . x.  Each step is O(rows^2), a rank-one update
+    of the basis inverse.  Returns the weights (zero at or below
+    ``ZERO_TOL``), the (basis, inverse) pair, n marking a slack, the number
+    of exchanges, the number of pivots, and whether the climb certified.
     """
     rows, n = matrix.shape
     basis, inverse = (np.full(rows, n), np.eye(rows)) if start is None else start
@@ -209,15 +210,17 @@ def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) ->
     entering = x > 0
     entering[basis] = False
     steps = sum(enter(j) for j in np.flatnonzero(entering))
-    if gain is not None:
-        for _ in range(n):
-            reduced = gain - score[basis] @ inverse @ matrix
-            reduced[basis[basis < n]] = 0.0
-            j = int(np.argmax(reduced))
-            if reduced[j] <= ZERO_TOL:
-                break
-            enter(j)
-    return x[:n], (basis, inverse), steps
+    pivots, certified = 0, False
+    while gain is not None and pivots < n:
+        reduced = gain - score[basis] @ inverse @ matrix
+        reduced[basis[basis < n]] = 0.0
+        j = int(np.argmax(reduced))
+        if reduced[j] <= ZERO_TOL:
+            certified = True
+            break
+        enter(j)
+        pivots += 1
+    return x[:n], (basis, inverse), steps, pivots, certified
 
 
 def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
@@ -253,7 +256,7 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     solutions: list[np.ndarray] = []
     mass, start = 1.0, None
     while len(solutions) < max_leaves:
-        vertex, start, _ = _basis_exchange(design.matrix, rest, None, start)
+        vertex, start, *_ = _basis_exchange(design.matrix, rest, None, start)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
@@ -313,15 +316,19 @@ class PrunedPovm(Povm):
 
     ``design_rank`` is the rank of the design columns prune started from,
     ``walk_steps`` the number of exchanges that took the weights to a vertex
-    (at most n - ``design_rank``) and ``info_bits`` the score
-    g . nu - sum h(p_i) of the kept weights, the pruned POVM's mutual
+    (at most n - ``design_rank``), ``pivots`` the Dantzig pivots that
+    followed (at most n), ``certified`` whether they stopped at no reduced
+    cost above ``ZERO_TOL`` rather than at that cap, and ``info_bits`` the
+    score g . nu - sum h(p_i) of the kept weights, the pruned POVM's mutual
     information with the ensemble.  Its operators come from a checked ``Povm``.
     """
 
-    def __init__(self, povm: Povm, design_rank: int, walk_steps: int, info_bits: float):
+    def __init__(self, povm: Povm, design_rank: int, walk_steps: int, pivots: int, certified: bool, info_bits: float):
         object.__setattr__(self, "operators", povm.operators)
         object.__setattr__(self, "design_rank", design_rank)
         object.__setattr__(self, "walk_steps", walk_steps)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "certified", certified)
         object.__setattr__(self, "info_bits", info_bits)
 
 
@@ -362,7 +369,7 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     design = build_design_matrix(orbit_sum(ops, rep))
     rest = np.where(normalized.weights > ZERO_TOL, normalized.weights, 0.0)
     gain = _information_slope(joint_distribution(s, ops))
-    vertex, (basis, _), steps = _basis_exchange(design.matrix, rest, gain)
+    vertex, (basis, _), steps, pivots, certified = _basis_exchange(design.matrix, rest, gain)
     # One solve on the square basis puts back the mass the ZERO_TOL floor dropped.
     real = basis < len(vertex)
     square = np.eye(len(basis))
@@ -380,4 +387,4 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
         raise InternalLogicError(f"the pruned weights do not reproduce the identity: residual {residual:.3e}")
     leaf = Povm(ops[kept] * nu[kept, None, None])
     rank = numeric_rank(design.matrix[:, rest > 0])
-    return PrunedPovm(symmetrize(leaf, rep), rank, steps, float(gain @ nu - plogp(s.priors).sum()))
+    return PrunedPovm(symmetrize(leaf, rep), rank, steps, pivots, certified, float(gain @ nu - plogp(s.priors).sum()))

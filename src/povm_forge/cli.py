@@ -447,6 +447,8 @@ def cmd_prune(args) -> int:
         "info_bits_after": info_after,
         "design_rank": pruned.design_rank,
         "walk_steps": pruned.walk_steps,
+        "pivots": pruned.pivots,
+        "certified": pruned.certified,
     }
     if rep is not None:
         doc["report"]["orbit_count"] = len(pruned) // rep.order

@@ -2,17 +2,18 @@
 
 Groups are stored extensionally as one stacked (|G|, d, d) array of unitary
 matrices, such as the low-dimensional Clifford and Weyl-Heisenberg groups.
-Closure from generators costs O(|G| d^2) per generator, so orders in the
-thousands close in a fraction of a second; the generators are kept, and the
-ensemble symmetry check runs over them alone.  The group acts on operators in
-one place, a broadcast conjugation over that stack.  The two orbit-count bounds
-are computed from character sums alone; no explicit decomposition into
+Closure looks each product up by bisection in the sorted projections of the
+elements found so far.  The generators are kept, and the ensemble symmetry
+check runs over them alone.  The group acts on operators in one place, a
+broadcast conjugation over that stack.  The two orbit-count bounds are
+computed from character sums alone; no explicit decomposition into
 irreducible blocks is ever performed.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,6 @@ from .hermitian import HERM_TOL, as_hermitian
 from .quantum import Ensemble, Povm, StructuralError
 
 MATCH_TOL = 1e-8
-# Bucket width of the closure lookup: any width above MATCH_TOL is exact, and
-# the margin covers rounding in the projection.
-BUCKET_STEP = 4 * MATCH_TOL
 # Largest group that generate_group closes before it gives up.
 MAX_ORDER = 10000
 
@@ -104,9 +102,10 @@ def _projection_weights(dim: int) -> np.ndarray:
     """Fixed generic weights 1 + frac(sqrt(k + 1/2)), k = 1 .. 2 d^2, over the real entries, scaled to sum to 1.
 
     Square roots keep integer relations among the weights rare, so matrices
-    with structured entries still spread over the buckets.  The golden-ratio
-    sequence 1 + frac(k phi) would not: its weights satisfy w_j + w_k - w_(j+k)
-    in {1, 2}, and it puts the 192 single-qubit Clifford elements in 90 buckets.
+    with structured entries still spread their projections apart.  The
+    golden-ratio sequence 1 + frac(k phi) would not: its weights satisfy
+    w_j + w_k - w_(j+k) in {1, 2}, and it gives the 192 single-qubit Clifford
+    elements only 90 distinct projections.
     """
     weights = 1.0 + np.mod(np.sqrt(np.arange(1, 2 * dim * dim + 1) + 0.5), 1.0)
     weights /= weights.sum()
@@ -114,41 +113,26 @@ def _projection_weights(dim: int) -> np.ndarray:
     return weights
 
 
-class _ElementTable:
-    """Matrices bucketed by a projection, for exact max-abs membership tests.
+def _projections(stack: np.ndarray) -> list[float]:
+    """Projection of each matrix of a (n, d, d) complex stack onto ``_projection_weights``."""
+    return (stack.view(float).reshape(len(stack), -1) @ _projection_weights(stack.shape[-1])).tolist()
 
-    Each matrix is projected onto fixed, generic, nonnegative weights over its
-    2 d^2 real entries that sum to 1, and keyed by floor(projection /
-    BUCKET_STEP).  Two matrices within ``MATCH_TOL`` max-abs have projections
-    at most ``MATCH_TOL`` apart, so their keys differ by at most one: looking
-    in buckets key - 1, key and key + 1 and confirming each candidate by
-    max-abs finds exactly what a linear scan finds.  Colliding buckets only
-    make a lookup slower, never wrong.
+
+def _find(matrix: np.ndarray, projection: float, elements: list, projections: list, indices: list) -> int:
+    """Index of an element within ``MATCH_TOL`` (max-abs) of ``matrix``, or -1.
+
+    ``projections`` holds the projection of every element, sorted, and
+    ``indices`` the element of each.  The weights are nonnegative and sum to
+    1, so an element within ``MATCH_TOL`` projects within ``MATCH_TOL``; the
+    window is twice that to cover rounding, and max-abs confirms each
+    candidate in it, so the verdict is exactly that of a scan.
     """
-
-    def __init__(self, dim: int):
-        self._weights = _projection_weights(dim)
-        self._buckets: dict[int, list[int]] = {}
-        self.matrices: list[np.ndarray] = []
-
-    def keys(self, stack: np.ndarray) -> list[int]:
-        """Bucket key of each matrix in a (n, d, d) complex stack; n may be 0."""
-        entries = np.ascontiguousarray(stack).view(float).reshape(len(stack), self._weights.size)
-        return np.floor(entries @ self._weights / BUCKET_STEP).astype(np.int64).tolist()
-
-    def find(self, matrix: np.ndarray, key: int) -> int:
-        """Index of the first stored matrix within ``MATCH_TOL`` (max-abs) of ``matrix``, or -1."""
-        hits = [
-            index
-            for near in (key - 1, key, key + 1)
-            for index in self._buckets.get(near, ())
-            if np.max(np.abs(self.matrices[index] - matrix)) <= MATCH_TOL
-        ]
-        return min(hits, default=-1)
-
-    def add(self, matrix: np.ndarray, key: int) -> None:
-        self._buckets.setdefault(key, []).append(len(self.matrices))
-        self.matrices.append(matrix)
+    low = bisect_left(projections, projection - 2 * MATCH_TOL)
+    high = bisect_right(projections, projection + 2 * MATCH_TOL, low)
+    for i in indices[low:high]:
+        if np.max(np.abs(elements[i] - matrix)) <= MATCH_TOL:
+            return i
+    return -1
 
 
 def generate_group(generators, dim: int | None = None) -> FiniteRep:
@@ -156,11 +140,10 @@ def generate_group(generators, dim: int | None = None) -> FiniteRep:
 
     Breadth-first: the identity comes first, then elements in discovery order,
     multiplying known elements by the generators on the right.  Each BFS layer
-    is multiplied by all generators in one matmul, and each product is looked
-    up in an ``_ElementTable``, so closure costs O(|G| d^2) rather than the
-    O(|G|^2 d^2) of a scan over every element found so far, with the same
-    verdicts.  An empty generator list yields the trivial group (``dim`` must
-    then be given); a given ``dim`` must match the generators.  Raises
+    is multiplied by all generators in one matmul, and ``_find`` looks each
+    product up with the verdict of a scan over every element found so far.
+    An empty generator list yields the trivial group (``dim`` must then be
+    given); a given ``dim`` must match the generators.  Raises
     GroupNotFiniteError if the closure exceeds ``MAX_ORDER`` elements; for a
     projective representation, extend the group centrally by the offending
     phases and retry with the extended generators.
@@ -176,24 +159,29 @@ def generate_group(generators, dim: int | None = None) -> FiniteRep:
         dim = gen_dim
     elif dim is None:
         raise StructuralError("dim is required when the generator list is empty")
-    identity = np.eye(dim, dtype=complex)
-    table = _ElementTable(dim)
-    table.add(identity, table.keys(identity[None])[0])
+    identity = np.eye(dim, dtype=complex)[None]
     gen_stack = np.array(gens, dtype=complex).reshape(-1, dim, dim)
+    if not gens:
+        return FiniteRep(dim=dim, elements=identity, generators=gen_stack)
+    elements = [identity[0]]
+    projections, indices = _projections(identity), [0]
     frontier = 0
-    while frontier < len(table.matrices):
-        layer = np.stack(table.matrices[frontier:])
-        frontier = len(table.matrices)
+    while frontier < len(elements):
+        layer = np.stack(elements[frontier:])
+        frontier = len(elements)
         products = (layer[:, None] @ gen_stack).reshape(-1, dim, dim)
-        for product, key in zip(products, table.keys(products)):
-            if table.find(product, key) < 0:
-                if len(table.matrices) >= MAX_ORDER:
+        for product, projection in zip(products, _projections(products)):
+            if _find(product, projection, elements, projections, indices) < 0:
+                if len(elements) >= MAX_ORDER:
                     raise GroupNotFiniteError(
                         f"group closure exceeds MAX_ORDER={MAX_ORDER}; the generators may "
                         "form a projective representation, supply a central extension"
                     )
-                table.add(product, key)
-    return FiniteRep(dim=dim, elements=np.stack(table.matrices), generators=gen_stack)
+                at = bisect_right(projections, projection)
+                projections.insert(at, projection)
+                indices.insert(at, len(elements))
+                elements.append(product)
+    return FiniteRep(dim=dim, elements=np.stack(elements), generators=gen_stack)
 
 
 def _check_dim(what: str, dim: int, rep: FiniteRep) -> None:

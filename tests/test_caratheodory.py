@@ -565,10 +565,10 @@ def test_decompose_rejects_a_leaf_off_the_identity(monkeypatch):
     exchange = caratheodory._basis_exchange
 
     def perturbed(*args):
-        vertex, basis, steps = exchange(*args)
+        vertex, *rest = exchange(*args)
         vertex = vertex.copy()
         vertex[np.flatnonzero(vertex)[0]] += 1e-6
-        return vertex, basis, steps
+        return vertex, *rest
 
     monkeypatch.setattr(caratheodory, "_basis_exchange", perturbed)
     with pytest.raises(InternalLogicError, match="leaf does not reproduce the identity"):

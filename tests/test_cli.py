@@ -767,7 +767,7 @@ def test_repeated_main_calls_match_separate_processes(capsys, monkeypatch):
                                   ["bound", fixture("s3_irrep_2d.json")]],
                          ids=["prune", "prune-group", "bound"])
 def test_commands_do_not_import_numpy_random(argv):
-    # group closure buckets by fixed weights, not by a seeded draw
+    # group closure projects onto fixed weights, not onto a seeded draw
     child = (
         "import sys; from povm_forge.cli import main; code = main(sys.argv[1:]); "
         "sys.exit(10 if 'numpy.random' in sys.modules else code)"

@@ -12,6 +12,7 @@ the rank-one split drops.
 
 import itertools
 import json
+import os
 import warnings
 
 import numpy as np
@@ -162,3 +163,24 @@ def test_validate_zero_means_every_command_zero(tmp_path, capsys, family):
         path.write_text(json.dumps(problem_to_json(ensemble.dim, ensemble=ensemble, povm=Povm(ops))))
         failures += [f"draw {i}: {line}" for line in disagreements(str(path), ensemble.dim, capsys)]
     assert not failures, "\n".join(failures[:5]) + f"\n({len(failures)} in all)"
+
+
+def test_prune_reports_whether_its_optimum_is_certified(tmp_path, capsys):
+    # the Dantzig climb of draws 11 and 35 stops at its cap of n pivots; every
+    # other draw, and each shipped POVM, stops at no reduced cost above ZERO_TOL
+    uncertified = []
+    for i, (ensemble, ops) in enumerate(FAMILIES["full-rank-d4-12dp"]()):
+        path = tmp_path / f"draw{i}.json"
+        path.write_text(json.dumps(problem_to_json(ensemble.dim, ensemble=ensemble, povm=Povm(ops))))
+        code, out, _, _ = run(["prune", str(path)], capsys)
+        report = json.loads(out)["report"]
+        assert code == 0 and isinstance(report["certified"], bool)
+        if not report["certified"]:
+            uncertified.append(i)
+            # n = 32: the 8 full-rank outcomes split into 4 rank-one pieces each
+            assert report["pivots"] == 32
+    assert uncertified == [11, 35]
+    data = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data")
+    for argv in (["four_projectors_d2.json"], ["lifted_trines_0.05.json"], ["lifted_trines_0.05.json", "--real"]):
+        code, out, _, _ = run(["prune", os.path.join(data, argv[0]), *argv[1:]], capsys)
+        assert code == 0 and json.loads(out)["report"]["certified"] is True

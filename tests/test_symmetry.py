@@ -26,7 +26,7 @@ from povm_forge import (
 from povm_forge import symmetry
 from povm_forge.cli import load_problem
 from povm_forge.quantum import StructuralError
-from povm_forge.symmetry import MATCH_TOL, FiniteRep, _ElementTable
+from povm_forge.symmetry import MATCH_TOL, FiniteRep
 from helpers import orbit_ensemble, planar_rotation, random_state, weyl_heisenberg_generators
 
 
@@ -106,8 +106,8 @@ def test_non_unitary_generator_rejected():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "huge"])
 def test_non_finite_generator_rejected(bad, monkeypatch):
     # rejected before U^dagger U is formed, so numpy warns of no invalid value
-    # or overflow; accepted, a NaN or Inf generator would send every product
-    # to one bucket and overflow MAX_ORDER instead
+    # or overflow; accepted, a NaN or Inf generator would make products that
+    # match no element, NaN being within no tolerance, and overflow MAX_ORDER instead
     monkeypatch.setattr(symmetry, "MAX_ORDER", 16)
     with pytest.raises(UnitarityError):
         generate_group([np.array([[bad, 0.0], [0.0, 1.0]])])
@@ -461,31 +461,30 @@ def linear_scan_index(stack, candidate):
     return int(hits[0]) if hits.size else -1
 
 
-def test_element_table_lookup_matches_linear_scan():
+def test_projection_window_lookup_matches_linear_scan():
     stack = generate_group(clifford_generators()).elements
-    table = _ElementTable(2)
-    keys = table.keys(stack)
-    for u, key in zip(stack, keys):
-        table.add(u, key)
+    projections = symmetry._projections(stack)
+    indices = sorted(range(len(stack)), key=projections.__getitem__)
+    table = (list(stack), [projections[i] for i in indices], indices)
     rng = np.random.default_rng(90)
-    shifts = []
+    sides = []
     for index, u in enumerate(stack):
         for sign in (1.0, -1.0):
             # every entry moves 0.9 * MATCH_TOL in the same quadrant, so the
-            # projection moves about half a tolerance and often changes bucket
+            # projection moves about half a tolerance, up or down with the sign
             near = u + sign * 0.9 * MATCH_TOL * np.exp(1j * rng.uniform(0.0, np.pi / 2, (2, 2)))
-            (near_key,) = table.keys(near[None])
-            shifts.append(near_key - keys[index])
+            (near_projection,) = symmetry._projections(near[None])
+            sides.append(np.sign(near_projection - projections[index]))
             assert linear_scan_index(stack, near) == index
-            assert table.find(near, near_key) == index
+            assert symmetry._find(near, near_projection, *table) == index
             # one entry 1.1 * MATCH_TOL away is outside the tolerance
             far = u.copy()
             far[rng.integers(2), rng.integers(2)] += sign * 1.1 * MATCH_TOL * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-            (far_key,) = table.keys(far[None])
+            (far_projection,) = symmetry._projections(far[None])
             assert linear_scan_index(stack, far) == -1
-            assert table.find(far, far_key) == -1
-    # both neighbouring buckets were exercised
-    assert {-1, 0, 1} == set(shifts)
+            assert symmetry._find(far, far_projection, *table) == -1
+    # the perturbations landed on both sides of the stored projection
+    assert {-1.0, 1.0} == set(sides)
 
 
 def test_max_order_equal_to_the_order_succeeds(monkeypatch):

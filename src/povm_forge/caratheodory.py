@@ -29,9 +29,10 @@ over the polytope, and its optimum is a vertex (the extreme-point argument
 of Davies, IEEE Trans. Inf. Theory 24, 596, 1978).  Prune solves it: the
 exchanges turn each weight towards the end where g rises, and Dantzig
 pivots then climb until no reduced cost is positive, which certifies the
-optimum, at least every leaf of a chain over the same pieces; after n
-pivots the climb stops uncertified, still at least the input.  The slope is
-computed once per prune, and every leaf is scored by one product with it.
+optimum, at least every leaf of a chain over the same pieces; the climb
+stops after n pivots, certified only if the reduced costs there pass the
+same test, and at least the input either way.  The slope is computed once
+per prune, and every leaf is scored by one product with it.
 
 Under a symmetry group the program runs over orbit sums on that same matrix:
 conjugation by g permutes the states and keeps the priors, so the column of
@@ -166,9 +167,9 @@ def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) ->
     one exchange moves its weight until it or a basic weight reaches zero:
     up if its reduced cost under the slope ``gain`` is positive, else down,
     so g . x never falls.  With ``gain``, at most n Dantzig pivots follow;
-    if they end with no reduced cost above ``ZERO_TOL``, the vertex is
-    certified to maximize g . x.  Each step is O(rows^2), a rank-one update
-    of the basis inverse.  Returns the weights (zero at or below
+    if they end, or reach that cap, with no reduced cost above ``ZERO_TOL``,
+    the vertex is certified to maximize g . x.  Each step is O(rows^2), a
+    rank-one update of the basis inverse.  Returns the weights (zero at or below
     ``ZERO_TOL``), the (basis, inverse) pair, n marking a slack, the number
     of exchanges, the number of pivots, and whether the climb certified.
     """
@@ -211,12 +212,12 @@ def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) ->
     entering[basis] = False
     steps = sum(enter(j) for j in np.flatnonzero(entering))
     pivots, certified = 0, False
-    while gain is not None and pivots < n:
+    while gain is not None:
         reduced = gain - score[basis] @ inverse @ matrix
         reduced[basis[basis < n]] = 0.0
         j = int(np.argmax(reduced))
-        if reduced[j] <= ZERO_TOL:
-            certified = True
+        certified = bool(reduced[j] <= ZERO_TOL)
+        if certified or pivots == n:
             break
         enter(j)
         pivots += 1
@@ -317,10 +318,10 @@ class PrunedPovm(Povm):
     ``design_rank`` is the rank of the design columns prune started from,
     ``walk_steps`` the number of exchanges that took the weights to a vertex
     (at most n - ``design_rank``), ``pivots`` the Dantzig pivots that
-    followed (at most n), ``certified`` whether they stopped at no reduced
-    cost above ``ZERO_TOL`` rather than at that cap, and ``info_bits`` the
-    score g . nu - sum h(p_i) of the kept weights, the pruned POVM's mutual
-    information with the ensemble.  Its operators come from a checked ``Povm``.
+    followed (at most n), ``certified`` whether they ended at no reduced
+    cost above ``ZERO_TOL`` (tested once more at that cap), and
+    ``info_bits`` the score g . nu - sum h(p_i) of the kept weights, the
+    pruned POVM's mutual information with the ensemble.  Its operators come from a checked ``Povm``.
     """
 
     def __init__(self, povm: Povm, design_rank: int, walk_steps: int, pivots: int, certified: bool, info_bits: float):
@@ -338,12 +339,13 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     The operators are eigen-split to rank one and normalized, and their
     weights go to the most informative vertex of the identity polytope over
     the orbit sums, the optimum of a linear program in the slope of the
-    pieces' m x n joint matrix, certified unless its pivots reach their cap of
-    n (see the module docstring).  No information is lost, and the returned
-    POVM is a union of at most dim-of-commutant orbits (real symmetric
-    commutant with ``real_mode``, which prunes the real part of operators real
-    within ``HERM_TOL``).  Operators come in |G|-element orbit blocks, block j
-    scaled by the vertex weight nu_j.  Without ``rep`` the group is trivial:
+    pieces' m x n joint matrix, certified unless a reduced cost is still
+    positive at its cap of n pivots (see the module docstring).  No
+    information is lost, and the returned POVM is a union of at most
+    dim-of-commutant orbits (real symmetric commutant with ``real_mode``,
+    which prunes the real part of operators real within ``HERM_TOL``).
+    Operators come in |G|-element orbit blocks, block j scaled by the vertex
+    weight nu_j.  Without ``rep`` the group is trivial:
     each orbit is one operator and the bound is d^2 (d(d+1)/2 with
     ``real_mode``).  Completeness is ruled on once, by ``validate_povm``: the
     split drops only eigenvalues it tolerated, so the exchange starts from the

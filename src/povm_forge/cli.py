@@ -75,6 +75,30 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def matrix_json_text(m: np.ndarray) -> str:
+    """``json.dumps(matrix_to_json(m))``, byte for byte, with each distinct float formatted once.
+
+    The floats are keyed on their 64-bit patterns, so 0.0 and -0.0 stay
+    apart, and the C encoder formats the distinct ones.  The separators
+    follow from the shape: after an entry whose last r axes roll over comes
+    "]" * r + ", " + "[" * r.
+    """
+    m = np.asarray(m, dtype=complex)
+    values = np.stack([m.real, m.imag], -1)
+    if values.size == 0:
+        return json.dumps(values.tolist())
+    distinct, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    strings = np.array(json.dumps(distinct.view(float).tolist())[1:-1].split(", "), dtype=object)
+    separators = [", "] * (values.shape[-1] - 1)
+    for r in range(1, values.ndim):
+        separators = (separators + ["]" * r + ", " + "[" * r]) * values.shape[-1 - r]
+        del separators[-1]
+    tokens = [""] * (2 * values.size - 1)
+    tokens[0::2] = strings[inverse].tolist()
+    tokens[1::2] = separators
+    return "[" * values.ndim + "".join(tokens) + "]" * values.ndim
+
+
 # json reads true and false as bool, a subclass of int; they are not numbers here.
 _NUMBER_TYPES = {int, float}
 
@@ -168,12 +192,24 @@ def problem_to_json(
     return doc
 
 
-def _write_json(out_dir: str, name: str, doc: dict, indent: int | None = 2) -> str:
-    """Write ``doc`` to ``out_dir/name`` and return the path; without an indent json uses its C encoder."""
+def _json_text(doc: dict) -> str:
+    """``json.dumps`` of ``doc`` with each array value written by ``matrix_json_text``, as if by ``matrix_to_json``."""
+    fields = (f"{json.dumps(key)}: {matrix_json_text(value) if isinstance(value, np.ndarray) else json.dumps(value)}"
+              for key, value in doc.items())
+    return "{" + ", ".join(fields) + "}"
+
+
+def _write_text(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name`` and return the path."""
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, indent=indent))
+        handle.write(text)
     return path
+
+
+def _write_json(out_dir: str, name: str, doc: dict) -> str:
+    """Write ``doc`` indented to ``out_dir/name`` and return the path."""
+    return _write_text(out_dir, name, json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +475,8 @@ def cmd_prune(args) -> int:
     joint = joint_distribution(problem.ensemble, problem.povm)
     info_before = _formal_information(joint, joint.sum(axis=1))
     info_after = pruned.info_bits
-    doc = problem_to_json(problem.dimension, povm=pruned, metadata={"pruned_from": args.path})
+    # The problem_to_json layout, with the operators left as an array for matrix_json_text.
+    doc = {"dimension": problem.dimension, "povm": pruned.operators, "metadata": {"pruned_from": args.path}}
     doc["report"] = {
         "operators_before": len(problem.povm),
         "operators_after": len(pruned),
@@ -453,14 +490,15 @@ def cmd_prune(args) -> int:
     if rep is not None:
         doc["report"]["orbit_count"] = len(pruned) // rep.order
         doc["report"]["group_order"] = rep.order
+    text = _json_text(doc)
     if args.out_dir:
-        out_path = _write_json(args.out_dir, "pruned.json", doc, indent=None)
+        out_path = _write_text(args.out_dir, "pruned.json", text)
         print(
             f"{len(problem.povm)} -> {len(pruned)} operators, "
             f"info {info_before:.6f} -> {info_after:.6f} bits, written to {out_path}"
         )
     else:
-        print(json.dumps(doc))
+        print(text)
     return EXIT_OK
 
 

@@ -4,10 +4,12 @@ Groups are stored extensionally as one stacked (|G|, d, d) array of unitary
 matrices, such as the low-dimensional Clifford and Weyl-Heisenberg groups.
 Closure looks each product up by bisection in the sorted projections of the
 elements found so far.  The generators are kept, and the ensemble symmetry
-check runs over them alone.  The group acts on operators in one place, a
-broadcast conjugation over that stack.  The two orbit-count bounds are
-computed from character sums alone; no explicit decomposition into
-irreducible blocks is ever performed.
+check runs over them alone.  The group acts on operators by one broadcast
+conjugation, which serves ``symmetrize`` and that check.  An orbit sum is
+the orthogonal projection onto the commutant, whose basis comes from one
+SVD over the generators and is cached on the group.  The two orbit-count
+bounds are computed from character sums alone; no explicit decomposition
+into irreducible blocks is ever performed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERM_TOL, as_hermitian
+from .hermitian import HERM_TOL, RANK_TOL, as_hermitian, hermitian_basis
 from .quantum import Ensemble, Povm, StructuralError
 
 MATCH_TOL = 1e-8
@@ -35,7 +37,7 @@ class GroupNotFiniteError(RuntimeError):
 
 
 class ClosureDefectError(RuntimeError):
-    """Raised when a character sum that must be an integer is not."""
+    """Raised when a character sum that must be an integer is not, or the generators' commutant disagrees with it."""
 
 
 class RealRepRequiredError(ValueError):
@@ -55,7 +57,8 @@ class FiniteRep:
     a (k, d, d) stack that generates the group, as given to
     ``generate_group`` ((0, d, d) for the trivial group); built from
     elements alone, the group takes its elements as generators, since any
-    element list generates its group.
+    element list generates its group.  ``commutant_basis`` is computed on
+    first use and kept.
     """
 
     dim: int
@@ -71,6 +74,34 @@ class FiniteRep:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def commutant_basis(self) -> np.ndarray:
+        """Hilbert-Schmidt-orthonormal Hermitian matrices spanning those that every generator commutes with.
+
+        A (``complex_orbit_bound``, d, d) stack: the null space of the stacked
+        (k d^2, d^2) map X -> g X g^dagger - X in the coordinates of
+        ``_hs_basis``, from one SVD.  ClosureDefectError if the count of
+        singular values at or below ``RANK_TOL`` times the largest (or times
+        1, if the largest is smaller) differs from the bound, since the
+        elements then do not form the group of the generators.
+        """
+        d, basis = self.dim, _hs_basis(self.dim)
+        flat = basis.reshape(d * d, d * d)
+        generators = self.generators if len(self.generators) else np.eye(d, dtype=complex)[None]
+        images = _conjugates(basis, generators[:, None]).reshape(-1, d * d, d * d)
+        # entry (g, a, b) is tr(B_b g B_a g^dagger), coordinate b of image a
+        maps = (images @ flat.conj().T).real - np.eye(d * d)
+        _, singular, rows = np.linalg.svd(maps.swapaxes(1, 2).reshape(-1, d * d), full_matrices=False)
+        bound = complex_orbit_bound(self)
+        # A group of scalars maps every X to rounding; the unit floor keeps that null.
+        null = np.count_nonzero(singular <= RANK_TOL * max(singular.max(), 1.0))
+        if null != bound:
+            raise ClosureDefectError(
+                f"the generators commute with a {null}-dimensional space, but the character sum gives "
+                f"{bound}; the element list is not the group of the generators"
+            )
+        return (rows[d * d - bound :] @ flat).reshape(bound, d, d)
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -95,6 +126,18 @@ def _conjugates(ops, units: np.ndarray) -> np.ndarray:
     the shapes of ``ops`` and ``units`` broadcast as in ``np.matmul``.
     """
     return units @ ops @ units.conj().swapaxes(-1, -2)
+
+
+@functools.cache
+def _hs_basis(dim: int) -> np.ndarray:
+    """``hermitian_basis`` scaled to unit Hilbert-Schmidt norm.
+
+    Coordinates in it are ``coords`` with the off-diagonal ones times sqrt 2.
+    """
+    basis = hermitian_basis(dim)
+    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    basis.flags.writeable = False
+    return basis
 
 
 @functools.cache
@@ -203,12 +246,20 @@ def symmetrize(p: Povm, rep: FiniteRep) -> Povm:
 def orbit_sum(op: np.ndarray, rep: FiniteRep) -> np.ndarray:
     """Group average (1/|G|) sum_g sigma(g) op sigma(g)^dagger; commutes with the rep.
 
-    A stack of operators gives the stack of their orbit sums, Hermitian up to
-    rounding (``coords`` symmetrizes its input).
+    The average is the orthogonal projection onto the commutant in the
+    Hilbert-Schmidt inner product, so it is computed as one: the sum of
+    tr(C op) C over ``rep.commutant_basis``, with no conjugation by the |G|
+    elements.  A stack of operators gives the stack of their orbit sums,
+    Hermitian up to rounding (``coords`` symmetrizes its input); the trivial
+    group returns ``op``.
     """
     op = as_hermitian(op)
     _check_dim("operator", op.shape[-1], rep)
-    return _conjugates(op[..., None, :, :], rep.elements).mean(axis=-3)
+    if rep.order == 1:
+        return op
+    basis = rep.commutant_basis
+    basis = basis.reshape(len(basis), -1)
+    return ((op.reshape(-1, basis.shape[1]) @ basis.conj().T).real @ basis).reshape(op.shape)
 
 
 def _character_sum_to_int(total: float, rep: FiniteRep, label: str) -> int:

@@ -13,10 +13,12 @@ from povm_forge import (
     Povm,
     SurfaceScan,
     cli,
+    generate_group,
     lifted_trines,
     mutual_information,
     orbit_projectors,
     scan_surface,
+    symmetrize,
     trine_rotation,
 )
 import povm_forge
@@ -28,10 +30,11 @@ from povm_forge.cli import (
     load_problem,
     main,
     matrix_from_json,
+    matrix_json_text,
     matrix_to_json,
     problem_to_json,
 )
-from helpers import random_ensemble, random_povm, random_unit_vector
+from helpers import random_ensemble, random_povm, random_unit_vector, weyl_heisenberg_generators
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data")
 
@@ -607,6 +610,40 @@ def test_prune_plain(tmp_path, capsys):
     assert 1 <= out["report"]["walk_steps"] <= 14 - 4
     pruned = Povm([matrix_from_json(m) for m in out["povm"]])
     assert np.max(np.abs(sum(pruned.operators) - np.eye(2))) <= 1e-9
+
+
+def test_matrix_json_text_is_json_dumps_of_matrix_to_json():
+    rng = np.random.default_rng(53)
+    specials = [0.0, -0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324, 0.1, 1.0 / 3.0]
+    mixed = rng.choice(specials, size=(4, 3, 3)) + 1j * rng.choice(specials, size=(4, 3, 3))
+    mixed[0, 0, 0] = complex(-0.0, 0.0)
+    mixed[-1, -1, -1] = complex(0.0, -0.0)
+    stacks = {
+        "specials": mixed,
+        "one by one by one": np.array([[[complex(-0.0, 5e-324)]]]),
+        "one operator": rng.normal(size=(1, 3, 3)) + 1j * rng.normal(size=(1, 3, 3)),
+        "one matrix": rng.normal(size=(2, 2)),
+        "empty": np.zeros((0, 2, 2)),
+        "symmetrized": symmetrize(random_povm(rng, 5, 3, rank_one=True),
+                                  generate_group(weyl_heisenberg_generators(5))).operators,
+    }
+    for name, stack in stacks.items():
+        assert matrix_json_text(stack) == json.dumps(matrix_to_json(stack)), name
+    # the symmetrized stack repeats its floats, and 0.0 and -0.0 keep their signs
+    assert len(set(map(str, np.ravel(matrix_to_json(stacks["symmetrized"]))))) < stacks["symmetrized"].size
+    assert matrix_json_text(stacks["one by one by one"]) == "[[[[-0.0, 5e-324]]]]"
+
+
+def test_prune_stdout_is_the_pruned_json_document(tmp_path, capsys):
+    path = fixture("lifted_trines_0.05.json")
+    argv = ["prune", path, "--group", path, "--real"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    written = (tmp_path / "pruned.json").read_text()
+    assert json.loads(printed) == json.loads(written)
+    # both are compact json.dumps text, with the one newline of print
+    assert printed == written + "\n" == json.dumps(json.loads(written)) + "\n"
 
 
 def test_prune_symmetric_fixture(tmp_path, capsys):

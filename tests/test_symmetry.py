@@ -217,6 +217,45 @@ def test_character_sum_must_be_integral():
     assert bogus.elements.shape == (2, 2, 2)
     with pytest.raises(ClosureDefectError):
         complex_orbit_bound(bogus)
+    # the orbit sum projects onto the commutant only for a closed group, so it refuses too
+    with pytest.raises(ClosureDefectError):
+        orbit_sum(np.eye(2), bogus)
+
+
+def reducible_groups():
+    rotation, flip = planar_rotation(2 * math.pi / 3), np.diag([1.0, -1.0])
+    basis, _ = np.linalg.qr(np.random.default_rng(71).normal(size=(4, 4)))
+    s3_in_random_basis = [basis @ np.block([[g, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]) @ basis.T
+                          for g in (rotation, flip)]
+    return {
+        "R(x)R": ([np.kron(rotation, rotation)], 3),
+        "double-trines R(x)R, F(x)F": ([np.kron(rotation, rotation), np.kron(flip, flip)], 6),
+        "S3 as 2 + 1 + 1": (s3_in_random_basis, 6),
+    }
+
+
+@pytest.mark.parametrize("name", list(reducible_groups()))
+def test_orbit_sum_is_the_group_average_on_reducible_groups(name):
+    generators, order = reducible_groups()[name]
+    rep = generate_group(generators)
+    assert rep.order == order and complex_orbit_bound(rep) > 1
+    rng = np.random.default_rng(72)
+    ops = np.array([random_state(rng, 4, pure=False) for _ in range(5)])
+    average = np.mean([u @ ops @ u.conj().T for u in rep.elements], axis=0)
+    assert np.max(np.abs(orbit_sum(ops, rep) - average)) <= 1e-12
+    assert np.max(np.abs(orbit_sum(ops[0], rep) - average[0])) <= 1e-12
+
+
+def test_orbit_sum_of_the_trivial_group_is_its_input():
+    rep = generate_group([], dim=3)
+    op = np.diag([0.5, 0.25, 0.25]) + 0.125 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    assert np.array_equal(orbit_sum(op, rep), op)
+    # every Hermitian matrix commutes with the trivial group and with a group of scalars,
+    # whose map X -> g X g^dagger - X is rounding alone
+    assert rep.commutant_basis.shape == (9, 3, 3)
+    phases = generate_group([np.exp(2j * math.pi / 5) * np.eye(3)])
+    assert phases.order == 5 and phases.commutant_basis.shape == (9, 3, 3)
+    assert np.max(np.abs(orbit_sum(op, phases) - op)) <= 1e-12
 
 
 def test_lifted_trines_symmetric():
@@ -297,6 +336,13 @@ def test_orbit_bounds_equal_commutant_dimension(generators, real):
     # row-major vec: vec(g X) = (g kron I) vec X and vec(X g) = (I kron g^T) vec X
     commutator = np.concatenate([np.kron(g, eye) - np.kron(eye, g.T) for g in generators])
     assert complex_orbit_bound(rep) == null_dimension(commutator)
+    # the cached commutant basis is one Hilbert-Schmidt-orthonormal matrix per dimension
+    basis = rep.commutant_basis
+    assert basis.shape == (complex_orbit_bound(rep), d, d)
+    flat = basis.reshape(len(basis), -1)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis)))) <= 1e-12
+    assert all(np.max(np.abs(g @ c - c @ g)) <= 1e-12 for g in generators for c in basis)
+    assert rep.commutant_basis is basis
     if real:
         symmetric = []
         for i in range(d):

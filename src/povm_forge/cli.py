@@ -172,6 +172,27 @@ def load_problem(path: str) -> ProblemFile:
     )
 
 
+def _problem_arrays(
+    dimension: int,
+    ensemble: Ensemble | None = None,
+    povm: Povm | None = None,
+    generators=None,
+    metadata: dict | None = None,
+) -> dict:
+    """The problem-file layout with each matrix stack left as an array, for ``problem_to_json`` and ``_json_text``."""
+    doc: dict = {"dimension": dimension}
+    if ensemble is not None:
+        doc["states"] = ensemble.states
+        doc["priors"] = [float(p) for p in ensemble.priors]
+    if povm is not None:
+        doc["povm"] = povm.operators
+    if generators is not None:
+        doc["generators"] = np.asarray(generators, dtype=complex)
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
+
+
 def problem_to_json(
     dimension: int,
     ensemble: Ensemble | None = None,
@@ -179,17 +200,8 @@ def problem_to_json(
     generators=None,
     metadata: dict | None = None,
 ) -> dict:
-    doc: dict = {"dimension": dimension}
-    if ensemble is not None:
-        doc["states"] = matrix_to_json(ensemble.states)
-        doc["priors"] = [float(p) for p in ensemble.priors]
-    if povm is not None:
-        doc["povm"] = matrix_to_json(povm.operators)
-    if generators is not None:
-        doc["generators"] = matrix_to_json(generators)
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
+    doc = _problem_arrays(dimension, ensemble, povm, generators, metadata)
+    return {key: matrix_to_json(value) if isinstance(value, np.ndarray) else value for key, value in doc.items()}
 
 
 def _json_text(doc: dict) -> str:
@@ -475,8 +487,7 @@ def cmd_prune(args) -> int:
     joint = joint_distribution(problem.ensemble, problem.povm)
     info_before = _formal_information(joint, joint.sum(axis=1))
     info_after = pruned.info_bits
-    # The problem_to_json layout, with the operators left as an array for matrix_json_text.
-    doc = {"dimension": problem.dimension, "povm": pruned.operators, "metadata": {"pruned_from": args.path}}
+    doc = _problem_arrays(problem.dimension, povm=pruned, metadata={"pruned_from": args.path})
     doc["report"] = {
         "operators_before": len(problem.povm),
         "operators_after": len(pruned),

@@ -7,7 +7,7 @@ elements found so far.  The generators are kept, and the ensemble symmetry
 check runs over them alone.  The group acts on operators by one broadcast
 conjugation, which serves ``symmetrize`` and that check.  An orbit sum is
 the orthogonal projection onto the commutant, whose basis comes from one
-SVD over the generators and is cached on the group.  The two orbit-count
+SVD per generator and is cached on the group.  The two orbit-count
 bounds are computed from character sums alone; no explicit decomposition
 into irreducible blocks is ever performed.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERM_TOL, RANK_TOL, as_hermitian, hermitian_basis
+from .hermitian import HERM_TOL, as_hermitian, hermitian_basis
 from .quantum import Ensemble, Povm, StructuralError
 
 MATCH_TOL = 1e-8
@@ -58,7 +58,9 @@ class FiniteRep:
     ``generate_group`` ((0, d, d) for the trivial group); built from
     elements alone, the group takes its elements as generators, since any
     element list generates its group.  ``commutant_basis`` is computed on
-    first use and kept.
+    first use and kept; it takes one SVD per generator, so a group built
+    from its elements alone pays |G| of them, each over the few matrices
+    left after the first generators.
     """
 
     dim: int
@@ -79,29 +81,32 @@ class FiniteRep:
     def commutant_basis(self) -> np.ndarray:
         """Hilbert-Schmidt-orthonormal Hermitian matrices spanning those that every generator commutes with.
 
-        A (``complex_orbit_bound``, d, d) stack: the null space of the stacked
-        (k d^2, d^2) map X -> g X g^dagger - X in the coordinates of
-        ``_hs_basis``, from one SVD.  ClosureDefectError if the count of
-        singular values at or below ``RANK_TOL`` times the largest (or times
-        1, if the largest is smaller) differs from the bound, since the
-        elements then do not form the group of the generators.
+        A (``complex_orbit_bound``, d, d) stack.  It starts as ``_hs_basis``,
+        and each generator in turn keeps the real combinations of it that
+        X -> g X g^dagger - X moves by at most d * ``MATCH_TOL`` in
+        Hilbert-Schmidt norm, from one SVD of the (m, d^2) moves of the m
+        matrices kept so far.  The cut covers generators accepted within
+        ``HERM_TOL`` of unitary and closed within ``MATCH_TOL``, such as a
+        rotation written to 9 decimals; a matrix at Hilbert-Schmidt distance
+        r from the commutant of a generator of order n moves by at least
+        2 r sin(pi / n), and n is at most ``MAX_ORDER``.  One generator at a
+        time keeps the memory at O(d^4) however many generators there are.
+        ClosureDefectError if the count kept differs from the bound, since
+        the elements then do not form the group of the generators.
         """
-        d, basis = self.dim, _hs_basis(self.dim)
-        flat = basis.reshape(d * d, d * d)
-        generators = self.generators if len(self.generators) else np.eye(d, dtype=complex)[None]
-        images = _conjugates(basis, generators[:, None]).reshape(-1, d * d, d * d)
-        # entry (g, a, b) is tr(B_b g B_a g^dagger), coordinate b of image a
-        maps = (images @ flat.conj().T).real - np.eye(d * d)
-        _, singular, rows = np.linalg.svd(maps.swapaxes(1, 2).reshape(-1, d * d), full_matrices=False)
-        bound = complex_orbit_bound(self)
-        # A group of scalars maps every X to rounding; the unit floor keeps that null.
-        null = np.count_nonzero(singular <= RANK_TOL * max(singular.max(), 1.0))
-        if null != bound:
+        d, bound = self.dim, complex_orbit_bound(self)
+        basis = _hs_basis(d).reshape(d * d, d * d)
+        for g in self.generators:
+            moves = _conjugates(basis.reshape(-1, d, d), g).reshape(len(basis), -1) - basis
+            # Real combinations of Hermitian matrices stay Hermitian, so the SVD is over the real view.
+            left, singular, _ = np.linalg.svd(moves.view(float), full_matrices=False)
+            basis = left[:, singular <= d * MATCH_TOL].T @ basis
+        if len(basis) != bound:
             raise ClosureDefectError(
-                f"the generators commute with a {null}-dimensional space, but the character sum gives "
+                f"the generators commute with a {len(basis)}-dimensional space, but the character sum gives "
                 f"{bound}; the element list is not the group of the generators"
             )
-        return (rows[d * d - bound :] @ flat).reshape(bound, d, d)
+        return basis.reshape(bound, d, d)
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:

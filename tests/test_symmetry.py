@@ -16,6 +16,7 @@ from povm_forge import (
     is_symmetric_ensemble,
     lifted_trines,
     orbit_sum,
+    prune_povm,
     psi,
     real_orbit_bound,
     symmetrize,
@@ -256,6 +257,35 @@ def test_orbit_sum_of_the_trivial_group_is_its_input():
     phases = generate_group([np.exp(2j * math.pi / 5) * np.eye(3)])
     assert phases.order == 5 and phases.commutant_basis.shape == (9, 3, 3)
     assert np.max(np.abs(orbit_sum(op, phases) - op)) <= 1e-12
+
+
+@pytest.mark.parametrize("generator", [
+    np.round(trine_rotation(), 9),
+    np.round(trine_rotation(), 10),
+    (1 + 4e-10) * trine_rotation(),
+], ids=["sine to 9 decimals", "sine to 10 decimals", "scaled by 1 + 4e-10"])
+def test_prune_accepts_generators_within_the_tolerances(generator):
+    # unitary within HERM_TOL and closed within MATCH_TOL, so bound and validate take them too
+    rep = generate_group([generator])
+    assert rep.order == 3 and len(rep.commutant_basis) == complex_orbit_bound(rep) == 3
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data", "lifted_trines_0.05.json")
+    problem = load_problem(path)
+    ops = problem.povm.operators
+    average = np.mean([u @ ops @ u.conj().T for u in rep.elements], axis=0)
+    assert np.max(np.abs(orbit_sum(ops, rep) - average)) <= 1e-8
+    pruned = prune_povm(problem.ensemble, problem.povm, rep, real_mode=True)
+    exact = prune_povm(problem.ensemble, problem.povm, trine_group(), real_mode=True)
+    assert len(pruned) == len(exact)
+    assert abs(pruned.info_bits - exact.info_bits) <= 1e-9
+
+
+def test_commutant_basis_of_a_group_built_from_its_elements():
+    rep = generate_group(weyl_heisenberg_generators(5))
+    from_elements = FiniteRep(dim=5, elements=rep.elements)
+    assert len(from_elements.generators) == rep.order == 125
+    assert len(from_elements.commutant_basis) == complex_orbit_bound(rep) == 1
+    op = random_state(np.random.default_rng(73), 5, pure=False)
+    assert np.max(np.abs(orbit_sum(op, from_elements) - orbit_sum(op, rep))) <= 1e-12
 
 
 def test_lifted_trines_symmetric():

@@ -355,10 +355,11 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     """
     if rep is None:
         rep = generate_group([], dim=p.dim)
-    if not is_symmetric_ensemble(s, rep):
-        raise NotSymmetricError("ensemble is not symmetric under the given representation")
+    # Validated first, so invalid input gets its own error, not a symmetry verdict.
     validate_ensemble(s).require("ensemble")
     validate_povm(p).require("POVM")
+    if not is_symmetric_ensemble(s, rep):
+        raise NotSymmetricError("ensemble is not symmetric under the given representation")
     if real_mode:
         if np.max(np.abs(p.operators.imag)) > HERM_TOL:
             raise RealRepRequiredError("real_mode requires real POVM operators")

@@ -2,14 +2,15 @@
 
 Groups are stored extensionally as one stacked (|G|, d, d) array of unitary
 matrices, such as the low-dimensional Clifford and Weyl-Heisenberg groups.
-Closure looks each product up by bisection in the sorted projections of the
-elements found so far.  The generators are kept, and the ensemble symmetry
-check runs over them alone.  The group acts on operators by one broadcast
-conjugation, which serves ``symmetrize`` and that check.  An orbit sum is
-the orthogonal projection onto the commutant, whose basis comes from one
-SVD per generator and is cached on the group.  The two orbit-count
-bounds are computed from character sums alone; no explicit decomposition
-into irreducible blocks is ever performed.
+Closure looks each product up among the elements found so far, and the
+ensemble symmetry check each conjugated state among the states, by one
+lookup: bisection in sorted projections, then max-abs confirmation.  The
+generators are kept, and that check runs over them alone.  The group acts
+on operators by one broadcast conjugation, which serves ``symmetrize`` and
+that check.  An orbit sum is the orthogonal projection onto the commutant,
+whose basis comes from one SVD per generator and is cached on the group.
+The two orbit-count bounds are computed from character sums alone; no
+explicit decomposition into irreducible blocks is ever performed.
 """
 
 from __future__ import annotations
@@ -166,17 +167,27 @@ def _projections(stack: np.ndarray) -> list[float]:
     return (stack.view(float).reshape(len(stack), -1) @ _projection_weights(stack.shape[-1])).tolist()
 
 
+def _window(projections: list, projection: float) -> tuple[int, int]:
+    """Bisect bounds of the entries of the sorted ``projections`` within 2 * ``MATCH_TOL`` of ``projection``.
+
+    The weights are nonnegative and sum to 1, so a matrix within ``MATCH_TOL``
+    (max-abs) of another projects within ``MATCH_TOL`` of it; the window is
+    twice that to cover the rounding of matrices with entries of modulus at
+    most 1, such as unitaries and states.  Confirming each candidate in it by
+    max-abs so gives exactly the verdict of a scan over every matrix.
+    """
+    low = bisect_left(projections, projection - 2 * MATCH_TOL)
+    return low, bisect_right(projections, projection + 2 * MATCH_TOL, low)
+
+
 def _find(matrix: np.ndarray, projection: float, elements: list, projections: list, indices: list) -> int:
     """Index of an element within ``MATCH_TOL`` (max-abs) of ``matrix``, or -1.
 
     ``projections`` holds the projection of every element, sorted, and
-    ``indices`` the element of each.  The weights are nonnegative and sum to
-    1, so an element within ``MATCH_TOL`` projects within ``MATCH_TOL``; the
-    window is twice that to cover rounding, and max-abs confirms each
-    candidate in it, so the verdict is exactly that of a scan.
+    ``indices`` the element of each; the candidates are those in the
+    ``_window`` of ``projection``.
     """
-    low = bisect_left(projections, projection - 2 * MATCH_TOL)
-    high = bisect_right(projections, projection + 2 * MATCH_TOL, low)
+    low, high = _window(projections, projection)
     for i in indices[low:high]:
         if np.max(np.abs(elements[i] - matrix)) <= MATCH_TOL:
             return i
@@ -304,36 +315,36 @@ def real_orbit_bound(rep: FiniteRep) -> int:
     return _character_sum_to_int(float(np.sum(chi * chi + chi_sq) / 2.0), rep, "real")
 
 
-def _greedy_match(conj: np.ndarray, states: np.ndarray, priors: np.ndarray) -> bool:
-    """Match each conjugate to the first unused state within ``MATCH_TOL`` with an equal prior."""
-    used = np.zeros(len(states), dtype=bool)
-    for i in range(len(states)):
-        # One conjugate at a time keeps the difference array at (m, d, d).
-        close = np.max(np.abs(conj[i] - states), axis=(1, 2)) <= MATCH_TOL
-        free = np.flatnonzero(close & ~used)
-        if free.size == 0:
-            return False
-        match = free[0]
-        used[match] = True
-        # Each state's prior equals that of the state its conjugate matches,
-        # so priors are equal along every generator edge of an orbit.
-        if abs(priors[i] - priors[match]) > MATCH_TOL:
-            return False
-    return True
-
-
 def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep) -> bool:
     """True iff conjugation permutes the states and priors are orbit-constant.
 
     Only the generators are checked: conjugation by a product of group
     elements is the product of their permutations, a homomorphism, so if each
     generator permutes the states and keeps the priors, every element does.
-    Each generator is matched by a greedy first-unused match within
-    ``MATCH_TOL`` (max-abs), which handles duplicate states.  Tolerances
-    compose along words: an element that is a word of length L in the
-    generators is matched only within about L * d * ``MATCH_TOL``, and since
-    priors are compared along generator edges they may drift by up to
-    L * ``MATCH_TOL`` within an orbit.
+    Each conjugate, from one broadcast per generator, is matched to the
+    lowest-index unused state within ``MATCH_TOL`` (max-abs) in its
+    ``_window`` of the states' sorted projections, the state a scan would
+    pick, which handles duplicate states.  Tolerances compose along words: an
+    element that is a word of length L in the generators is matched only
+    within about L * d * ``MATCH_TOL``, and since priors are compared along
+    generator edges they may drift by up to L * ``MATCH_TOL`` within an orbit.
     """
     _check_dim("ensemble", s.dim, rep)
-    return all(_greedy_match(_conjugates(s.states, g), s.states, s.priors) for g in rep.generators)
+    unsorted = _projections(s.states)
+    indices = sorted(range(len(s)), key=unsorted.__getitem__)
+    projections = [unsorted[i] for i in indices]
+    for g in rep.generators:
+        conjugates = _conjugates(s.states, g)
+        used = [False] * len(s)
+        for i, (conjugate, projection) in enumerate(zip(conjugates, _projections(conjugates))):
+            low, high = _window(projections, projection)
+            match = next((j for j in sorted(indices[low:high])
+                          if not used[j] and np.max(np.abs(s.states[j] - conjugate)) <= MATCH_TOL), -1)
+            if match < 0:
+                return False
+            used[match] = True
+            # Each state's prior equals that of the state its conjugate matches,
+            # so priors are equal along every generator edge of an orbit.
+            if abs(s.priors[i] - s.priors[match]) > MATCH_TOL:
+                return False
+    return True

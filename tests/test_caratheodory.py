@@ -319,6 +319,16 @@ def test_prune_symmetric_requires_symmetry():
         prune_povm(s, p, trine_group())
 
 
+@pytest.mark.parametrize("priors", [[0.7, 0.7], [np.nan, np.nan]], ids=["sum-1.4", "nan"])
+def test_prune_validates_before_the_symmetry_check(priors):
+    # the swap does not permute the states, but the invalid priors are what is reported
+    swap = generate_group([np.array([[0.0, 1.0], [1.0, 0.0]])])
+    s = Ensemble([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)], priors)
+    with pytest.raises(ValueError, match=r"^invalid ensemble: priors sum to (1\.4|nan), expected 1$") as raised:
+        prune_povm(s, Povm([np.eye(2)]), swap)
+    assert not isinstance(raised.value, NotSymmetricError)
+
+
 def test_best_leaf_at_least_average():
     rng = np.random.default_rng(38)
     for _ in range(5):

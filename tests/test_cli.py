@@ -703,6 +703,15 @@ def test_prune_not_symmetric_exit_one(tmp_path, capsys):
     assert main(["prune", path]) == 1
 
 
+def test_prune_reports_invalid_priors_before_symmetry(tmp_path, capsys):
+    # priors summing to 1.4, under a swap that does not permute the states
+    ensemble = Ensemble([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)], [0.7, 0.7])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    doc = problem_to_json(2, ensemble=ensemble, povm=Povm([np.eye(2)]), generators=[swap])
+    assert main(["prune", write_problem(tmp_path, "bad.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid ensemble: priors sum to 1.4, expected 1")
+
+
 def assert_prune_rejected(tmp_path, capsys, monkeypatch, argv, code, message):
     """``prune argv`` exits with ``code`` and ``message`` before any pruning work starts."""
     def fail(*args, **kwargs):

@@ -422,15 +422,28 @@ def symmetry_cases():
     uniform = np.full(m, 1.0 / m)
     yield "orbit-order-125", rep, Ensemble(states, uniform), True
     yield "duplicated-states", rep, Ensemble(states * 2, np.full(2 * m, 0.5 / m)), True
+    # each state listed twice, the copies with different priors: pairing copy with copy keeps them
+    yield "duplicates-with-different-priors", rep, Ensemble(
+        states * 2, np.concatenate([np.full(m, 0.7 / m), np.full(m, 0.3 / m)])
+    ), True
     # a second orbit 1.5 * MATCH_TOL from the first: symmetric, with near-duplicates
     second = list(orbit_ensemble(rep, nudged(states[0], 1.5 * MATCH_TOL)).states)
     yield "orbit-1.5-tol-apart", rep, Ensemble(states + second, np.full(2 * m, 0.5 / m)), True
     yield "two-states-1.5-tol-apart", rep, Ensemble(
         states + [nudged(states[0], 1.5 * MATCH_TOL)], np.full(m + 1, 1.0 / (m + 1))
     ), False
-    moved = list(states)
-    moved[3] = nudged(states[3], 2e-8)
-    yield "one-state-moved-2e-8", rep, Ensemble(moved, uniform), False
+    for name, size, expected in (("0.9-tol", 0.9 * MATCH_TOL, True), ("1.1-tol", 1.1 * MATCH_TOL, False),
+                                 ("2e-8", 2e-8, False)):
+        moved = list(states)
+        moved[3] = nudged(states[3], size)
+        yield f"one-state-moved-{name}", rep, Ensemble(moved, uniform), expected
+    # two orbits, each with its own constant prior; swapping one prior across them breaks the symmetry
+    other = list(orbit_ensemble(rep, random_state(np.random.default_rng(71), 5)).states)
+    priors = np.concatenate([np.full(m, 0.6 / m), np.full(len(other), 0.4 / len(other))])
+    yield "two-orbits-own-priors", rep, Ensemble(states + other, priors), True
+    priors = priors.copy()
+    priors[[0, m]] = priors[[m, 0]]
+    yield "two-orbits-one-prior-swapped", rep, Ensemble(states + other, priors), False
     priors = uniform.copy()
     priors[3] += 1e-6
     yield "one-prior-moved-1e-6", rep, Ensemble(states, priors / priors.sum()), False
@@ -496,6 +509,20 @@ def test_large_duplicated_orbit_symmetric():
     priors = np.full(m, 1.0 / m)
     priors[5] += 1e-6
     assert not is_symmetric_ensemble(Ensemble(doubled, priors / priors.sum()), rep)
+
+
+def test_eight_orbits_of_the_order_2197_group():
+    # 1352 states: the window lookup settles both checks in a fraction of a second,
+    # where a scan of every state for every conjugate takes seconds
+    rep = generate_group(weyl_heisenberg_generators(13))
+    assert rep.order == 2197
+    states = np.concatenate([weyl_heisenberg_orbit_stack(13, seed) for seed in range(80, 88)])
+    assert len(states) == 1352
+    priors = np.repeat(np.arange(1.0, 9.0), 169)
+    priors /= priors.sum()
+    assert is_symmetric_ensemble(Ensemble(states, priors), rep)
+    priors[700] += 1e-6
+    assert not is_symmetric_ensemble(Ensemble(states, priors / priors.sum()), rep)
 
 
 def linear_scan_closure(generators):

@@ -7,13 +7,15 @@ solutions, each supported on at most rank(D) operators.  Moving the weights
 to one such extreme point, never downhill in mutual information, prunes a
 measurement to at most d^2 rank-one operators without losing information.
 
-Both reach a vertex by basis exchange: each support column pivots into the
+Both reach a vertex by one routine: each support column pivots into the
 basis, or one exchange, O(rows^2) with a rank-one update of the basis
-inverse, takes it or a basic column out of the support.  The decomposition
-is the constructive Caratheodory chain: exchange the weights to a vertex,
-peel off as much of it as stays nonnegative, and repeat on the renormalized
-remainder from that vertex's basis.  The face dimension drops with every
-peel, so a support of n operators yields at most n - rank(D) + 1 leaves.
+inverse, takes it or a basic column out of the support, and Dantzig pivots
+climb a slope.  The decomposition is the constructive Caratheodory chain:
+exchange the weights to a vertex, peel off as much of it as stays
+nonnegative, and from that vertex climb with slope -1 on the columns off
+the renormalized remainder's support (phase one of the two-phase simplex
+method, Dantzig 1963), about one pivot a leaf.  The face dimension drops
+with every peel, so n operators yield at most n - rank(D) + 1 leaves.
 
 Pruning needs no decomposition.  Every leaf is scored the same way: a leaf
 {nu_j Pi'_j} sums to the identity, so its rows sum to the priors, and its
@@ -46,12 +48,12 @@ Three thresholds decide what is zero.  ``ZERO_TOL`` is rounding: a weight
 or a reduced cost at or below it is zero.  ``PIVOT_TOL`` is the smallest
 pivot, relative to the largest entry of its column.  ``HERM_TOL`` is how far
 an identity or a sign may be off, what ``validate_povm`` cannot tell from
-zero; no weight is dropped by it.  Prune solves once for the weights of its
-square basis, which puts back the mass the ``ZERO_TOL`` floor dropped, and
-keeps the exchange's own weights if the solve puts one below zero; either
-way they must reproduce the identity within ``HERM_TOL``.  The chain needs
-no solve: a remainder whose renormalization magnifies rounding beyond
-``FEASIBLE_TOL`` goes to the leaf it was peeled from.
+zero; no weight is dropped by it.  A vertex's weights come from one solve
+on its square basis, which puts back the mass the ``ZERO_TOL`` floor
+dropped, or are the exchange's own if the solve puts one below zero; prune's
+must reproduce the identity within ``HERM_TOL``, each leaf within
+``FEASIBLE_TOL``.  A remainder whose renormalization magnifies rounding
+beyond ``FEASIBLE_TOL`` goes to the leaf it was peeled from.
 """
 
 from __future__ import annotations
@@ -156,8 +158,8 @@ class IdentityDecomposition:
         return [np.flatnonzero(nu > ZERO_TOL) for nu in self.solutions]
 
 
-def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) -> tuple[np.ndarray, tuple, int, int, bool]:
-    """Move the feasible point ``x`` of {matrix x = c, x >= 0} to a vertex by basis exchange.
+def _basis_exchange(design: DesignMatrix, x: np.ndarray, gain: np.ndarray, start=None) -> tuple[np.ndarray, tuple, int, int, bool]:
+    """Move the feasible point ``x`` of {D x = c, x >= 0} to a vertex maximizing g . x by basis exchange.
 
     The basis starts as ``start``, a (basis, inverse) pair returned before,
     whose columns off the support of ``x`` become slacks, or as one slack
@@ -166,18 +168,19 @@ def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) ->
     coordinates, if above ``PIVOT_TOL`` times the column's largest; otherwise
     one exchange moves its weight until it or a basic weight reaches zero:
     up if its reduced cost under the slope ``gain`` is positive, else down,
-    so g . x never falls.  With ``gain``, at most n Dantzig pivots follow;
-    if they end, or reach that cap, with no reduced cost above ``ZERO_TOL``,
-    the vertex is certified to maximize g . x.  Each step is O(rows^2), a
-    rank-one update of the basis inverse.  Returns the weights (zero at or below
-    ``ZERO_TOL``), the (basis, inverse) pair, n marking a slack, the number
-    of exchanges, the number of pivots, and whether the climb certified.
+    so g . x never falls.  At most n Dantzig pivots follow; if they end, or
+    reach that cap, with no reduced cost above ``ZERO_TOL``, the vertex is
+    certified.  Each step is O(rows^2), a rank-one update of the basis
+    inverse.  Returns the weights solved on the square basis (zero at or
+    below ``ZERO_TOL``), the (basis, inverse) pair, n marking a slack, the
+    number of exchanges, the number of pivots, and whether the climb certified.
     """
+    matrix = design.matrix
     rows, n = matrix.shape
     basis, inverse = (np.full(rows, n), np.eye(rows)) if start is None else start
     x = np.append(x, 0.0)  # x[n] takes the slack rows' updates and is never read
     basis[x[basis] == 0.0] = n
-    score = None if gain is None else np.append(gain, 0.0)
+    score = np.append(gain, 0.0)
     slack = basis == n
 
     def enter(j: int) -> bool:
@@ -188,7 +191,7 @@ def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) ->
         k = (size * slack).argmax()
         exchange = bool(size[k] <= cutoff or not slack[k])
         if exchange:
-            up = score is not None and score[j] > score[basis] @ alpha
+            up = score[j] > score[basis] @ alpha
             step = alpha if up else -alpha
             falling = ((size > cutoff) & (step > 0)).nonzero()[0]
             if up and not falling.size:
@@ -211,17 +214,20 @@ def _basis_exchange(matrix: np.ndarray, x: np.ndarray, gain=None, start=None) ->
     entering = x > 0
     entering[basis] = False
     steps = sum(enter(j) for j in np.flatnonzero(entering))
-    pivots, certified = 0, False
-    while gain is not None:
+    for pivots in range(n + 1):
         reduced = gain - score[basis] @ inverse @ matrix
-        reduced[basis[basis < n]] = 0.0
-        j = int(np.argmax(reduced))
+        reduced[basis[~slack]] = 0.0
+        j = reduced.argmax()
         certified = bool(reduced[j] <= ZERO_TOL)
         if certified or pivots == n:
             break
         enter(j)
-        pivots += 1
-    return x[:n], (basis, inverse), steps, pivots, certified
+    square = np.where(slack, np.eye(rows), matrix[:, basis % n])  # slack k solves as the unit column e_k
+    nu = np.zeros(n + 1)
+    nu[basis] = np.linalg.solve(square, design.target)  # nu[n] takes the slacks' weights
+    nu = x[:n] if (nu[:n] < -ZERO_TOL).any() else nu[:n]
+    nu[nu <= ZERO_TOL] = 0.0
+    return nu, (basis, inverse), steps, pivots, certified
 
 
 def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
@@ -238,12 +244,14 @@ def _feasible_start(design: DesignMatrix, weights) -> np.ndarray:
 def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     """Rewrite sum_i lambda_i Pi'_i = I as a convex mixture of small solutions.
 
-    Constructive Caratheodory chain: exchange the remaining weights to a
-    vertex v of their face, peel off the largest t with remainder - t v >= 0,
-    and renormalize; the next exchange starts from v's basis.  Each peel
-    zeros a coordinate of v's support, so the face dimension drops every time
-    and at most support - rank(D) + 1 leaves come out.  Each leaf uses at most rank(D) of the given operators; rank(D) is at
-    most r + 1 when the operators live in an r-dimensional affine slice.
+    Constructive Caratheodory chain: exchange the weights to a vertex v of
+    their face, peel off the largest t with remainder - t v >= 0, and
+    renormalize; the next v is where Dantzig pivots from v's basis, with gain
+    -1 off the remainder's support, stop.  A v on the remainder's whole
+    support is the remainder (t = 1).  Each peel zeros a coordinate of v's
+    support, so at most support - rank(D) + 1 leaves come out.  Each leaf
+    uses at most rank(D) of the given operators; rank(D) is at most r + 1
+    when the operators live in an r-dimensional affine slice.
     A remainder that renormalizing takes off the identity by more than
     ``FEASIBLE_TOL`` (its mass is then tiny) is not split: the leaf it was
     peeled from takes its mass.  Every leaf is checked to reproduce the
@@ -255,30 +263,32 @@ def decompose_identity(normalized: NormalizedPovm) -> IdentityDecomposition:
     max_leaves = np.count_nonzero(support) - numeric_rank(design.matrix[:, support]) + 1
     weights: list[float] = []
     solutions: list[np.ndarray] = []
-    mass, start = 1.0, None
+    mass, vertex, gain, start = 1.0, rest, np.zeros_like(rest), None
     while len(solutions) < max_leaves:
-        vertex, start, *_ = _basis_exchange(design.matrix, rest, None, start)
+        vertex, start, *_ = _basis_exchange(design, vertex, gain, start)
         inside = np.flatnonzero(vertex)
         ratios = rest[inside] / vertex[inside]
         hit = int(np.argmin(ratios))
-        t = min(ratios[hit], 1.0)
+        # A vertex on the remainder's whole support is the remainder, whatever the rounding of the ratios.
+        t = 1.0 if np.array_equal(vertex > 0, rest > 0) else min(ratios[hit], 1.0)
         if t < 1.0:
             left = rest - t * vertex
             left[inside[hit]] = 0.0
             left[left <= ZERO_TOL] = 0.0
             left /= left.sum()
-            # Renormalizing a remainder of tiny mass magnifies its rounding.
-            if np.max(np.abs(design.matrix @ left - design.target)) > FEASIBLE_TOL:
+            # Renormalizing a remainder of tiny mass magnifies its rounding; NaN counts as off.
+            if not np.max(np.abs(design.matrix @ left - design.target)) <= FEASIBLE_TOL:
                 t = 1.0
         weights.append(mass * t)
         solutions.append(vertex)
         if t == 1.0:
             residual = np.max(np.abs(design.matrix @ np.transpose(solutions) - design.target[:, None]))
-            if residual > FEASIBLE_TOL:
+            if not residual <= FEASIBLE_TOL:
                 raise InternalLogicError(f"a leaf does not reproduce the identity: residual {residual:.3e}")
             return IdentityDecomposition(weights=np.array(weights), solutions=solutions, design=design)
         rest = left
         mass *= 1.0 - t
+        gain = np.where(rest > 0, 0.0, -1.0)
     raise InternalLogicError(f"Caratheodory chain exceeded {max_leaves} leaves")
 
 
@@ -349,9 +359,7 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     each orbit is one operator and the bound is d^2 (d(d+1)/2 with
     ``real_mode``).  Completeness is ruled on once, by ``validate_povm``: the
     split drops only eigenvalues it tolerated, so the exchange starts from the
-    split weights unchecked.  The vertex's weights come from one solve on its
-    basis, dropping those within ``ZERO_TOL`` of zero, or from the exchange if
-    the solve puts one below zero.
+    split weights unchecked.
     """
     if rep is None:
         rep = generate_group([], dim=p.dim)
@@ -372,16 +380,8 @@ def prune_povm(s: Ensemble, p: Povm, rep: FiniteRep | None = None, real_mode: bo
     design = build_design_matrix(orbit_sum(ops, rep))
     rest = np.where(normalized.weights > ZERO_TOL, normalized.weights, 0.0)
     gain = _information_slope(joint_distribution(s, ops))
-    vertex, (basis, _), steps, pivots, certified = _basis_exchange(design.matrix, rest, gain)
-    # One solve on the square basis puts back the mass the ZERO_TOL floor dropped.
-    real = basis < len(vertex)
-    square = np.eye(len(basis))
-    square[:, real] = design.matrix[:, basis[real]]
-    nu = np.zeros_like(vertex)
-    nu[basis[real]] = np.linalg.solve(square, design.target)[real]
-    nu = vertex if np.any(nu < -ZERO_TOL) else nu
-    kept = nu > ZERO_TOL
-    nu[~kept] = 0.0
+    nu, _, steps, pivots, certified = _basis_exchange(design, rest, gain)
+    kept = nu > 0
     orbits = np.count_nonzero(kept)
     if orbits > bound:
         raise InternalLogicError(f"the pruned weights keep {orbits} orbits, above the bound {bound}")

@@ -36,7 +36,7 @@ from povm_forge.cli import load_problem
 from povm_forge.hermitian import HERM_TOL, ZERO_TOL
 from povm_forge.infotheory import _formal_information, _information_slope, joint_distribution, plogp
 from povm_forge.symmetry import NotSymmetricError
-from test_commands_agree import tiny_operator_completed
+from test_commands_agree import invisible_pieces, tiny_operator_completed
 from helpers import (
     orbit_ensemble,
     random_ensemble,
@@ -571,6 +571,20 @@ def test_score_leaves_checks_signs_on_the_given_operators():
     assert len(scores) == 1 and abs(scores[0] - mutual_information(QUBIT_BASIS, p)) <= HERM_TOL
 
 
+@pytest.mark.parametrize("draw", [3, 5, 7])
+def test_decompose_stops_at_a_remainder_that_is_a_vertex_up_to_rounding(draw):
+    # the climbed vertex equals such a remainder only up to rounding, so its
+    # peel ratio is 1 - eps; peeling it would leave a zero-mass remainder and
+    # overrun the leaf bound
+    _, ops = next(itertools.islice(invisible_pieces(3, 8), draw, None))
+    normalized = normalize_povm(Povm(ops))
+    decomposition = decompose_identity(normalized)
+    design, support = decomposition.design, normalized.weights > 0
+    assert len(decomposition) <= np.count_nonzero(support) - numeric_rank(design.matrix[:, support]) + 1
+    residuals = design.matrix @ np.transpose(decomposition.solutions) - design.target[:, None]
+    assert np.max(np.abs(residuals)) <= caratheodory.FEASIBLE_TOL
+
+
 def test_decompose_rejects_a_leaf_off_the_identity(monkeypatch):
     exchange = caratheodory._basis_exchange
 
@@ -601,8 +615,11 @@ def test_pruned_info_bits_is_mutual_information():
         assert abs(pruned.info_bits - mutual_information(s, pruned)) <= 1e-12
 
 
-def test_prune_and_decompose_many_rank_one_outcomes():
-    d, n = 2, 120
+@pytest.mark.parametrize("n", [120, 500])
+def test_prune_and_decompose_many_rank_one_outcomes(n):
+    # a scale guard with no timing assert: a chain of n - 3 leaves, each
+    # reached from the one before by a few pivots
+    d = 2
     rng = np.random.default_rng(60)
     s = random_ensemble(rng, d, d + 1)
     p = random_povm(rng, d, n, rank_one=True)

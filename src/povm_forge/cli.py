@@ -46,6 +46,7 @@ from .symmetry import (
 from .trines import (
     double_trines,
     double_trines_closed_form,
+    double_trines_hessian_diagonal,
     hessian_at,
     optimize_two_orbits,
     orbit_info,
@@ -75,11 +76,16 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def _float_strings(values: np.ndarray) -> list[str]:
+    """repr of each float of a 1-D array; a list's repr formats them all in C."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
 def matrix_json_text(m: np.ndarray) -> str:
-    """``json.dumps(matrix_to_json(m))``, byte for byte, with each distinct float formatted once.
+    """``json.dumps(matrix_to_json(m))`` of a finite ``m``, byte for byte, with each distinct float formatted once.
 
     The floats are keyed on their 64-bit patterns, so 0.0 and -0.0 stay
-    apart, and the C encoder formats the distinct ones.  The separators
+    apart, and ``_float_strings`` formats the distinct ones.  The separators
     follow from the shape: after an entry whose last r axes roll over comes
     "]" * r + ", " + "[" * r.
     """
@@ -88,7 +94,7 @@ def matrix_json_text(m: np.ndarray) -> str:
     if values.size == 0:
         return json.dumps(values.tolist())
     distinct, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    strings = np.array(json.dumps(distinct.view(float).tolist())[1:-1].split(", "), dtype=object)
+    strings = np.array(_float_strings(distinct.view(float)), dtype=object)
     separators = [", "] * (values.shape[-1] - 1)
     for r in range(1, values.ndim):
         separators = (separators + ["]" * r + ", " + "[" * r]) * values.shape[-1 - r]
@@ -205,23 +211,18 @@ def problem_to_json(
 
 
 def _json_text(doc: dict) -> str:
-    """``json.dumps`` of ``doc`` with each array value written by ``matrix_json_text``, as if by ``matrix_to_json``."""
+    """The one JSON writer: ``json.dumps(doc)``, with each array value written by ``matrix_json_text`` as [re, im] pairs."""
     fields = (f"{json.dumps(key)}: {matrix_json_text(value) if isinstance(value, np.ndarray) else json.dumps(value)}"
               for key, value in doc.items())
     return "{" + ", ".join(fields) + "}"
 
 
-def _write_text(out_dir: str, name: str, text: str) -> str:
-    """Write ``text`` to ``out_dir/name`` and return the path."""
+def _write_json(out_dir: str, name: str, doc: dict) -> str:
+    """Write ``_json_text(doc)`` to ``out_dir/name`` and return the path."""
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.write(_json_text(doc))
     return path
-
-
-def _write_json(out_dir: str, name: str, doc: dict) -> str:
-    """Write ``doc`` indented to ``out_dir/name`` and return the path."""
-    return _write_text(out_dir, name, json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +233,11 @@ def cmd_validate(args) -> int:
     problem = load_problem(args.path)
     violations: list[str] = []
     report: dict = {"path": args.path, "dimension": problem.dimension}
-    if problem.ensemble is not None:
-        result = validate_ensemble(problem.ensemble)
-        report["ensemble"] = {"ok": result.ok, "violations": result.violations}
-        violations += [f"ensemble: {v}" for v in result.violations]
-    if problem.povm is not None:
-        result = validate_povm(problem.povm)
-        report["povm"] = {"ok": result.ok, "violations": result.violations}
-        violations += [f"povm: {v}" for v in result.violations]
+    for name, section, check in (("ensemble", problem.ensemble, validate_ensemble), ("povm", problem.povm, validate_povm)):
+        if section is not None:
+            result = check(section)
+            report[name] = {"ok": result.ok, "violations": result.violations}
+            violations += [f"{name}: {v}" for v in result.violations]
     if problem.generators is not None:
         try:
             rep = generate_group(problem.generators, dim=problem.dimension)
@@ -252,7 +250,7 @@ def cmd_validate(args) -> int:
     for line in violations:
         print(line, file=sys.stderr)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print("OK" if ok else f"INVALID ({len(violations)} violations)")
     return EXIT_OK if ok else EXIT_DOMAIN
@@ -271,7 +269,7 @@ def cmd_bound(args) -> int:
     if args.real:
         result["real"] = real_orbit_bound(rep)
     if args.json:
-        print(json.dumps(result))
+        print(_json_text(result))
     else:
         print(f"complex {result['complex']}")
         if args.real:
@@ -281,11 +279,6 @@ def cmd_bound(args) -> int:
 
 # ---------------------------------------------------------------------------
 # experiments
-
-
-def _float_strings(values: np.ndarray) -> list[str]:
-    """repr of each float of a 1-D array; a list's repr formats them all in C."""
-    return repr(values.tolist())[1:-1].split(", ")
 
 
 def _row_strings(values: np.ndarray, negated: bool) -> list[str]:
@@ -382,15 +375,11 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
     pgm_info = mutual_information(projected, pgm)
     hessian = hessian_at(alpha, 1.0 / 3.0, 0.0)
     eigenvalues = sorted(np.linalg.eigvalsh(hessian).tolist())
-    gamma = math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
-    closed_hessian = [
-        (81.0 - 27.0 * math.sqrt(2.0) * gamma) / (16.0 * math.log(2.0)),
-        (6.0 - (2.0 + math.sqrt(2.0)) * gamma) / (3.0 * math.log(2.0)),
-    ]
-    _write_json(out_dir, "pgm.json", {**problem_to_json(projected.dim, povm=pgm), "info_bits": pgm_info})
+    closed_hessian = double_trines_hessian_diagonal()
+    _write_json(out_dir, "pgm.json", {**_problem_arrays(projected.dim, povm=pgm), "info_bits": pgm_info})
     _write_json(out_dir, "hessian.json", {
         "at": {"x": 1.0 / 3.0, "b": 0.0},
-        "matrix": [list(map(float, row)) for row in hessian],
+        "matrix": hessian.tolist(),
         "eigenvalues": eigenvalues,
         "closed_form_diagonal": closed_hessian,
     })
@@ -430,7 +419,7 @@ def cmd_experiment(args) -> int:
     else:
         summary, code = _experiment_double_trines(args, out_dir)
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(_json_text(summary))
     return code
 
 
@@ -447,15 +436,15 @@ def cmd_decompose(args) -> int:
         validate_ensemble(problem.ensemble).require("ensemble")
     decomposition = decompose_identity(normalize_povm(problem.povm))
     doc = {
-        "weights": [float(w) for w in decomposition.weights],
-        "supports": [[int(j) for j in sup] for sup in decomposition.supports()],
-        "solutions": [[float(v) for v in nu] for nu in decomposition.solutions],
+        "weights": decomposition.weights.tolist(),
+        "supports": [sup.tolist() for sup in decomposition.supports()],
+        "solutions": [nu.tolist() for nu in decomposition.solutions],
     }
     if problem.ensemble is not None:
         infos = score_leaves(problem.ensemble, decomposition, problem.povm)
         doc["leaf_info_bits"] = infos
         doc["best_leaf"] = int(np.argmax(infos))
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
     return EXIT_OK
 
 
@@ -501,15 +490,14 @@ def cmd_prune(args) -> int:
     if rep is not None:
         doc["report"]["orbit_count"] = len(pruned) // rep.order
         doc["report"]["group_order"] = rep.order
-    text = _json_text(doc)
     if args.out_dir:
-        out_path = _write_text(args.out_dir, "pruned.json", text)
+        out_path = _write_json(args.out_dir, "pruned.json", doc)
         print(
             f"{len(problem.povm)} -> {len(pruned)} operators, "
             f"info {info_before:.6f} -> {info_after:.6f} bits, written to {out_path}"
         )
     else:
-        print(text)
+        print(_json_text(doc))
     return EXIT_OK
 
 

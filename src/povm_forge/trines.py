@@ -354,14 +354,21 @@ def double_trines() -> tuple[Ensemble, Ensemble]:
     return raw, projected
 
 
-def double_trines_closed_form() -> float:
-    """Information of the optimal single orbit of the double trines, in bits.
+def _double_trines_gamma() -> float:
+    """gamma = ln(2 (3 + 2 sqrt(2))^2), the logarithm in both double-trines closed forms."""
+    return math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
 
-    Equals (2 sqrt(2) gamma - 9 ln 2) / (6 ln 2) with
-    gamma = ln(2 (3 + 2 sqrt(2))^2), about 1.3690.
-    """
-    gamma = math.log(2.0 * (3.0 + 2.0 * math.sqrt(2.0)) ** 2)
+
+def double_trines_closed_form() -> float:
+    """Bits of the optimal single orbit of the double trines, (2 sqrt(2) gamma - 9 ln 2) / (6 ln 2), about 1.3690."""
+    gamma = _double_trines_gamma()
     return (2.0 * math.sqrt(2.0) * gamma - 9.0 * math.log(2.0)) / (6.0 * math.log(2.0))
+
+
+def double_trines_hessian_diagonal() -> list[float]:
+    """The x-x and b-b entries of ``hessian_at(0.5, 1/3, 0)``, at the double-trines optimum, in closed form."""
+    gamma, ln2, root2 = _double_trines_gamma(), math.log(2.0), math.sqrt(2.0)
+    return [(81.0 - 27.0 * root2 * gamma) / (16.0 * ln2), (6.0 - (2.0 + root2) * gamma) / (3.0 * ln2)]
 
 
 def hessian_at(alpha: float, x: float, b: float) -> np.ndarray:

@@ -119,6 +119,15 @@ def test_validate_bad_priors_exit_one(tmp_path, capsys):
     assert "priors" in err
 
 
+def test_validate_negative_priors_exit_one(tmp_path, capsys):
+    # the priors sum to 1, so only the sign check rules them out
+    ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.array([1.5, -0.5]))
+    path = write_problem(tmp_path, "negative.json", problem_to_json(2, ensemble=ensemble))
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("INVALID (1 violations)\n", "ensemble: priors contain negative entries\n")
+
+
 @pytest.mark.parametrize("command", [["validate"], ["prune"], ["prune", "--real"], ["decompose"]],
                          ids=["validate", "prune", "prune-real", "decompose"])
 def test_nan_priors_exit_one(tmp_path, capsys, command):
@@ -193,11 +202,29 @@ def test_validate_malformed_json_exit_two(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("doc", [[2], "dimension", {"states": []}], ids=["list", "string", "no-dimension"])
+def test_top_level_must_be_an_object_with_a_dimension_exit_two(tmp_path, capsys, doc):
+    path = write_problem(tmp_path, "top.json", doc)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected an object with a 'dimension' key\n"
+
+
 def test_validate_json_report(tmp_path, capsys):
     assert main(["validate", fixture("lifted_trines_0.05.json"), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["group"]["order"] == 3
+
+
+def test_validate_reports_a_group_that_fails(tmp_path, capsys):
+    # every entry of diag(1, 0.5) has modulus at most 1, so only U^dagger U - I rules it out
+    path = write_problem(tmp_path, "shrink.json", problem_to_json(2, generators=[np.diag([1.0, 0.5])]))
+    assert main(["validate", path, "--json"]) == 1
+    captured = capsys.readouterr()
+    message = "matrix is not unitary: max |U^dagger U - I| = 7.500e-01"
+    assert captured.err == f"group: {message}\n"
+    report = {"path": path, "dimension": 2, "group": {"ok": False, "violations": [message]}, "ok": False}
+    assert json.loads(captured.out) == report
 
 
 def test_bound_trine_group(capsys):
@@ -223,6 +250,20 @@ def test_bound_irreducible_rep(capsys):
 def test_bound_without_generators(tmp_path, capsys):
     path = write_problem(tmp_path, "nogen.json", {"dimension": 2})
     assert main(["bound", path]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("decompose", {"dimension": 2}, "file contains no POVM"),
+        ("prune", {"dimension": 2, "povm": [np.eye(2).tolist()]}, "pruning needs both an ensemble and a POVM"),
+    ],
+    ids=["decompose-without-povm", "prune-without-states"],
+)
+def test_missing_sections_exit_one(tmp_path, capsys, command, doc, message):
+    path = write_problem(tmp_path, "partial.json", doc)
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bound_nan_generator_exit_one(tmp_path, capsys):
@@ -646,6 +687,37 @@ def test_prune_stdout_is_the_pruned_json_document(tmp_path, capsys):
     assert printed == written + "\n" == json.dumps(json.loads(written)) + "\n"
 
 
+def assert_one_compact_line(text):
+    assert text == json.dumps(json.loads(text))
+
+
+def test_every_json_document_is_one_compact_line(tmp_path, capsys):
+    # one writer: every document printed or written is one line, as json.dumps writes it
+    names = ("lifted_trines_0.05.json", "four_projectors_d2.json", "s3_irrep_2d.json")
+    trines, four, s3 = map(fixture, names)
+    for argv in (
+        ["validate", trines, "--json"], ["validate", four, "--json"], ["validate", s3, "--json"],
+        ["bound", trines, "--real", "--json"], ["bound", s3, "--real", "--json"],
+        ["decompose", trines], ["decompose", four],
+        ["prune", trines, "--group", trines, "--real"], ["prune", four],
+    ):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n")
+        assert_one_compact_line(out[:-1])
+        if argv[0] == "prune":
+            assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+            capsys.readouterr()
+            assert_one_compact_line((tmp_path / "pruned.json").read_text())
+    experiments = {"lifted-trines": ["optimum.json"], "double-trines": ["optimum.json", "pgm.json", "hessian.json"]}
+    for name, written in experiments.items():
+        assert main(["experiment", name, "--json", "--out-dir", str(tmp_path), "--nx", "3", "--nb", "4"]) == 0
+        # the summary follows the table of checks, on the last line
+        assert_one_compact_line(capsys.readouterr().out.splitlines()[-1])
+        for file_name in written:
+            assert_one_compact_line((tmp_path / file_name).read_text())
+
+
 def test_prune_symmetric_fixture(tmp_path, capsys):
     code = main(["prune", fixture("lifted_trines_0.05.json"), "--real", "--out-dir", str(tmp_path)])
     assert code == 0
@@ -840,3 +912,16 @@ def test_prune_real_checks_the_given_operators(tmp_path, capsys):
     assert not np.any(ops.imag)
     assert out["report"]["orbit_count"] <= 2
     assert out["report"]["info_bits_after"] >= out["report"]["info_bits_before"] - 1e-9
+
+
+def test_prune_real_rejects_complex_operators_exit_one(tmp_path, capsys):
+    # Z fixes both basis states; the eigenprojectors (I +- Y) / 2 of Y have imaginary parts of 1/2
+    y = np.array([[0.0, -1j], [1j, 0.0]])
+    ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.full(2, 0.5))
+    povm = Povm([(np.eye(2) + y) / 2, (np.eye(2) - y) / 2])
+    doc = problem_to_json(2, ensemble=ensemble, povm=povm, generators=[np.diag([1.0, -1.0])])
+    path = write_problem(tmp_path, "complex.json", doc)
+    assert main(["prune", path]) == 0
+    capsys.readouterr()
+    assert main(["prune", path, "--real"]) == 1
+    assert capsys.readouterr().err == "error: real_mode requires real POVM operators\n"

@@ -102,6 +102,9 @@ def test_large_group_closure(generators, order):
 def test_non_unitary_generator_rejected():
     with pytest.raises(UnitarityError):
         generate_group([np.diag([1.0, 2.0])])
+    # every entry of diag(1, 0.5) has modulus at most 1, so only U^dagger U - I rules it out
+    with pytest.raises(UnitarityError, match=r"not unitary: max \|U\^dagger U - I\| = 7\.500e-01"):
+        generate_group([np.diag([1.0, 0.5])])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "huge"])
@@ -221,6 +224,14 @@ def test_character_sum_must_be_integral():
     # the orbit sum projects onto the commutant only for a closed group, so it refuses too
     with pytest.raises(ClosureDefectError):
         orbit_sum(np.eye(2), bogus)
+
+
+def test_commutant_basis_rejects_elements_that_are_not_the_group_of_the_generators():
+    # the character sum over {I, Z} is 2, but X and Z together commute only with the scalars
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    rep = FiniteRep(dim=2, elements=[np.eye(2), z], generators=[x, z])
+    with pytest.raises(ClosureDefectError, match="commute with a 1-dimensional space, but the character sum gives 2"):
+        rep.commutant_basis
 
 
 def reducible_groups():

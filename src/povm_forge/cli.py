@@ -44,10 +44,10 @@ from .symmetry import (
     real_orbit_bound,
 )
 from .trines import (
-    double_trines,
     double_trines_closed_form,
     double_trines_hessian_diagonal,
     hessian_at,
+    lifted_trines,
     optimize_two_orbits,
     orbit_info,
     scan_surface,
@@ -370,7 +370,8 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
     alpha = 0.5
     closed = double_trines_closed_form()
     optimum = _orbit_optimum(args, out_dir, alpha, head={}, tail={"closed_form_bits": closed})
-    _, projected = double_trines()
+    # The projected double trines are the lifted trines at alpha = 1/2.
+    projected = lifted_trines(alpha)
     pgm = pretty_good_measurement(projected)
     pgm_info = mutual_information(projected, pgm)
     hessian = hessian_at(alpha, 1.0 / 3.0, 0.0)
@@ -454,7 +455,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_prune(args) -> int:
     problem = load_problem(args.path)
-    group_problem = load_problem(args.group) if args.group else None
+    group_problem = None
+    if args.group:
+        # ``prune F --group F`` takes the group from the problem already parsed.
+        group_problem = problem if args.group == args.path else load_problem(args.group)
     if problem.ensemble is None or problem.povm is None:
         raise ValueError("pruning needs both an ensemble and a POVM")
     generators = problem.generators

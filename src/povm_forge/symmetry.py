@@ -6,8 +6,9 @@ Closure looks each product up among the elements found so far, and the
 ensemble symmetry check each conjugated state among the states, by one
 lookup: bisection in sorted projections, then max-abs confirmation.  The
 generators are kept, and that check runs over them alone.  The group acts
-on operators by one broadcast conjugation, which serves ``symmetrize`` and
-that check.  An orbit sum is the orthogonal projection onto the commutant,
+on operators by one broadcast conjugation, which serves ``symmetrize``,
+that check, and ``trines``, whose ensembles and candidate orbits are built
+as orbits.  An orbit sum is the orthogonal projection onto the commutant,
 whose basis comes from one SVD per generator and is cached on the group.
 The two orbit-count bounds are computed from character sums alone; no
 explicit decomposition into irreducible blocks is ever performed.
@@ -59,9 +60,9 @@ class FiniteRep:
     ``generate_group`` ((0, d, d) for the trivial group); built from
     elements alone, the group takes its elements as generators, since any
     element list generates its group.  ``commutant_basis`` is computed on
-    first use and kept; it takes one SVD per generator, so a group built
-    from its elements alone pays |G| of them, each over the few matrices
-    left after the first generators.
+    first use and kept read-only; it takes one SVD per generator, so a
+    group built from its elements alone pays |G| of them, each over the few
+    matrices left after the first generators.
     """
 
     dim: int
@@ -107,7 +108,9 @@ class FiniteRep:
                 f"the generators commute with a {len(basis)}-dimensional space, but the character sum gives "
                 f"{bound}; the element list is not the group of the generators"
             )
-        return basis.reshape(bound, d, d)
+        basis = basis.reshape(bound, d, d)
+        basis.flags.writeable = False
+        return basis
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ The lifted trines are three unit vectors 120 degrees apart in a plane, tilted
 out of it by a mixing amplitude sqrt(alpha) along the first axis.  Candidate
 measurements are orbits of a rank-one operator |psi(a, b)><psi(a, b)| under
 the 120-degree rotation; such an orbit is a complete POVM exactly when
-cos(a)^2 = 1/3.  With the polar coordinate x = cos(a)^2 fixed, the best
+cos(a)^2 = 1/3.  Both are group orbits, as are the raw double trines (the
+orbit of |00> under R2 (x) R2), and all three are built by the one
+conjugation of ``symmetry``; the projected double trines are the lifted
+trines at alpha = 1/2.  With the polar coordinate x = cos(a)^2 fixed, the best
 azimuth gives g(x) = max_b I(x, b).  The best complete mixture of two orbits
 on opposite sides of that plane is the upper concave envelope of g at
 x = 1/3, found by a zooming grid search over pairs of x values; each zoom
@@ -21,6 +24,7 @@ in (x, b) are that formula differentiated by the chain rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .infotheory import equality_condition, joint_distribution, plogp
 from .quantum import Ensemble
-from .symmetry import FiniteRep, generate_group
+from .symmetry import FiniteRep, _conjugates, generate_group
 
 B_PERIOD = 2.0 * math.pi / 3.0
 # Azimuths of the three trine states within their plane.
@@ -81,9 +85,17 @@ def trine_rotation() -> np.ndarray:
     return 0.5 * np.array([[2.0, 0.0, 0.0], [0.0, -1.0, s], [0.0, -s, -1.0]])
 
 
+@functools.cache
 def trine_group() -> FiniteRep:
-    """The order-3 rotation group generated by trine_rotation()."""
-    return generate_group([trine_rotation()])
+    """The order-3 rotation group generated by trine_rotation(), with elements I, R, R^2.
+
+    Closed once, since every trine ensemble and orbit is built from it; its
+    arrays are read-only.
+    """
+    rep = generate_group([trine_rotation()])
+    rep.elements.flags.writeable = False
+    rep.generators.flags.writeable = False
+    return rep
 
 
 def psi(a: float, b: float) -> np.ndarray:
@@ -92,26 +104,20 @@ def psi(a: float, b: float) -> np.ndarray:
 
 
 def lifted_trines(alpha: float) -> Ensemble:
-    """Lifted trines ensemble with uniform priors; symmetric under trine_rotation()."""
+    """Lifted trines: the trine_group() orbit of (sqrt(alpha), sqrt(1 - alpha), 0), uniform priors.
+
+    The states come in the order v, R^2 v, R v, that of the shipped problem file.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"lift parameter must lie in [0, 1], got {alpha}")
-    up = math.sqrt(alpha)
-    planar = math.sqrt(1.0 - alpha)
-    s = math.sqrt(3.0) / 2.0
-    vectors = [[up, planar, 0.0], [up, -0.5 * planar, s * planar], [up, -0.5 * planar, -s * planar]]
-    states = [np.outer(v, v).astype(complex) for v in vectors]
-    return Ensemble(states, np.full(3, 1.0 / 3.0))
+    v = np.array([math.sqrt(alpha), math.sqrt(1.0 - alpha), 0.0])
+    return Ensemble(_conjugates(np.outer(v, v), trine_group().elements[[0, 2, 1]]), np.full(3, 1.0 / 3.0))
 
 
 def orbit_projectors(a: float, b: float) -> list[np.ndarray]:
-    """The three rotated rank-one operators R^j |psi><psi| R^-j, each of trace 1."""
-    r = trine_rotation()
+    """The trine_group() orbit R^j |psi><psi| R^-j, j = 0, 1, 2, of psi(a, b); each of trace 1."""
     v = psi(a, b)
-    ops = []
-    for _ in range(3):
-        ops.append(np.outer(v, v).astype(complex))
-        v = r @ v
-    return ops
+    return list(_conjugates(np.outer(v, v), trine_group().elements))
 
 
 def _overlaps(alpha: float, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,33 +331,15 @@ def optimize_two_orbits(alpha: float) -> TwoOrbitSolution:
 def double_trines() -> tuple[Ensemble, Ensemble]:
     """Two-qubit double trines and their three-dimensional projection.
 
-    The raw ensemble holds the three product vectors psi_i (x) psi_i of the
-    planar trines.  A fixed orthogonal basis change sends every state into a
-    common 3-dimensional subspace; dropping the vanishing coordinate yields
-    exactly the lifted trines with alpha = 1/2.
+    The raw ensemble is the orbit of |00> under the group of R2 (x) R2, with R2
+    the planar trine rotation, a reducible representation.  Its states span the
+    3-dimensional symmetric subspace, and their coordinates in the orthonormal
+    basis (|00> + |11>, |00> - |11>, |01> + |10>) / sqrt 2 of it are exactly
+    the lifted trines with alpha = 1/2, which is the projected ensemble.
     """
-    s = math.sqrt(3.0)
-    raw_vectors = [
-        np.array([1.0, 0.0, 0.0, 0.0]),
-        0.25 * np.array([1.0, s, s, 3.0]),
-        0.25 * np.array([1.0, -s, -s, 3.0]),
-    ]
-    basis_change = np.array(
-        [
-            [1.0, 0.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, 1.0, 0.0],
-            [0.0, 1.0, -1.0, 0.0],
-        ]
-    ) / math.sqrt(2.0)
-    raw = Ensemble(
-        [np.outer(v, v).astype(complex) for v in raw_vectors], np.full(3, 1.0 / 3.0)
-    )
-    projected_vectors = [(basis_change @ v)[:3] for v in raw_vectors]
-    projected = Ensemble(
-        [np.outer(v, v).astype(complex) for v in projected_vectors], np.full(3, 1.0 / 3.0)
-    )
-    return raw, projected
+    r2 = trine_rotation()[1:, 1:]
+    states = _conjugates(np.diag([1.0, 0.0, 0.0, 0.0]), generate_group([np.kron(r2, r2)]).elements)
+    return Ensemble(states, np.full(3, 1.0 / 3.0)), lifted_trines(0.5)
 
 
 def _double_trines_gamma() -> float:

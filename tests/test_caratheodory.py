@@ -738,3 +738,8 @@ def test_prune_is_at_least_every_leaf_over_the_same_pieces(d):
             pieces = split_rank_one(p)
             leaves = score_leaves(s, decompose_identity(normalize_povm(pieces)), pieces)
             assert prune_povm(s, p).info_bits >= max(leaves) - 1e-12
+
+
+def test_build_design_matrix_rejects_an_empty_operator_list():
+    with pytest.raises(NormalizationError, match="^need at least one operator$"):
+        build_design_matrix([])

@@ -738,6 +738,28 @@ def test_prune_with_separate_group_file(tmp_path, capsys):
     assert out["report"]["group_order"] == 3
 
 
+def test_prune_parses_a_group_file_that_is_the_problem_file_once(tmp_path, capsys, monkeypatch):
+    # prune F --group F parses F once; a copy of F as the group file is parsed too, to the same output
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_problem(path)
+
+    monkeypatch.setattr(cli, "load_problem", counting)
+    path = fixture("lifted_trines_0.05.json")
+    copy = tmp_path / "group.json"
+    with open(path, "rb") as handle:
+        copy.write_bytes(handle.read())
+    outputs = []
+    for group, parses in ((path, 1), (str(copy), 2)):
+        calls.clear()
+        assert main(["prune", path, "--group", group, "--real"]) == 0
+        assert len(calls) == parses
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_prune_validates_the_povm_once(capsys, monkeypatch):
     # info_bits_before reuses the validation prune_povm made
     calls = []
@@ -925,3 +947,11 @@ def test_prune_real_rejects_complex_operators_exit_one(tmp_path, capsys):
     capsys.readouterr()
     assert main(["prune", path, "--real"]) == 1
     assert capsys.readouterr().err == "error: real_mode requires real POVM operators\n"
+
+
+def test_validate_prior_count_mismatch_exit_two(tmp_path, capsys):
+    doc = {"dimension": 2, "states": [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))],
+           "priors": [1.0]}
+    path = write_problem(tmp_path, "short.json", doc)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: states: 2 states but 1 priors\n"

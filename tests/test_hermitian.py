@@ -185,3 +185,8 @@ def test_tolerances_are_five_and_shared():
         assert all(value is values[0] for value in values), name
     for name in ("HERM_TOL", "RANK_TOL", "ZERO_TOL"):
         assert all(value is getattr(hermitian, name) for value in holders[name]), name
+
+
+def test_from_coords_rejects_the_wrong_coordinate_count():
+    with pytest.raises(InvalidDimensionError, match=r"^expected 4 coordinates, got shape \(3,\)$"):
+        from_coords(np.zeros(3), 2)

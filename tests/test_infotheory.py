@@ -25,6 +25,7 @@ from povm_forge import (
     validate_povm,
 )
 from povm_forge.cli import load_problem
+from povm_forge.quantum import StructuralError
 from povm_forge.infotheory import _formal_information, _information_slope, plogp
 from helpers import random_ensemble, random_povm, random_state
 
@@ -328,3 +329,15 @@ def test_information_never_exceeds_the_holevo_chi(case):
     assert chi <= math.log2(ensemble.dim) + 1e-12
     for info in infos:
         assert info <= chi + 1e-12
+
+
+def test_joint_distribution_rejects_operators_of_another_dimension():
+    with pytest.raises(StructuralError, match="^dimension mismatch: ensemble 3 vs operators 2$"):
+        joint_distribution(lifted_trines(0.05), [np.eye(2)])
+
+
+def test_equality_condition_rejects_a_column_out_of_range():
+    s = lifted_trines(0.05)
+    ops = orbit_projectors(math.acos(math.sqrt(1.0 / 3.0)), 0.0)
+    with pytest.raises(IndexError, match="^column 3 out of range for 3 operators$"):
+        equality_condition(s, ops, ops, 3)

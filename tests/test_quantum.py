@@ -10,6 +10,7 @@ from povm_forge import (
     PositivityError,
     Povm,
     StructuralError,
+    ValidationReport,
     convex_combine,
     eig_hermitian,
     is_psd,
@@ -282,3 +283,20 @@ def test_non_hermitian_member_raises_hermiticity_error():
         Povm([np.ones((2, 3))])
     with pytest.raises(HermiticityError):
         Povm([np.full((2, 2), np.nan)])
+
+
+def test_ensemble_rejects_a_prior_count_that_differs_from_the_state_count():
+    with pytest.raises(StructuralError, match=r"^2 states but 1 priors$"):
+        Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [1.0])
+
+
+def test_povm_rejects_operators_that_are_not_a_stack_of_matrices():
+    # one 2 x 2 matrix is a stack of two rows, not of two operators
+    with pytest.raises(HermiticityError, match=r"^POVM operators must be square matrices, got shape \(2,\)$"):
+        Povm(np.eye(2))
+
+
+def test_failed_validation_report_is_false_and_normalized_povm_has_a_length():
+    assert not ValidationReport(False, ["broken"])
+    assert ValidationReport(True)
+    assert len(normalize_povm(Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))]))) == 3

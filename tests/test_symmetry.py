@@ -622,3 +622,24 @@ def test_generator_dimension_must_match_dim():
         generate_group([swap], dim=3)
     with pytest.raises(StructuralError):
         generate_group([swap, np.eye(3)])
+
+
+def test_generate_group_rejects_a_non_square_generator():
+    with pytest.raises(UnitarityError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        generate_group([np.zeros((2, 3))])
+
+
+def test_generate_group_needs_dim_without_generators():
+    with pytest.raises(StructuralError, match="^dim is required when the generator list is empty$"):
+        generate_group([])
+
+
+def test_group_operations_reject_another_dimension():
+    rep = trine_group()
+    qubit = np.diag([1.0, 0.0])
+    with pytest.raises(StructuralError, match="^dimension mismatch: POVM 2 vs representation 3$"):
+        symmetrize(Povm([np.eye(2)]), rep)
+    with pytest.raises(StructuralError, match="^dimension mismatch: operator 2 vs representation 3$"):
+        orbit_sum(qubit, rep)
+    with pytest.raises(StructuralError, match="^dimension mismatch: ensemble 2 vs representation 3$"):
+        is_symmetric_ensemble(Ensemble([qubit], [1.0]), rep)

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 
 from povm_forge import (
     Povm,
+    complex_orbit_bound,
     convex_combine,
     double_trines,
     double_trines_closed_form,
+    generate_group,
     hessian_at,
     is_symmetric_ensemble,
     joint_distribution,
@@ -21,6 +24,7 @@ from povm_forge import (
     orbit_projectors,
     pretty_good_measurement,
     psi,
+    real_orbit_bound,
     scan_surface,
     single_orbit_rank_argument,
     trine_group,
@@ -28,6 +32,7 @@ from povm_forge import (
     validate_povm,
 )
 from povm_forge import trines
+from povm_forge.cli import load_problem
 from povm_forge.trines import _b_slopes, _max_over_b, _orbit_info_values
 
 NU = math.acos(math.sqrt(1.0 / 3.0))
@@ -61,6 +66,14 @@ def test_rotation_cycles_the_trine_states():
         assert np.max(np.abs(r @ states[0] @ r.T - states[2])) <= 1e-12
         assert np.max(np.abs(r @ states[2] @ r.T - states[1])) <= 1e-12
         assert np.max(np.abs(r @ states[1] @ r.T - states[0])) <= 1e-12
+
+
+def test_trine_group_is_closed_once_and_read_only():
+    rep = trine_group()
+    assert trine_group() is rep
+    for array in (rep.elements, rep.generators, rep.commutant_basis):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 0.0
 
 
 def test_lifted_trines_alpha_zero_planar():
@@ -401,6 +414,69 @@ def test_double_trines_raw_overlaps():
             assert abs(overlap - 1.0 / 16.0) <= 1e-12
 
 
+def _projectors(vectors):
+    return np.array([np.outer(v, v) for v in vectors])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.0])
+def test_lifted_trines_match_the_explicit_vectors(alpha):
+    # the orbit gives the three written-out trine vectors, in their order
+    up, planar, s = math.sqrt(alpha), math.sqrt(1.0 - alpha), math.sqrt(3.0) / 2.0
+    vectors = [[up, planar, 0.0], [up, -0.5 * planar, s * planar], [up, -0.5 * planar, -s * planar]]
+    assert np.max(np.abs(lifted_trines(alpha).states - _projectors(vectors))) <= 1e-15
+
+
+def test_orbit_projectors_match_the_rotated_vector():
+    r = trine_rotation()
+    for a in np.linspace(0.0, math.pi, 7):
+        for b in np.linspace(0.0, 2.0 * math.pi, 9):
+            v = psi(a, b)
+            ops = orbit_projectors(a, b)
+            assert isinstance(ops, list) and len(ops) == 3
+            assert np.max(np.abs(np.array(ops) - _projectors([v, r @ v, r @ (r @ v)]))) <= 1e-15
+
+
+def test_double_trines_match_the_explicit_vectors():
+    # the raw product vectors, and their coordinates after an orthogonal basis change
+    s = math.sqrt(3.0)
+    raw_vectors = [
+        np.array([1.0, 0.0, 0.0, 0.0]), 0.25 * np.array([1.0, s, s, 3.0]), 0.25 * np.array([1.0, -s, -s, 3.0])
+    ]
+    basis_change = np.array(
+        [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]]
+    ) / math.sqrt(2.0)
+    raw, projected = double_trines()
+    assert np.max(np.abs(raw.states - _projectors(raw_vectors))) <= 1e-15
+    assert np.max(np.abs(projected.states - _projectors([(basis_change @ v)[:3] for v in raw_vectors]))) <= 1e-15
+
+
+def test_shipped_lifted_trines_file_is_the_orbit():
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data", "lifted_trines_0.05.json")
+    problem = load_problem(path)
+    assert np.max(np.abs(problem.ensemble.states - lifted_trines(0.05).states)) <= 1e-15
+    assert np.max(np.abs(problem.generators - trine_rotation())) <= 1e-15
+
+
+def test_double_trines_raw_is_the_reducible_example():
+    raw, projected = double_trines()
+    r2 = trine_rotation()[1:, 1:]
+    flip = np.diag([1.0, -1.0])
+    rep = generate_group([np.kron(r2, r2), np.kron(flip, flip)])
+    assert rep.order == 6
+    assert complex_orbit_bound(rep) == 3 and real_orbit_bound(rep) == 3
+    assert is_symmetric_ensemble(raw, rep)
+
+    def gram(ensemble):
+        return np.einsum("iab,jba->ij", ensemble.states, ensemble.states).real
+
+    assert np.max(np.abs(gram(raw) - gram(lifted_trines(0.5)))) <= 1e-14
+    raw_pgm = pretty_good_measurement(raw)
+    # three pretty-good operators and the completion onto the states' orthogonal complement
+    assert len(raw_pgm.operators) == 4
+    projected_info = mutual_information(projected, pretty_good_measurement(projected))
+    assert abs(mutual_information(raw, raw_pgm) - projected_info) <= 1e-12
+
+
 def test_closed_form_value_and_equalities():
     closed = double_trines_closed_form()
     assert abs(closed - 1.369) <= 1e-3
@@ -546,3 +622,10 @@ def test_orbit_functions_reject_bad_alpha(alpha):
         scan_surface(alpha, nx=3, nb=3)
     with pytest.raises(ValueError, match="lift parameter"):
         optimize_single_orbit(alpha)
+    with pytest.raises(ValueError, match=rf"^lift parameter must lie in \[0, 1\], got {alpha}$"):
+        hessian_at(alpha, 1.0 / 3.0, 0.0)
+
+
+def test_scan_surface_rejects_a_one_point_axis():
+    with pytest.raises(ValueError, match="^grid needs at least 2 points per axis$"):
+        scan_surface(0.05, nx=1)

@@ -5,8 +5,10 @@ File format: JSON objects with keys "dimension", "states", "priors", "povm",
 row-major nested arrays, so files port trivially across languages.  A
 section's entries are all [re, im] pairs or all bare reals; each section is
 converted in one pass and checked against the declared dimension, and every
-parse error names the file and the section.  All emitted floats use Python's
-shortest round-trip representation, which re-parses bit-identically.
+parse error names the file and the section.  Priors belong to the states: a
+file with states and no priors gets uniform priors, and priors without states
+are a parse error.  All emitted floats use Python's shortest round-trip
+representation, which re-parses bit-identically.
 
 Exit codes: 0 success, 1 domain failure (validation, symmetry, closure),
 2 usage or parse failure.  Commands raise; ``main`` alone turns an error into
@@ -157,6 +159,8 @@ def load_problem(path: str) -> ProblemFile:
     if type(d) is not int or d < 1:
         raise ProblemFileError(f"{path}: dimension must be a positive integer")
     priors = doc.get("priors")
+    if priors is not None and "states" not in doc:
+        raise ProblemFileError(f"{path}: priors given without states")
     if priors is not None and not (isinstance(priors, list) and set(map(type, priors)) <= _NUMBER_TYPES):
         raise ProblemFileError(f"{path}: priors must be a list of numbers")
 

@@ -106,9 +106,12 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_psd(m: np.ndarray) -> bool:
-    """True iff the smallest eigenvalue of a Hermitian matrix is >= -``HERM_TOL``, as in both validators."""
+    """True iff the smallest eigenvalue of a Hermitian matrix is >= -``HERM_TOL``, as in both validators.
+
+    For a stack of matrices, true iff every matrix of the stack is PSD.
+    """
     w, _ = eig_hermitian(m)
-    return bool(w[0] >= -HERM_TOL)
+    return bool(np.all(w[..., 0] >= -HERM_TOL))
 
 
 def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -4,12 +4,13 @@ Groups are stored extensionally as one stacked (|G|, d, d) array of unitary
 matrices, such as the low-dimensional Clifford and Weyl-Heisenberg groups.
 Closure looks each product up among the elements found so far, and the
 ensemble symmetry check each conjugated state among the states, by one
-lookup: bisection in sorted projections, then max-abs confirmation.  The
-generators are kept, and that check runs over them alone.  The group acts
-on operators by one broadcast conjugation, which serves ``symmetrize``,
-that check, and ``trines``, whose ensembles and candidate orbits are built
-as orbits.  An orbit sum is the orthogonal projection onto the commutant,
-whose basis comes from one SVD per generator and is cached on the group.
+lookup, ``_find``: bisection in sorted projections, then max-abs
+confirmation in index order.  The generators are kept, and that check runs
+over them alone.  The group acts on operators by one broadcast conjugation,
+which serves ``symmetrize``, that check, and ``trines``, whose ensembles and
+candidate orbits are built as orbits.  An orbit sum is the orthogonal
+projection onto the commutant, whose basis comes from one SVD per generator
+and is cached on the group.
 The two orbit-count bounds are computed from character sums alone; no
 explicit decomposition into irreducible blocks is ever performed.
 """
@@ -170,29 +171,23 @@ def _projections(stack: np.ndarray) -> list[float]:
     return (stack.view(float).reshape(len(stack), -1) @ _projection_weights(stack.shape[-1])).tolist()
 
 
-def _window(projections: list, projection: float) -> tuple[int, int]:
-    """Bisect bounds of the entries of the sorted ``projections`` within 2 * ``MATCH_TOL`` of ``projection``.
+def _find(matrix: np.ndarray, projection: float, matrices, projections: list, indices: list, used=()) -> int:
+    """Lowest index of a matrix within ``MATCH_TOL`` (max-abs) of ``matrix`` and not in ``used``, or -1.
 
-    The weights are nonnegative and sum to 1, so a matrix within ``MATCH_TOL``
-    (max-abs) of another projects within ``MATCH_TOL`` of it; the window is
-    twice that to cover the rounding of matrices with entries of modulus at
-    most 1, such as unitaries and states.  Confirming each candidate in it by
-    max-abs so gives exactly the verdict of a scan over every matrix.
+    ``projections`` holds the projection of every matrix, sorted, and
+    ``indices`` the matrix of each.  The candidates are the matrices whose
+    projections lie within 2 * ``MATCH_TOL`` of ``projection``, found by
+    bisection: the weights are nonnegative and sum to 1, so a matrix within
+    ``MATCH_TOL`` (max-abs) of another projects within ``MATCH_TOL`` of it,
+    and the window is twice that to cover the rounding of matrices with
+    entries of modulus at most 1, such as unitaries and states.  Confirming
+    each candidate by max-abs, in index order, so gives exactly the index a
+    scan over every matrix would return.
     """
     low = bisect_left(projections, projection - 2 * MATCH_TOL)
-    return low, bisect_right(projections, projection + 2 * MATCH_TOL, low)
-
-
-def _find(matrix: np.ndarray, projection: float, elements: list, projections: list, indices: list) -> int:
-    """Index of an element within ``MATCH_TOL`` (max-abs) of ``matrix``, or -1.
-
-    ``projections`` holds the projection of every element, sorted, and
-    ``indices`` the element of each; the candidates are those in the
-    ``_window`` of ``projection``.
-    """
-    low, high = _window(projections, projection)
-    for i in indices[low:high]:
-        if np.max(np.abs(elements[i] - matrix)) <= MATCH_TOL:
+    high = bisect_right(projections, projection + 2 * MATCH_TOL, low)
+    for i in sorted(indices[low:high]):
+        if i not in used and np.max(np.abs(matrices[i] - matrix)) <= MATCH_TOL:
             return i
     return -1
 
@@ -324,13 +319,13 @@ def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep) -> bool:
     Only the generators are checked: conjugation by a product of group
     elements is the product of their permutations, a homomorphism, so if each
     generator permutes the states and keeps the priors, every element does.
-    Each conjugate, from one broadcast per generator, is matched to the
-    lowest-index unused state within ``MATCH_TOL`` (max-abs) in its
-    ``_window`` of the states' sorted projections, the state a scan would
-    pick, which handles duplicate states.  Tolerances compose along words: an
-    element that is a word of length L in the generators is matched only
-    within about L * d * ``MATCH_TOL``, and since priors are compared along
-    generator edges they may drift by up to L * ``MATCH_TOL`` within an orbit.
+    Each conjugate, from one broadcast per generator, is matched by ``_find``
+    to the lowest-index state within ``MATCH_TOL`` (max-abs) that no earlier
+    conjugate by the same generator took, the state a scan would pick, which
+    handles duplicate states.  Tolerances compose along words: an element
+    that is a word of length L in the generators is matched only within
+    about L * d * ``MATCH_TOL``, and since priors are compared along generator
+    edges they may drift by up to L * ``MATCH_TOL`` within an orbit.
     """
     _check_dim("ensemble", s.dim, rep)
     unsorted = _projections(s.states)
@@ -338,14 +333,12 @@ def is_symmetric_ensemble(s: Ensemble, rep: FiniteRep) -> bool:
     projections = [unsorted[i] for i in indices]
     for g in rep.generators:
         conjugates = _conjugates(s.states, g)
-        used = [False] * len(s)
+        used = set()
         for i, (conjugate, projection) in enumerate(zip(conjugates, _projections(conjugates))):
-            low, high = _window(projections, projection)
-            match = next((j for j in sorted(indices[low:high])
-                          if not used[j] and np.max(np.abs(s.states[j] - conjugate)) <= MATCH_TOL), -1)
+            match = _find(conjugate, projection, s.states, projections, indices, used)
             if match < 0:
                 return False
-            used[match] = True
+            used.add(match)
             # Each state's prior equals that of the state its conjugate matches,
             # so priors are equal along every generator edge of an orbit.
             if abs(s.priors[i] - s.priors[match]) > MATCH_TOL:

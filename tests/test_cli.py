@@ -955,3 +955,13 @@ def test_validate_prior_count_mismatch_exit_two(tmp_path, capsys):
     path = write_problem(tmp_path, "short.json", doc)
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err == f"error: {path}: states: 2 states but 1 priors\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose", "bound"])
+def test_priors_without_states_exit_two(tmp_path, capsys, command):
+    # priors belong to states; without states they would be dropped without a word
+    doc = {"dimension": 2, "priors": [1.0], "povm": [matrix_to_json(np.eye(2))],
+           "generators": [matrix_to_json(np.diag([1.0, -1.0]))]}
+    path = write_problem(tmp_path, "priors_only.json", doc)
+    assert main([command, path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: priors given without states\n")

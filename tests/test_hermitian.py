@@ -135,6 +135,9 @@ def test_is_psd_examples():
     assert not is_psd(np.diag([1.0, -1e-3]))
     v = psi(0.7, 1.1)
     assert is_psd(np.outer(v, v))
+    # a stack is PSD iff every matrix of it is
+    assert is_psd(np.stack([np.eye(2), np.eye(2)]))
+    assert not is_psd(np.stack([np.eye(2), np.diag([1.0, -1e-3])]))
 
 
 def test_inv_sqrt_identity():

@@ -601,6 +601,25 @@ def test_projection_window_lookup_matches_linear_scan():
     assert {-1.0, 1.0} == set(sides)
 
 
+@pytest.mark.parametrize("offsets", [(0.0, 0.3, 0.6), (0.6, 0.3, 0.0)], ids=["ascending", "descending"])
+def test_find_skips_used_indices_lowest_first(offsets):
+    # one matrix listed three times, each copy within MATCH_TOL of the query;
+    # real offsets on every entry make the projections ascend or descend with the index
+    u = generate_group(clifford_generators()).elements[5]
+    stack = np.stack([u + offset * MATCH_TOL for offset in offsets])
+    projections = symmetry._projections(stack)
+    indices = sorted(range(len(stack)), key=projections.__getitem__)
+    assert indices == ([0, 1, 2] if offsets[0] == 0.0 else [2, 1, 0])
+    table = (list(stack), [projections[i] for i in indices], indices)
+    query = u + 0.3 * MATCH_TOL
+    (projection,) = symmetry._projections(query[None])
+    used = set()
+    for expected in (0, 1, 2, -1):
+        found = symmetry._find(query, projection, *table, used)
+        assert found == expected
+        used.add(found)
+
+
 def test_max_order_equal_to_the_order_succeeds(monkeypatch):
     monkeypatch.setattr(symmetry, "MAX_ORDER", 192)
     assert generate_group(clifford_generators()).order == 192

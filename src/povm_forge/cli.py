@@ -7,8 +7,9 @@ section's entries are all [re, im] pairs or all bare reals; each section is
 converted in one pass and checked against the declared dimension, and every
 parse error names the file and the section.  Priors belong to the states: a
 file with states and no priors gets uniform priors, and priors without states
-are a parse error.  All emitted floats use Python's shortest round-trip
-representation, which re-parses bit-identically.
+are a parse error.  ``ProblemFile`` reads and writes this layout, also for
+``pruned.json`` and ``pgm.json``.  All emitted floats use Python's shortest
+round-trip representation, which re-parses bit-identically.
 
 Exit codes: 0 success, 1 domain failure (validation, symmetry, closure),
 2 usage or parse failure.  Commands raise; ``main`` alone turns an error into
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .caratheodory import decompose_identity, prune_povm, score_leaves
-from .infotheory import _formal_information, joint_distribution, mutual_information
+from .infotheory import mutual_information
 from .quantum import (
     Ensemble,
     Povm,
@@ -73,7 +74,7 @@ class ProblemFileError(UsageError):
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Rows of [re, im] pairs; a stack of matrices gives one such list per matrix."""
+    """Rows of [re, im] pairs, one such list per matrix of a stack: the reference for ``matrix_json_text``."""
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], -1).tolist()
 
@@ -130,20 +131,29 @@ def _stack_from_json(section, d: int) -> np.ndarray:
     return stack.view(complex)[..., 0] if pairs else stack.reshape(-1, d, d).astype(complex)
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    """One matrix of [re, im] pairs or bare reals, read as a section of one."""
-    return _stack_from_json([rows], len(rows) if isinstance(rows, list) else 0)[0]
-
-
 @dataclass
 class ProblemFile:
-    """Parsed contents of a problem file; sections are optional, and ``generators`` is one (k, d, d) stack."""
+    """A problem file's optional sections, as ``load_problem`` reads and ``layout`` writes them; ``generators`` is one (k, d, d) stack."""
 
     dimension: int
     ensemble: Ensemble | None = None
     povm: Povm | None = None
     generators: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+
+    def layout(self) -> dict:
+        """The problem file as a JSON object with each matrix stack left as an array, for ``_json_text``."""
+        doc: dict = {"dimension": self.dimension}
+        if self.ensemble is not None:
+            doc["states"] = self.ensemble.states
+            doc["priors"] = [float(p) for p in self.ensemble.priors]
+        if self.povm is not None:
+            doc["povm"] = self.povm.operators
+        if self.generators is not None:
+            doc["generators"] = np.asarray(self.generators, dtype=complex)
+        if self.metadata:
+            doc["metadata"] = self.metadata
+        return doc
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -180,38 +190,6 @@ def load_problem(path: str) -> ProblemFile:
         generators=read("generators", lambda generators: generators),
         metadata=doc.get("metadata", {}),
     )
-
-
-def _problem_arrays(
-    dimension: int,
-    ensemble: Ensemble | None = None,
-    povm: Povm | None = None,
-    generators=None,
-    metadata: dict | None = None,
-) -> dict:
-    """The problem-file layout with each matrix stack left as an array, for ``problem_to_json`` and ``_json_text``."""
-    doc: dict = {"dimension": dimension}
-    if ensemble is not None:
-        doc["states"] = ensemble.states
-        doc["priors"] = [float(p) for p in ensemble.priors]
-    if povm is not None:
-        doc["povm"] = povm.operators
-    if generators is not None:
-        doc["generators"] = np.asarray(generators, dtype=complex)
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
-
-
-def problem_to_json(
-    dimension: int,
-    ensemble: Ensemble | None = None,
-    povm: Povm | None = None,
-    generators=None,
-    metadata: dict | None = None,
-) -> dict:
-    doc = _problem_arrays(dimension, ensemble, povm, generators, metadata)
-    return {key: matrix_to_json(value) if isinstance(value, np.ndarray) else value for key, value in doc.items()}
 
 
 def _json_text(doc: dict) -> str:
@@ -381,7 +359,7 @@ def _experiment_double_trines(args, out_dir: str) -> tuple[dict, int]:
     hessian = hessian_at(alpha, 1.0 / 3.0, 0.0)
     eigenvalues = sorted(np.linalg.eigvalsh(hessian).tolist())
     closed_hessian = double_trines_hessian_diagonal()
-    _write_json(out_dir, "pgm.json", {**_problem_arrays(projected.dim, povm=pgm), "info_bits": pgm_info})
+    _write_json(out_dir, "pgm.json", {**ProblemFile(projected.dim, povm=pgm).layout(), "info_bits": pgm_info})
     _write_json(out_dir, "hessian.json", {
         "at": {"x": 1.0 / 3.0, "b": 0.0},
         "matrix": hessian.tolist(),
@@ -480,12 +458,9 @@ def cmd_prune(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     rep = generate_group(generators, dim=problem.dimension) if generators is not None else None
     pruned = prune_povm(problem.ensemble, problem.povm, rep, real_mode=args.real)
-    # mutual_information without its second validation: prune_povm checked the POVM.
-    joint = joint_distribution(problem.ensemble, problem.povm)
-    info_before = _formal_information(joint, joint.sum(axis=1))
+    info_before = mutual_information(problem.ensemble, problem.povm)
     info_after = pruned.info_bits
-    doc = _problem_arrays(problem.dimension, povm=pruned, metadata={"pruned_from": args.path})
-    doc["report"] = {
+    report = {
         "operators_before": len(problem.povm),
         "operators_after": len(pruned),
         "info_bits_before": info_before,
@@ -496,8 +471,10 @@ def cmd_prune(args) -> int:
         "certified": pruned.certified,
     }
     if rep is not None:
-        doc["report"]["orbit_count"] = len(pruned) // rep.order
-        doc["report"]["group_order"] = rep.order
+        report["orbit_count"] = len(pruned) // rep.order
+        report["group_order"] = rep.order
+    doc = {**ProblemFile(problem.dimension, povm=pruned, metadata={"pruned_from": args.path}).layout(),
+           "report": report}
     if args.out_dir:
         out_path = _write_json(args.out_dir, "pruned.json", doc)
         print(

@@ -29,7 +29,7 @@ class StructuralError(ValueError):
 
 
 def _as_operator_stack(ops, what: str) -> np.ndarray:
-    """Stack operators into one checked Hermitian (n, d, d) complex array."""
+    """Stack operators into one checked Hermitian (n, d, d) complex array, new and read-only."""
     try:
         stack = np.asarray(ops if isinstance(ops, np.ndarray) else list(ops), dtype=complex)
     except ValueError as exc:
@@ -38,12 +38,14 @@ def _as_operator_stack(ops, what: str) -> np.ndarray:
         raise StructuralError(f"{what} must contain at least one operator")
     if stack.ndim != 3:
         raise HermiticityError(f"{what} operators must be square matrices, got shape {stack.shape[1:]}")
-    return as_hermitian(stack)
+    stack = as_hermitian(stack)
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Quantum states rho_i, stacked as one (m, d, d) array, with prior probabilities p(i)."""
+    """Quantum states rho_i, stacked as one read-only (m, d, d) array, with prior probabilities p(i)."""
 
     states: np.ndarray
     priors: np.ndarray
@@ -74,9 +76,7 @@ class Povm:
     operators: np.ndarray
 
     def __init__(self, operators):
-        stack = _as_operator_stack(operators, "POVM")
-        stack.flags.writeable = False
-        object.__setattr__(self, "operators", stack)
+        object.__setattr__(self, "operators", _as_operator_stack(operators, "POVM"))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:

@@ -60,10 +60,12 @@ class FiniteRep:
     a (k, d, d) stack that generates the group, as given to
     ``generate_group`` ((0, d, d) for the trivial group); built from
     elements alone, the group takes its elements as generators, since any
-    element list generates its group.  ``commutant_basis`` is computed on
-    first use and kept read-only; it takes one SVD per generator, so a
-    group built from its elements alone pays |G| of them, each over the few
-    matrices left after the first generators.
+    element list generates its group.  Both stacks are copies of what is
+    given and read-only, so the ``commutant_basis`` cached from them cannot
+    go stale.  That basis is computed on first use and kept read-only; it
+    takes one SVD per generator, so a group built from its elements alone
+    pays |G| of them, each over the few matrices left after the first
+    generators.
     """
 
     dim: int
@@ -71,9 +73,12 @@ class FiniteRep:
     generators: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=complex))
-        generators = self.elements if self.generators is None else self.generators
-        generators = np.asarray(generators, dtype=complex).reshape(-1, self.dim, self.dim)
+        elements = np.array(self.elements, dtype=complex)
+        generators = elements if self.generators is None else np.array(self.generators, dtype=complex)
+        generators = generators.reshape(-1, self.dim, self.dim)
+        elements.flags.writeable = False
+        generators.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", generators)
 
     @property

@@ -89,13 +89,9 @@ def trine_rotation() -> np.ndarray:
 def trine_group() -> FiniteRep:
     """The order-3 rotation group generated by trine_rotation(), with elements I, R, R^2.
 
-    Closed once, since every trine ensemble and orbit is built from it; its
-    arrays are read-only.
+    Closed once, since every trine ensemble and orbit is built from it.
     """
-    rep = generate_group([trine_rotation()])
-    rep.elements.flags.writeable = False
-    rep.generators.flags.writeable = False
-    return rep
+    return generate_group([trine_rotation()])
 
 
 def psi(a: float, b: float) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from povm_forge import Ensemble, Povm, inv_sqrt_psd
+from povm_forge.cli import ProblemFile, _json_text
 
 
 def random_unit_vector(rng, d: int) -> np.ndarray:
@@ -92,3 +93,12 @@ def orbit_ensemble(rep, base: np.ndarray) -> Ensemble:
 def planar_rotation(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def write_problem_file(path, dimension: int, **sections) -> str:
+    """Write ``ProblemFile(dimension, **sections)`` to ``path`` as the command line writes a problem document.
+
+    Returns the path as a string.
+    """
+    path.write_text(_json_text(ProblemFile(dimension, **sections).layout()))
+    return str(path)

@@ -17,24 +17,27 @@ from povm_forge import (
     lifted_trines,
     mutual_information,
     orbit_projectors,
+    pretty_good_measurement,
+    prune_povm,
     scan_surface,
     symmetrize,
     trine_rotation,
 )
 import povm_forge
-from povm_forge import caratheodory, infotheory, trines
+from povm_forge import trines
 from povm_forge.cli import (
+    ProblemFile,
     ProblemFileError,
+    _json_text,
+    _stack_from_json,
     _write_surface_csv,
     build_parser,
     load_problem,
     main,
-    matrix_from_json,
     matrix_json_text,
     matrix_to_json,
-    problem_to_json,
 )
-from helpers import random_ensemble, random_povm, random_unit_vector, weyl_heisenberg_generators
+from helpers import random_ensemble, random_povm, random_unit_vector, weyl_heisenberg_generators, write_problem_file
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "povm_forge", "data")
 
@@ -53,18 +56,18 @@ def test_matrix_json_round_trip():
     rng = np.random.default_rng(50)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert matrix_to_json(m) == [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    again = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
-    assert np.array_equal(m, again)
+    again = _stack_from_json(json.loads(matrix_json_text(m[None])), 3)
+    assert np.array_equal(m[None], again)
     # signed zeros, the smallest subnormal, huge values and plain JSON integers keep their bits
     rows = [[[-0.0, -0.0], [5e-324, -5e-324]], [[1e300, -1e300], [3, -7]]]
     expected = np.array([[complex(re, im) for re, im in row] for row in rows])
-    again = matrix_from_json(json.loads(json.dumps(rows)))
+    again = _stack_from_json(json.loads(json.dumps([rows])), 2)[0]
     assert np.array_equal(again.view(np.uint64), expected.view(np.uint64))
 
 
-def test_matrix_from_json_accepts_bare_reals(tmp_path):
-    m = matrix_from_json([[1, 0], [0, 1]])
-    assert np.array_equal(m, np.eye(2))
+def test_stack_from_json_accepts_bare_reals(tmp_path):
+    stack = _stack_from_json([[[1, 0], [0, 1]]], 2)
+    assert np.array_equal(stack, np.eye(2)[None])
     # a file written wholly in bare reals loads as if every entry were [re, 0.0]
     doc = {
         "dimension": 2,
@@ -80,10 +83,11 @@ def test_matrix_from_json_accepts_bare_reals(tmp_path):
     assert np.array_equal(problem.generators.view(np.uint64), generators.view(np.uint64))
 
 
-def test_matrix_from_json_rejects_garbage():
-    for rows in ([[[1, 2, 3]]], [[1, 0], [0]], [1, 0]):
+def test_stack_from_json_rejects_garbage():
+    # one matrix of each: a triple for a pair, a ragged row, and a row where a matrix belongs
+    for rows, d in (([[[1, 2, 3]]], 1), ([[1, 0], [0]], 2), ([1, 0], 2)):
         with pytest.raises(ProblemFileError):
-            matrix_from_json(rows)
+            _stack_from_json([rows], d)
 
 
 def test_load_problem_round_trips_bit_identically(tmp_path):
@@ -91,15 +95,15 @@ def test_load_problem_round_trips_bit_identically(tmp_path):
     ensemble = random_ensemble(rng, 2, 3)
     povm = random_povm(rng, 2, 4)
     generators = [np.diag([1.0, -1.0]), np.array([[0, 1j], [1j, 0]])]
-    doc = problem_to_json(2, ensemble=ensemble, povm=povm, generators=generators, metadata={"name": "round"})
-    path = write_problem(tmp_path, "round.json", doc)
+    path = write_problem_file(tmp_path / "round.json", 2, ensemble=ensemble, povm=povm, generators=generators,
+                              metadata={"name": "round"})
     problem = load_problem(path)
-    again = problem_to_json(
-        2, ensemble=problem.ensemble, povm=problem.povm, generators=problem.generators, metadata=problem.metadata
-    )
-    assert json.dumps(doc) == json.dumps(again)
-    assert doc["generators"] == [matrix_to_json(g) for g in generators]
-    assert problem_to_json(2, generators=[]) == {"dimension": 2, "generators": []}
+    with open(path, encoding="utf-8") as handle:
+        assert _json_text(problem.layout()) == handle.read()
+    for again, given in ((problem.ensemble.states, ensemble.states), (problem.ensemble.priors, ensemble.priors),
+                         (problem.povm.operators, povm.operators), (problem.generators, np.array(generators, complex))):
+        assert np.array_equal(again.view(np.uint64), given.view(np.uint64))
+    assert _json_text(ProblemFile(2, generators=[]).layout()) == '{"dimension": 2, "generators": []}'
 
 
 def test_validate_bundled_fixtures_exit_zero(capsys):
@@ -110,10 +114,8 @@ def test_validate_bundled_fixtures_exit_zero(capsys):
 
 
 def test_validate_bad_priors_exit_one(tmp_path, capsys):
-    doc = problem_to_json(2, ensemble=None)
-    doc["states"] = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
-    doc["priors"] = [0.5, 0.6]
-    path = write_problem(tmp_path, "bad.json", doc)
+    ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.6])
+    path = write_problem_file(tmp_path / "bad.json", 2, ensemble=ensemble)
     assert main(["validate", path]) == 1
     err = capsys.readouterr().err
     assert "priors" in err
@@ -122,7 +124,7 @@ def test_validate_bad_priors_exit_one(tmp_path, capsys):
 def test_validate_negative_priors_exit_one(tmp_path, capsys):
     # the priors sum to 1, so only the sign check rules them out
     ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.array([1.5, -0.5]))
-    path = write_problem(tmp_path, "negative.json", problem_to_json(2, ensemble=ensemble))
+    path = write_problem_file(tmp_path / "negative.json", 2, ensemble=ensemble)
     assert main(["validate", path]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("INVALID (1 violations)\n", "ensemble: priors contain negative entries\n")
@@ -160,7 +162,7 @@ def _string_prior(doc):
                          ids=["bool-dimension", "bool-entry", "string-prior"])
 def test_validate_rejects_non_numbers_exit_two(tmp_path, capsys, edit, message):
     # json reads true as a bool, which Python counts as the int 1
-    doc = problem_to_json(1, ensemble=Ensemble([np.eye(1)], np.ones(1)), povm=Povm([np.eye(1)]))
+    doc = {"dimension": 1, "states": [[[[1.0, 0.0]]]], "priors": [1.0], "povm": [[[[1.0, 0.0]]]]}
     edit(doc)
     path = write_problem(tmp_path, "typed.json", doc)
     assert main(["validate", path, "--json"]) == 2
@@ -218,7 +220,7 @@ def test_validate_json_report(tmp_path, capsys):
 
 def test_validate_reports_a_group_that_fails(tmp_path, capsys):
     # every entry of diag(1, 0.5) has modulus at most 1, so only U^dagger U - I rules it out
-    path = write_problem(tmp_path, "shrink.json", problem_to_json(2, generators=[np.diag([1.0, 0.5])]))
+    path = write_problem_file(tmp_path / "shrink.json", 2, generators=[np.diag([1.0, 0.5])])
     assert main(["validate", path, "--json"]) == 1
     captured = capsys.readouterr()
     message = "matrix is not unitary: max |U^dagger U - I| = 7.500e-01"
@@ -437,7 +439,7 @@ def test_surface_csv_matches_per_row_repr(tmp_path, kind):
 
 
 def test_decompose_identity_file(tmp_path, capsys):
-    path = write_problem(tmp_path, "id.json", {"dimension": 2, "povm": [matrix_to_json(np.eye(2))]})
+    path = write_problem_file(tmp_path / "id.json", 2, povm=Povm([np.eye(2)]))
     assert main(["decompose", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["weights"] == [1.0]
@@ -460,9 +462,7 @@ def test_decompose_best_leaf_not_worse(capsys):
 
 
 def test_decompose_invalid_povm_exit_one(tmp_path, capsys):
-    path = write_problem(
-        tmp_path, "bad_povm.json", {"dimension": 2, "povm": [matrix_to_json(np.diag([0.5, 0.5]))]}
-    )
+    path = write_problem_file(tmp_path / "bad_povm.json", 2, povm=Povm([np.diag([0.5, 0.5])]))
     assert main(["decompose", path]) == 1
 
 
@@ -470,7 +470,7 @@ def near_complete_problem(tmp_path):
     """Ensemble and a POVM whose operators sum to I only within 1e-5."""
     povm = Povm([np.diag([0.5 + 1e-5, 0.5]), np.diag([0.5, 0.5])])
     ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
-    return write_problem(tmp_path, "near.json", problem_to_json(2, ensemble=ensemble, povm=povm))
+    return write_problem_file(tmp_path / "near.json", 2, ensemble=ensemble, povm=povm)
 
 
 def assert_domain_error(capsys):
@@ -525,7 +525,7 @@ def test_library_defaults_are_pinned():
         name: obj for name, obj in vars(povm_forge).items()
         if callable(obj) and not name.startswith("_") and not (isinstance(obj, type) and issubclass(obj, Exception))
     }
-    exported.update({"cli.problem_to_json": cli.problem_to_json, "cli.main": cli.main})
+    exported.update({"cli.ProblemFile": cli.ProblemFile, "cli.main": cli.main})
     defaults = {}
     for name, obj in exported.items():
         params = inspect.signature(obj).parameters.values()
@@ -539,7 +539,7 @@ def test_library_defaults_are_pinned():
         "prune_povm": ["rep", "real_mode"],
         "scan_surface": ["nx", "nb"],
         "single_orbit_rank_argument": ["alpha"],
-        "cli.problem_to_json": ["ensemble", "povm", "generators", "metadata"],
+        "cli.ProblemFile": ["ensemble", "povm", "generators", "metadata"],
         "cli.main": ["argv"],
     }
 
@@ -564,7 +564,7 @@ def tolerated_negative_parts_problem():
 def test_tolerated_negative_parts_exit_zero_on_every_command(tmp_path, capsys, command):
     # prune trusts validate's completeness verdict instead of ruling again on its split
     ensemble, povm = tolerated_negative_parts_problem()
-    path = write_problem(tmp_path, "negative_parts.json", problem_to_json(2, ensemble=ensemble, povm=povm))
+    path = write_problem_file(tmp_path / "negative_parts.json", 2, ensemble=ensemble, povm=povm)
     extra = ["--out-dir", str(tmp_path / "out")] if command == "prune" else []
     assert main([command, path, *extra]) == 0
     assert capsys.readouterr().err == ""
@@ -584,7 +584,7 @@ def test_povm_at_the_sign_tolerance_exit_zero(tmp_path, capsys, command):
     # an eigenvalue of -5e-10 passes validation, so every command accepts it
     povm = Povm([np.diag([1.0, -5e-10]), np.diag([0.0, 1.0 + 5e-10])])
     ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
-    path = write_problem(tmp_path, "floor.json", problem_to_json(2, ensemble=ensemble, povm=povm))
+    path = write_problem_file(tmp_path / "floor.json", 2, ensemble=ensemble, povm=povm)
     extra = ["--out-dir", str(tmp_path / "out")] if command == "prune" else []
     assert main([command, path, *extra]) == 0
     assert capsys.readouterr().err == ""
@@ -604,7 +604,7 @@ def zero_outcome_problems():
 
 def write_zero_outcome_problem(tmp_path, name):
     ensemble, povm, zero = zero_outcome_problems()[name]
-    return write_problem(tmp_path, f"{name}.json", problem_to_json(2, ensemble=ensemble, povm=povm)), zero
+    return write_problem_file(tmp_path / f"{name}.json", 2, ensemble=ensemble, povm=povm), zero
 
 
 @pytest.mark.parametrize("name", ["zero", "tiny-trace"])
@@ -621,7 +621,7 @@ def test_prune_writes_no_zero_operator(tmp_path, capsys, name):
     path, _ = write_zero_outcome_problem(tmp_path, name)
     assert main(["prune", path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    ops = np.array([matrix_from_json(m) for m in doc["povm"]])
+    ops = _stack_from_json(doc["povm"], 2)
     assert np.all(np.max(np.abs(ops), axis=(1, 2)) > 1e-12)
     assert doc["report"]["info_bits_after"] >= doc["report"]["info_bits_before"]
 
@@ -640,8 +640,7 @@ def test_prune_plain(tmp_path, capsys):
     rng = np.random.default_rng(52)
     ensemble = random_ensemble(rng, 2, 3)
     povm = random_povm(rng, 2, 7)
-    doc = problem_to_json(2, ensemble=ensemble, povm=povm)
-    path = write_problem(tmp_path, "prune_me.json", doc)
+    path = write_problem_file(tmp_path / "prune_me.json", 2, ensemble=ensemble, povm=povm)
     assert main(["prune", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["operators_after"] <= 4
@@ -649,7 +648,7 @@ def test_prune_plain(tmp_path, capsys):
     # 14 rank-one pieces in d = 2 span the 4-dimensional design; each step drops one or more
     assert out["report"]["design_rank"] == 4
     assert 1 <= out["report"]["walk_steps"] <= 14 - 4
-    pruned = Povm([matrix_from_json(m) for m in out["povm"]])
+    pruned = Povm(_stack_from_json(out["povm"], 2))
     assert np.max(np.abs(sum(pruned.operators) - np.eye(2))) <= 1e-9
 
 
@@ -718,6 +717,25 @@ def test_every_json_document_is_one_compact_line(tmp_path, capsys):
             assert_one_compact_line((tmp_path / file_name).read_text())
 
 
+def test_written_problem_documents_are_problem_files(tmp_path, capsys):
+    # pruned.json and pgm.json load to the POVMs the library computes, bit for bit, and validate
+    four, trines_file = fixture("four_projectors_d2.json"), fixture("lifted_trines_0.05.json")
+    expected = {}
+    for name, argv in (("plain", [four]), ("group", [trines_file, "--group", trines_file, "--real"])):
+        assert main(["prune", *argv, "--out-dir", str(tmp_path / name)]) == 0
+        problem = load_problem(argv[0])
+        rep = generate_group(problem.generators) if name == "group" else None
+        pruned = prune_povm(problem.ensemble, problem.povm, rep, real_mode=rep is not None)
+        expected[tmp_path / name / "pruned.json"] = pruned
+    assert main(["experiment", "double-trines", "--out-dir", str(tmp_path / "exp"), "--nx", "3", "--nb", "4"]) == 0
+    expected[tmp_path / "exp" / "pgm.json"] = pretty_good_measurement(lifted_trines(0.5))
+    for path, povm in expected.items():
+        operators = load_problem(str(path)).povm.operators
+        assert np.array_equal(operators.view(np.uint64), povm.operators.view(np.uint64)), path
+        assert main(["validate", str(path)]) == 0, path
+    capsys.readouterr()
+
+
 def test_prune_symmetric_fixture(tmp_path, capsys):
     code = main(["prune", fixture("lifted_trines_0.05.json"), "--real", "--out-dir", str(tmp_path)])
     assert code == 0
@@ -729,10 +747,8 @@ def test_prune_symmetric_fixture(tmp_path, capsys):
 def test_prune_with_separate_group_file(tmp_path, capsys):
     ensemble = lifted_trines(0.05)
     povm = Povm([np.eye(3)])
-    path = write_problem(tmp_path, "plain.json", problem_to_json(3, ensemble=ensemble, povm=povm))
-    group_path = write_problem(
-        tmp_path, "group.json", problem_to_json(3, generators=[trine_rotation()])
-    )
+    path = write_problem_file(tmp_path / "plain.json", 3, ensemble=ensemble, povm=povm)
+    group_path = write_problem_file(tmp_path / "group.json", 3, generators=[trine_rotation()])
     assert main(["prune", path, "--group", group_path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["group_order"] == 3
@@ -760,19 +776,21 @@ def test_prune_parses_a_group_file_that_is_the_problem_file_once(tmp_path, capsy
     assert outputs[0] == outputs[1]
 
 
-def test_prune_validates_the_povm_once(capsys, monkeypatch):
-    # info_bits_before reuses the validation prune_povm made
+def test_prune_solves_the_povm_spectrum_once(capsys, monkeypatch):
+    # info_bits_before validates the POVM that prune_povm validated, on its cached spectrum,
+    # so a prune makes one eigensolve of the 3 states and one of the 9 operators
     calls = []
-    for module in (caratheodory, infotheory):
-        def counting(*args, original=module.validate_povm, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+    eigh = np.linalg.eigh
 
-        monkeypatch.setattr(module, "validate_povm", counting)
+    def counting(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     path = fixture("lifted_trines_0.05.json")
     assert main(["prune", path]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
-    assert len(calls) == 1
+    assert calls == [(3, 3, 3), (9, 3, 3)]
     problem = load_problem(path)
     assert report["info_bits_before"] == mutual_information(problem.ensemble, problem.povm)
 
@@ -792,8 +810,7 @@ def test_prune_not_symmetric_exit_one(tmp_path, capsys):
     rng = np.random.default_rng(53)
     ensemble = random_ensemble(rng, 3, 3)
     povm = random_povm(rng, 3, 3)
-    doc = problem_to_json(3, ensemble=ensemble, povm=povm, generators=[trine_rotation()])
-    path = write_problem(tmp_path, "asym.json", doc)
+    path = write_problem_file(tmp_path / "asym.json", 3, ensemble=ensemble, povm=povm, generators=[trine_rotation()])
     assert main(["prune", path]) == 1
 
 
@@ -801,8 +818,8 @@ def test_prune_reports_invalid_priors_before_symmetry(tmp_path, capsys):
     # priors summing to 1.4, under a swap that does not permute the states
     ensemble = Ensemble([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)], [0.7, 0.7])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    doc = problem_to_json(2, ensemble=ensemble, povm=Povm([np.eye(2)]), generators=[swap])
-    assert main(["prune", write_problem(tmp_path, "bad.json", doc)]) == 1
+    path = write_problem_file(tmp_path / "bad.json", 2, ensemble=ensemble, povm=Povm([np.eye(2)]), generators=[swap])
+    assert main(["prune", path]) == 1
     assert capsys.readouterr().err.startswith("error: invalid ensemble: priors sum to 1.4, expected 1")
 
 
@@ -923,14 +940,14 @@ def test_prune_real_checks_the_given_operators(tmp_path, capsys):
     nu = np.arccos(np.sqrt(1.0 / 3.0))
     tiny = np.array([[1e-9, 1e-12j, 0], [-1e-12j, 1e-9, 0], [0, 0, 1e-9]])
     povm = Povm([(1 - 1e-9) * op for op in orbit_projectors(nu, 0.0)] + [tiny])
-    doc = problem_to_json(3, ensemble=lifted_trines(0.05), povm=povm, generators=[trine_rotation()])
-    path = write_problem(tmp_path, "tiny_complex.json", doc)
+    path = write_problem_file(tmp_path / "tiny_complex.json", 3, ensemble=lifted_trines(0.05), povm=povm,
+                              generators=[trine_rotation()])
     assert main(["validate", path]) == 0
     assert main(["prune", path]) == 0
     capsys.readouterr()
     assert main(["prune", path, "--real"]) == 0
     out = json.loads(capsys.readouterr().out)
-    ops = np.array([matrix_from_json(m) for m in out["povm"]])
+    ops = _stack_from_json(out["povm"], 3)
     assert not np.any(ops.imag)
     assert out["report"]["orbit_count"] <= 2
     assert out["report"]["info_bits_after"] >= out["report"]["info_bits_before"] - 1e-9
@@ -941,8 +958,8 @@ def test_prune_real_rejects_complex_operators_exit_one(tmp_path, capsys):
     y = np.array([[0.0, -1j], [1j, 0.0]])
     ensemble = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.full(2, 0.5))
     povm = Povm([(np.eye(2) + y) / 2, (np.eye(2) - y) / 2])
-    doc = problem_to_json(2, ensemble=ensemble, povm=povm, generators=[np.diag([1.0, -1.0])])
-    path = write_problem(tmp_path, "complex.json", doc)
+    path = write_problem_file(tmp_path / "complex.json", 2, ensemble=ensemble, povm=povm,
+                              generators=[np.diag([1.0, -1.0])])
     assert main(["prune", path]) == 0
     capsys.readouterr()
     assert main(["prune", path, "--real"]) == 1
@@ -950,8 +967,7 @@ def test_prune_real_rejects_complex_operators_exit_one(tmp_path, capsys):
 
 
 def test_validate_prior_count_mismatch_exit_two(tmp_path, capsys):
-    doc = {"dimension": 2, "states": [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))],
-           "priors": [1.0]}
+    doc = {"dimension": 2, "states": [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()], "priors": [1.0]}
     path = write_problem(tmp_path, "short.json", doc)
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err == f"error: {path}: states: 2 states but 1 priors\n"
@@ -960,8 +976,7 @@ def test_validate_prior_count_mismatch_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "decompose", "bound"])
 def test_priors_without_states_exit_two(tmp_path, capsys, command):
     # priors belong to states; without states they would be dropped without a word
-    doc = {"dimension": 2, "priors": [1.0], "povm": [matrix_to_json(np.eye(2))],
-           "generators": [matrix_to_json(np.diag([1.0, -1.0]))]}
+    doc = {"dimension": 2, "priors": [1.0], "povm": [np.eye(2).tolist()], "generators": [np.diag([1.0, -1.0]).tolist()]}
     path = write_problem(tmp_path, "priors_only.json", doc)
     assert main([command, path]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: priors given without states\n")

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from povm_forge import Ensemble, Povm, inv_sqrt_psd
-from povm_forge.cli import main, matrix_from_json, problem_to_json
+from povm_forge.cli import _stack_from_json, main
 from povm_forge.hermitian import HERM_TOL
 
-from helpers import gaussian_problem, random_ensemble, random_povm
+from helpers import gaussian_problem, random_ensemble, random_povm, write_problem_file
 
 QUBIT_BASIS = Ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5, 0.5])
 
@@ -148,7 +148,7 @@ def disagreements(path: str, d: int, capsys) -> list[str]:
         report = doc["report"]
         if report["info_bits_after"] < report["info_bits_before"] - HERM_TOL:
             found.append(f"prune loses {report['info_bits_before'] - report['info_bits_after']:.3e} bit")
-        ops = np.array([matrix_from_json(m) for m in doc["povm"]])
+        ops = _stack_from_json(doc["povm"], d)
         residual = np.max(np.abs(ops.sum(axis=0) - np.eye(d)))
         if residual > HERM_TOL:
             found.append(f"pruned POVM is off the identity by {residual:.3e}")
@@ -159,9 +159,8 @@ def disagreements(path: str, d: int, capsys) -> list[str]:
 def test_validate_zero_means_every_command_zero(tmp_path, capsys, family):
     failures = []
     for i, (ensemble, ops) in enumerate(FAMILIES[family]()):
-        path = tmp_path / f"draw{i}.json"
-        path.write_text(json.dumps(problem_to_json(ensemble.dim, ensemble=ensemble, povm=Povm(ops))))
-        failures += [f"draw {i}: {line}" for line in disagreements(str(path), ensemble.dim, capsys)]
+        path = write_problem_file(tmp_path / f"draw{i}.json", ensemble.dim, ensemble=ensemble, povm=Povm(ops))
+        failures += [f"draw {i}: {line}" for line in disagreements(path, ensemble.dim, capsys)]
     assert not failures, "\n".join(failures[:5]) + f"\n({len(failures)} in all)"
 
 
@@ -171,9 +170,8 @@ def test_prune_reports_whether_its_optimum_is_certified(tmp_path, capsys):
     # draw, and each shipped POVM, stops before the cap at no such reduced cost
     uncertified = []
     for i, (ensemble, ops) in enumerate(FAMILIES["full-rank-d4-12dp"]()):
-        path = tmp_path / f"draw{i}.json"
-        path.write_text(json.dumps(problem_to_json(ensemble.dim, ensemble=ensemble, povm=Povm(ops))))
-        code, out, _, _ = run(["prune", str(path)], capsys)
+        path = write_problem_file(tmp_path / f"draw{i}.json", ensemble.dim, ensemble=ensemble, povm=Povm(ops))
+        code, out, _, _ = run(["prune", path], capsys)
         report = json.loads(out)["report"]
         assert code == 0 and isinstance(report["certified"], bool)
         # n = 32: the 8 full-rank outcomes split into 4 rank-one pieces each

@@ -44,6 +44,15 @@ def test_povm_spectrum_is_cached_on_a_read_only_stack():
     assert p.spectrum is p.spectrum
 
 
+def test_ensemble_states_are_a_read_only_copy():
+    states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    s = Ensemble(states, [0.5, 0.5])
+    with pytest.raises(ValueError, match="read-only"):
+        s.states[0, 0, 0] = 2.0
+    # the caller's array is copied, not frozen
+    assert states.flags.writeable
+
+
 def test_validate_povm_identity():
     assert validate_povm(Povm([np.eye(2)])).ok
 

@@ -299,6 +299,21 @@ def test_commutant_basis_of_a_group_built_from_its_elements():
     assert np.max(np.abs(orbit_sum(op, from_elements) - orbit_sum(op, rep))) <= 1e-12
 
 
+def test_group_stacks_are_read_only_copies():
+    # a write into either stack would leave the cached commutant_basis, and so orbit_sum, stale
+    z = np.diag([1.0, -1.0])
+    rep = generate_group([z])
+    x = np.array([[1.0, 0.5], [0.5, 0.0]])
+    assert np.max(np.abs(orbit_sum(x, rep) - np.diag([1.0, 0.0]))) <= 1e-12
+    for array in (rep.generators, rep.elements):
+        with pytest.raises(ValueError, match="read-only"):
+            array[-1] = np.eye(2)
+    # the caller's arrays are copied, not frozen
+    elements, generators = np.array([np.eye(2), z]), np.array([z])
+    FiniteRep(dim=2, elements=elements, generators=generators)
+    assert elements.flags.writeable and generators.flags.writeable
+
+
 def test_lifted_trines_symmetric():
     rep = trine_group()
     assert is_symmetric_ensemble(lifted_trines(0.05), rep)
